@@ -7,10 +7,13 @@ whose radius equals the number of rounds, and that radius is optimal among
 all cores of that size; when some residual has no degree-one vertex, no
 core of size ``n - m`` exists at all.
 
-:func:`mincore_fpt` lifts this to cores of size ``n - m + a`` by deleting
-every ``a``-subset of edges, peeling the remainder, and re-inserting the
-deleted edges (which may add one final layer).  The run over all subsets
-is embarrassingly parallel; results are aggregated deterministically.
+:func:`mincore_fpt` lifts this to cores of size ``n - m + a``.  It peels the
+whole instance once to its residual edges, the ones degree-one peeling
+cannot remove, then deletes every ``a``-subset of the residual edges, peels
+the remainder (the deleted edges are masked, not copied out), and
+re-inserts the deleted edges (which may add one final layer).  The run over
+all subsets is embarrassingly parallel; results are aggregated
+deterministically.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .hypergraph import Hypergraph
-from .oracle import DEFAULT_BUDGET, OracleBudget, _enumeration_guard
+from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_best_radius_at_size
 from .propagation import propagate
 
 PEEL_FAILURE_MESSAGE = "no core of size n-m possible"
@@ -69,21 +72,33 @@ class MinCoreResult:
     parameter_a: int
 
 
-def peel_nm(graph: Hypergraph) -> PeelResult:
+def peel_nm(graph: Hypergraph, deleted: Sequence[int] = ()) -> PeelResult:
     """Find a core of size ``n - m`` with optimal radius, or fail.
+
+    ``deleted`` lists edge indices to leave out.  The peel then runs on
+    ``graph`` without those edges and finds the core a rebuilt subgraph
+    would give, of size ``n`` minus the edges kept; ``layers`` and
+    ``assimilator`` keep the edge indices of ``graph``.
 
     Raises :class:`NoCoreOfSizeNM` when no such core exists.  Runs in time
     linear in the total incidence size.
     """
     n, m = graph.n, graph.m
-    if m > n:
+    dead = set(deleted)
+    if dead and (min(dead) < 0 or max(dead) >= m):
+        raise ValueError(f"deleted edge index outside [0, {m})")
+    remaining = m - len(dead)
+    if remaining > n:
         raise NoCoreOfSizeNM()
     edges = graph.edges
     incidence = graph._incidence
     deg = graph.degrees()
     alive = [True] * m
+    for ei in dead:
+        alive[ei] = False
+        for u in edges[ei]:
+            deg[u] -= 1
     ptr = [0] * n
-    remaining = m
     core = set(range(n))
     assimilator: dict[int, int] = {}
     rounds: list[tuple[int, ...]] = []
@@ -117,21 +132,38 @@ def peel_nm(graph: Hypergraph) -> PeelResult:
     return PeelResult(core=frozenset(core), layers=rounds, assimilator=assimilator)
 
 
-def _subgraph_without(graph: Hypergraph, deleted: Sequence[int]) -> Hypergraph:
-    drop = set(deleted)
-    return Hypergraph(
-        graph.n, [e for i, e in enumerate(graph.edges) if i not in drop]
-    )
+def _residual(graph: Hypergraph) -> list[int]:
+    """Sorted indices of the edges that degree-one peeling cannot remove.
+
+    Any order of peeling ends at the same edge set (see
+    :func:`mincore_fpt`), so this peels one edge at a time from a stack.
+    """
+    edges, incidence = graph.edges, graph._incidence
+    deg = graph.degrees()
+    alive = [True] * graph.m
+    stack = [v for v in range(graph.n) if deg[v] == 1]
+    while stack:
+        v = stack.pop()
+        if deg[v] != 1:
+            continue
+        ei = next(i for i in incidence[v] if alive[i])
+        alive[ei] = False
+        for u in edges[ei]:
+            deg[u] -= 1
+            if deg[u] == 1:
+                stack.append(u)
+    return [i for i in range(graph.m) if alive[i]]
 
 
 def _attempt(graph: Hypergraph, deleted: tuple[int, ...]) -> Optional[tuple[int, int]]:
     """Peel with ``deleted`` removed; on success return (full radius, peel radius)."""
     try:
-        res = peel_nm(_subgraph_without(graph, deleted))
+        res = peel_nm(graph, deleted)
     except NoCoreOfSizeNM:
         return None
     trace = propagate(graph, res.core)
-    assert trace.verdict, "peeled core must stay a core after re-insertion"
+    if not trace.verdict:
+        raise RuntimeError("peeled core must stay a core after re-insertion")
     return trace.radius, res.radius
 
 
@@ -144,7 +176,8 @@ def _pool_init(n: int, edges: tuple) -> None:
 
 
 def _pool_run(chunk: list[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:
-    assert _POOL_GRAPH is not None
+    if _POOL_GRAPH is None:
+        raise RuntimeError("pool worker ran before _pool_init")
     out = []
     for deleted in chunk:
         hit = _attempt(_POOL_GRAPH, deleted)
@@ -169,21 +202,68 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     successful edge deletion it returns the minimum radius over all
     successful deletions, breaking radius ties by the lexicographically
     smallest deleted index tuple.  The output is independent of ``jobs``.
+
+    Only deletions inside the residual ``R`` (:func:`_residual`) are tried,
+    starting at ``a = max(0, |R| - |V(R)|)``, where ``V(R)`` is the set of
+    vertices of ``R``'s edges.  This gives the same answer as trying every
+    ``a``-subset of all ``m`` edges from ``a = 0``:
+
+    Write ``core2(H)`` for the largest edge set of ``H`` in which no vertex
+    has degree one (the union of two such sets is one, so a largest
+    exists), and ``G - D`` for ``G`` without the edges ``D``.
+
+    1. Peeling ends at ``core2``, in any order.  Every vertex of an edge
+       of ``core2(H)`` lies in at least two of its edges, so it never has
+       degree one while all of ``core2(H)`` is alive, and peeling never
+       removes an edge of ``core2(H)``; when peeling stops, the alive
+       edges have no degree-one vertex, so they lie inside ``core2(H)``.
+       Hence ``H`` peels to nothing iff ``core2(H)`` is empty, and
+       ``R = core2(G)``.
+    2. ``core2`` is monotone: if ``F`` is a subset of ``H``, then
+       ``core2(F)`` is a subset of ``H`` with no degree-one vertex, so it
+       lies inside ``core2(H)``.
+    3. ``core2(G - D) = core2(R - D)``.  By 2, ``core2(R - D)`` lies inside
+       ``core2(G - D)``, which lies inside ``core2(G) = R``; being inside
+       ``G - D`` too, it lies inside ``R - D`` and so inside
+       ``core2(R - D)``.  Since ``R - D = R - (D & R)``, whether ``G - D``
+       peels depends only on ``D & R``.
+    4. Adding deletions never hurts: if ``D`` peels and ``D'`` contains
+       ``D``, then ``core2(G - D')`` lies inside ``core2(G - D)``, which is
+       empty, by 2.
+    5. Let ``a*`` be the least ``|D|`` for which ``G - D`` peels.  Deleting
+       all of ``R`` peels, by 3, so ``a* <= |R|``, and by 4 every level
+       from ``a*`` to ``m`` has a success.  If ``D`` peels and
+       ``|D| = a*``, then ``D & R`` peels by 3, and minimality forces
+       ``D & R = D``: every successful deletion at ``a*`` lies inside
+       ``R``.
+    6. Each peeled edge claims a distinct vertex of its own, so a peelable
+       edge set has no more edges than vertices.  For ``|D| = a`` the set
+       ``R - D`` has at least ``|R| - a`` edges on at most ``|V(R)|``
+       vertices, so by 3 no level ``a < |R| - |V(R)|`` has a success.
+
+    So the levels skipped and the deletions left out hold no success, the
+    successful deletions at ``a*`` are the same, and each is scored the
+    same way (peel ``G - D``, re-insert, propagate on ``G``).
+    ``combinations(R, a)`` of the sorted ``R`` yields them in the same
+    lexicographic order as ``combinations(range(m), a)``, so the radius
+    tie-break picks the same tuple.
     """
     if a_max < 0:
         raise ValueError("a_max must be non-negative")
     m = graph.m
-    for a in range(a_max + 1):
+    residual = _residual(graph)
+    spanned = {v for ei in residual for v in graph.edges[ei]}
+    for a in range(max(0, len(residual) - len(spanned)), a_max + 1):
         if a > m:
             break
         best: Optional[tuple[int, tuple[int, ...]]] = None
         if jobs <= 1:
-            for deleted in itertools.combinations(range(m), a):
+            for deleted in itertools.combinations(residual, a):
                 hit = _attempt(graph, deleted)
                 if hit is not None and (best is None or hit[0] < best[0]):
                     best = (hit[0], deleted)
         else:
-            combos = itertools.combinations(range(m), a)
+            combos = itertools.combinations(residual, a)
             with ProcessPoolExecutor(
                 max_workers=jobs,
                 initializer=_pool_init,
@@ -196,9 +276,9 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
         if best is not None:
             radius_full, deleted = best
             try:
-                res = peel_nm(_subgraph_without(graph, deleted))
+                res = peel_nm(graph, deleted)
             except NoCoreOfSizeNM:  # pragma: no cover - best came from a success
-                raise AssertionError("winning deletion must re-peel")
+                raise RuntimeError("winning deletion must re-peel")
             return MinCoreResult(
                 core=res.core,
                 radius=radius_full,
@@ -218,10 +298,5 @@ def verify_optimal_radius_nm(
     when peeling fails and raises the budget error on oversized instances.
     """
     res = peel_nm(graph)
-    _enumeration_guard(graph.n, budget)
-    size = graph.n - graph.m
-    for combo in itertools.combinations(range(graph.n), size):
-        trace = propagate(graph, combo)
-        if trace.verdict and trace.radius < res.radius:
-            return False
-    return True
+    best = oracle_best_radius_at_size(graph, graph.n - graph.m, budget=budget)
+    return best[0] >= res.radius

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hypercore import Hypergraph, write_instance
+from hypercore import Hypergraph, generate_random, write_instance
 
 PATH_TEXT = "p hce 3 2\ne 2 1 2\ne 2 2 3\n"
 TRIANGLE_TEXT = "p hce 3 3\ne 2 1 2\ne 2 2 3\ne 2 1 3\n"
@@ -184,3 +184,15 @@ def test_jobs_flag_never_changes_bytes(tmp_path):
         again = run("mincore", str(inst), "--max-a", "7", "--jobs", jobs)
         assert again.stdout == base.stdout
         assert again.returncode == base.returncode
+
+
+def test_mincore_output_unchanged_under_optimize_flag(tmp_path):
+    """``python -O`` strips asserts; the search must not depend on them."""
+    inst = tmp_path / "g.hce"
+    inst.write_text(write_instance(generate_random(12, 11, 2, 3, seed=0)))
+    argv = ["-m", "hypercore", "mincore", str(inst), "--max-a", "3", "--jobs", "1"]
+    plain = subprocess.run([sys.executable, *argv], capture_output=True)
+    optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True)
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout.startswith(b"a 3\n")
+    assert optimized.stdout == plain.stdout

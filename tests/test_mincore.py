@@ -1,5 +1,9 @@
 """Degree-one peeling and the parameterized minimum-core search."""
 
+import dataclasses
+import itertools
+import random
+
 import pytest
 
 from hypercore import (
@@ -16,7 +20,8 @@ from hypercore import (
     propagate,
     verify_optimal_radius_nm,
 )
-from hypercore.mincore import PEEL_FAILURE_MESSAGE, _subgraph_without
+from hypercore import mincore
+from hypercore.mincore import PEEL_FAILURE_MESSAGE, MinCoreResult, _residual
 from conftest import seeded_family
 
 
@@ -153,7 +158,9 @@ def test_fpt_radius_sandwich():
         assert best_radius <= res.radius <= best_radius + 1
         if res.parameter_a == 0:
             assert res.radius == best_radius
-        replay = peel_nm(_subgraph_without(g, res.deleted_edges))
+        drop = set(res.deleted_edges)
+        kept = [e for i, e in enumerate(g.edges) if i not in drop]
+        replay = peel_nm(Hypergraph(g.n, kept))
         assert replay.radius <= res.radius <= replay.radius + 1
 
 
@@ -163,6 +170,112 @@ def test_fpt_deterministic_and_parallel_identical():
         b = mincore_fpt(g, g.n)
         c = mincore_fpt(g, g.n, jobs=2)
         assert a == b == c
+
+
+def _reference_fpt(g, a_max):
+    """The search without the kernel: every ``a``-subset of all edges, each
+    peeled on a rebuilt subgraph."""
+    for a in range(min(a_max, g.m) + 1):
+        best = None
+        for deleted in itertools.combinations(range(g.m), a):
+            kept = [e for i, e in enumerate(g.edges) if i not in deleted]
+            try:
+                core = peel_nm(Hypergraph(g.n, kept)).core
+            except NoCoreOfSizeNM:
+                continue
+            trace = propagate(g, core)
+            assert trace.verdict
+            if best is None or (trace.radius, deleted) < best[:2]:
+                best = (trace.radius, deleted, core)
+        if best is not None:
+            return MinCoreResult(
+                core=best[2], radius=best[0], deleted_edges=best[1], parameter_a=a
+            )
+    raise NotFoundWithin(a_max)
+
+
+def _messy_instance(rng):
+    """Small instance with duplicate edges, size-1 edges and isolated vertices."""
+    n = rng.randint(1, 10)
+    used = rng.randint(1, n)  # vertices used..n-1 stay isolated
+    edges = []
+    for _ in range(rng.randint(0, used + 3)):
+        if edges and rng.random() < 0.2:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append(rng.sample(range(used), rng.randint(1, min(3, used))))
+    return Hypergraph(n, edges)
+
+
+def _outcome(search, g, a_max, **kwargs):
+    try:
+        return search(g, a_max, **kwargs)
+    except NotFoundWithin as err:
+        return ("not found", err.a_max)
+
+
+def test_fpt_matches_unkernelised_reference():
+    for s in range(320):
+        rng = random.Random(9_000_011 + s)
+        g = _messy_instance(rng)
+        a_max = rng.randint(0, 4)
+        expected = _outcome(_reference_fpt, g, a_max)
+        assert _outcome(mincore_fpt, g, a_max) == expected
+        if s % 16 == 0 and g.m >= 6:
+            assert _outcome(mincore_fpt, g, a_max, jobs=2) == expected
+
+
+def test_peel_with_deleted_edges_matches_rebuilt_subgraph(triangle):
+    res = peel_nm(triangle, deleted=(1,))
+    rebuilt = peel_nm(Hypergraph(3, [(0, 1), (0, 2)]))
+    assert res.core == rebuilt.core == frozenset({0})
+    # layers and assimilator keep the indices of the full instance
+    assert res.layers == [(0, 2)]
+    assert res.assimilator == {0: 1, 2: 2}
+    with pytest.raises(ValueError):
+        peel_nm(triangle, deleted=(3,))
+    with pytest.raises(ValueError):
+        peel_nm(triangle, deleted=(-1,))
+
+
+def test_residual(path, star, triangle):
+    assert _residual(path) == []
+    assert _residual(star) == []
+    assert _residual(Hypergraph(3, [])) == []
+    assert _residual(triangle) == [0, 1, 2]
+    # a pendant path hanging off a triangle peels away
+    tail = Hypergraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    assert _residual(tail) == [0, 1, 2]
+
+
+def test_fpt_skips_levels_below_residual_excess(monkeypatch):
+    """K4 has 6 residual edges on 4 vertices, so levels 0 and 1 cannot succeed."""
+    k4 = Hypergraph(4, list(itertools.combinations(range(4), 2)))
+    calls = []
+
+    def counting_peel(graph, deleted=()):
+        calls.append(tuple(deleted))
+        return peel_nm(graph, deleted)
+
+    monkeypatch.setattr(mincore, "peel_nm", counting_peel)
+    with pytest.raises(NotFoundWithin) as err:
+        mincore_fpt(k4, 1)
+    assert err.value.a_max == 1
+    assert calls == []
+    res = mincore_fpt(k4, 3)
+    assert res.parameter_a == 3
+    assert {len(d) for d in calls} == {2, 3}
+
+
+def test_internal_invariants_raise_runtime_error(monkeypatch, path):
+    def broken_propagate(graph, core):
+        return dataclasses.replace(propagate(graph, core), verdict=False)
+
+    monkeypatch.setattr(mincore, "propagate", broken_propagate)
+    with pytest.raises(RuntimeError, match="must stay a core after re-insertion"):
+        mincore_fpt(path, 0)
+    with pytest.raises(RuntimeError, match="_pool_init"):
+        mincore._pool_run([()])
 
 
 def test_verify_optimal_radius_examples(path, star):
