@@ -26,11 +26,9 @@ from .filtration import (
 from .hypergraph import (
     HceParseError,
     Hypergraph,
-    degrees,
     diameter,
     generate_random,
     has_sdr,
-    neighbors,
     read_instance,
     read_vertex_set,
     shortest_hyperpath,

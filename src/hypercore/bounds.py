@@ -73,10 +73,11 @@ def diameter_radius_bound(graph: Hypergraph, core_size: int) -> float:
     """
     if core_size < 1:
         raise ValueError("core size must be at least 1")
-    d = diameter(graph)
-    if math.isinf(d):
-        return math.inf
-    return float(int(d) // (2 * core_size))
+    return _diameter_bound(diameter(graph), core_size)
+
+
+def _diameter_bound(diam: float, core_size: int) -> float:
+    return math.inf if math.isinf(diam) else float(int(diam) // (2 * core_size))
 
 
 def layer_distance_check(
@@ -100,13 +101,14 @@ def bound_report(graph: Hypergraph, core_size: int) -> BoundReport:
     """All bounds for one instance and core size; needs ``n >= 2``."""
     j = max_neighbor_count(graph)
     d = max_degree(graph)
+    diam = diameter(graph)
     return BoundReport(
         j_neighbors=j,
         d_degree=d,
-        diameter=diameter(graph),
+        diameter=diam,
         neighbor_bound=_log_bound(j, graph.n, core_size),
         degree_bound=_log_bound(d, graph.n, core_size),
-        diameter_bound=diameter_radius_bound(graph, core_size),
+        diameter_bound=_diameter_bound(diam, core_size),
         neighbor_degenerate=j <= 1,
         degree_degenerate=d <= 1,
     )

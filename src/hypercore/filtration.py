@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .hypergraph import HceParseError, Hypergraph
+from .hypergraph import HceParseError, Hypergraph, _counted, _records
 from .propagation import NotACoreError, propagate
 
 
@@ -145,7 +145,8 @@ def core_to_filtration(graph: Hypergraph, core: Iterable[int]) -> Filtration:
     added: list[Optional[int]] = []
     for edge_index in order:
         new = set(graph.edges[edge_index]) - seen
-        assert len(new) <= 1, "default-threshold layers add at most one vertex"
+        if len(new) > 1:
+            raise RuntimeError("default-threshold layers add at most one vertex")
         v = next(iter(new)) if new else None
         added.append(v)
         seen |= new
@@ -182,37 +183,22 @@ def write_filtration(filtration: Filtration) -> str:
 
 
 def read_filtration(text: str) -> Filtration:
-    foundation: Optional[set[int]] = None
+    """Parse one ``f`` line of distinct vertices, then the ``o`` lines."""
+    foundation: Optional[frozenset[int]] = None
     order: list[int] = []
     added: list[Optional[int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "f":
+    for line_no, kind, nums in _records(text, ("f", "o")):
+        if kind == "f":
             if foundation is not None:
                 raise HceParseError(line_no, "duplicate foundation line")
-            try:
-                nums = [int(x) for x in fields[1:]]
-            except ValueError:
-                raise HceParseError(line_no, "non-integer in foundation line") from None
-            if not nums or len(nums) - 1 != nums[0]:
-                raise HceParseError(line_no, "foundation count does not match list")
-            foundation = {v - 1 for v in nums[1:]}
-        elif fields[0] == "o":
-            if foundation is None:
-                raise HceParseError(line_no, "order line before foundation")
-            try:
-                nums = [int(x) for x in fields[1:]]
-            except ValueError:
-                raise HceParseError(line_no, "non-integer in order line") from None
-            if len(nums) not in (1, 2):
-                raise HceParseError(line_no, "order line needs edge [vertex]")
+            foundation = frozenset(_counted(line_no, nums))
+        elif foundation is None:
+            raise HceParseError(line_no, "order line before foundation")
+        elif len(nums) not in (1, 2) or min(nums) < 1:
+            raise HceParseError(line_no, "order line needs edge [vertex], 1-based")
+        else:
             order.append(nums[0] - 1)
             added.append(nums[1] - 1 if len(nums) == 2 else None)
-        else:
-            raise HceParseError(line_no, f"unknown line kind {fields[0]!r}")
     if foundation is None:
         raise HceParseError(1, "missing foundation line")
-    return Filtration(frozenset(foundation), tuple(order), tuple(added))
+    return Filtration(foundation, tuple(order), tuple(added))

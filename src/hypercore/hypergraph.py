@@ -8,13 +8,23 @@ immutable after construction and safe to share between threads.
 The text exchange format ("HCE") is line oriented, UTF-8, 1-based:
 
     c <comment>                ignored
-    p hce <n> <m>              header, exactly once, before any "e" line
+    p hce <n> <m>              header, exactly once, before any other line
     e <k> <v1> ... <vk>        one line per edge, k = vertex count
     t <edge_index> <threshold> optional per-edge activation threshold
     l <v> <label>              optional vertex label
 
-Vertex-set files (cores, foundations) hold a single ``s <k> <v1> ... <vk>``
-line, also 1-based.
+Vertex-set files (cores, foundations) hold exactly one
+``s <k> <v1> ... <vk>`` line of distinct vertices, also 1-based.
+
+Every line-record format of the package (these two, filtrations and the
+compiler inputs) goes through one tokeniser with one grammar: a comment
+is a line whose first field is exactly ``c``; a ``p`` header, where the
+format has one, appears once, before every other record, with integer
+counts; unknown line kinds are errors; every field is an integer except
+the free-text label of an ``l`` line; every 1-based index is at least 1.
+A ``t`` line names each edge at most once and its value lies in
+``[0, |e| - 1]``.  Malformed text raises :class:`HceParseError` with the
+offending line's number, or the header's line for whole-file checks.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ class Hypergraph:
             vs = tuple(sorted(e))
             if not vs:
                 raise ValueError("empty edges are not allowed")
-            if any(vs[i] == vs[i + 1] for i in range(len(vs) - 1)):
+            if len(set(vs)) != len(vs):
                 raise ValueError(f"edge {vs} repeats a vertex")
             if vs[0] < 0 or vs[-1] >= n:
                 raise ValueError(f"edge {vs} has a vertex outside [0, {n})")
@@ -95,10 +105,6 @@ class Hypergraph:
         out.discard(v)
         return out
 
-    def relabel(self, labels: Mapping[int, str]) -> "Hypergraph":
-        """Copy of this instance carrying the given vertex labels."""
-        return Hypergraph(self.n, self.edges, labels)
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} outside [0, {self.n})")
@@ -119,14 +125,6 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, m={self.m})"
 
 
-def degrees(graph: Hypergraph) -> list[int]:
-    return graph.degrees()
-
-
-def neighbors(graph: Hypergraph, v: int) -> set[int]:
-    return graph.neighbors(v)
-
-
 def has_sdr(graph: Hypergraph) -> tuple[bool, Optional[dict[int, int]]]:
     """Test for a system of distinct representatives.
 
@@ -137,20 +135,29 @@ def has_sdr(graph: Hypergraph) -> tuple[bool, Optional[dict[int, int]]]:
     """
     if graph.m > graph.n:
         return False, None
+    edges = graph.edges
     owner: dict[int, int] = {}  # vertex -> edge index currently matched to it
-
-    def augment(edge_index: int, seen: set[int]) -> bool:
-        for v in graph.edges[edge_index]:
-            if v in seen:
+    for i in range(graph.m):
+        # Depth-first augmenting path on an explicit stack: frame k holds an
+        # edge and its untried vertices, picked[k] the vertex it is trying.
+        seen: set[int] = set()
+        stack = [(i, iter(edges[i]))]
+        picked: list[int] = []
+        while stack:
+            v = next((u for u in stack[-1][1] if u not in seen), None)
+            if v is None:
+                stack.pop()
+                if picked:
+                    picked.pop()
                 continue
             seen.add(v)
-            if v not in owner or augment(owner[v], seen):
-                owner[v] = edge_index
-                return True
-        return False
-
-    for i in range(graph.m):
-        if not augment(i, set()):
+            picked.append(v)
+            if v not in owner:
+                for (edge_index, _), u in zip(stack, picked):
+                    owner[u] = edge_index
+                break
+            stack.append((owner[v], iter(edges[owner[v]])))
+        else:
             return False, None
     return True, {i: v for v, i in owner.items()}
 
@@ -231,7 +238,78 @@ def generate_random(
 
 
 # ---------------------------------------------------------------------------
-# HCE text format
+# Line-record text formats
+
+
+def default_thresholds(graph: Hypergraph) -> tuple[int, ...]:
+    """Per-edge default, and largest valid, activation thresholds:
+    ``|e| - 1``, or 0 for a size-1 edge."""
+    return tuple([max(len(e) - 1, 0) for e in graph.edges])
+
+
+def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]] = None):
+    """Tokenise a line-record file into ``(line_no, kind, values)`` tuples.
+
+    Blank lines and comments (first field exactly ``c``) are skipped.  A
+    line whose first field is a word is a record of that kind; any other
+    line is a record of kind ``""`` (CNF clauses).  ``kinds`` lists the
+    kinds the format allows.  Values are integers, except that an ``l``
+    record carries one integer and then its free-text label.  With
+    ``header = (word, width)`` the file needs exactly one ``p <word>``
+    line of ``width`` non-negative integers before any other record; it
+    is yielded with kind ``"p"``.  Every violation raises
+    :class:`HceParseError` carrying the offending line's number.
+    """
+    seen = header is None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0] == "c":
+            continue
+        kind = fields[0] if fields[0].isalpha() else ""
+        if kind == "p" and header:
+            if seen:
+                raise HceParseError(line_no, "duplicate header")
+            if fields[1:2] != [header[0]]:
+                raise HceParseError(line_no, f"expected a 'p {header[0]}' header")
+            seen = True
+            values = fields[2:]
+        elif kind not in kinds:
+            raise HceParseError(line_no, f"unknown line kind {fields[0]!r}")
+        elif not seen:
+            raise HceParseError(line_no, f"record before the 'p {header[0]}' header")
+        else:
+            values = fields[1:] if kind else fields
+        if kind == "l":
+            if len(values) < 2:
+                raise HceParseError(line_no, "label line needs vertex and label")
+            label = " ".join(values[1:])
+            values = values[:1]
+        try:
+            nums = list(map(int, values))
+        except ValueError:
+            raise HceParseError(line_no, f"non-integer field in {raw.strip()[:40]!r}") from None
+        if kind == "p" and (len(nums) != header[1] or min(nums, default=0) < 0):
+            raise HceParseError(line_no, f"header needs {header[1]} non-negative counts")
+        if kind == "l":
+            nums.append(label)
+        yield line_no, kind, nums
+    if not seen:
+        raise HceParseError(1, "missing header")
+
+
+def _counted(line_no: int, nums: list[int], hi: Optional[int] = None) -> list[int]:
+    """0-based members of a counted record ``<k> <x1> ... <xk>``: exactly
+    ``k`` distinct 1-based indices, none above ``hi``."""
+    xs = nums[1:]
+    if not nums or nums[0] != len(xs):
+        raise HceParseError(line_no, "declared count does not match the list")
+    if len(set(xs)) != len(xs):
+        raise HceParseError(line_no, "repeated index")
+    if xs and min(xs) < 1:
+        raise HceParseError(line_no, "indices are 1-based")
+    if xs and hi is not None and max(xs) > hi:
+        raise HceParseError(line_no, f"index {max(xs)} outside [1, {hi}]")
+    return [x - 1 for x in xs]
 
 
 def read_instance(text: str):
@@ -239,83 +317,43 @@ def read_instance(text: str):
 
     ``thresholds`` is a list aligned with the edge list when the file has
     any ``t`` line, else ``None``.  Raises :class:`HceParseError` with the
-    offending line number.
+    offending line number (the header's for the edge count).
     """
-    n = m = None
     edges: list[list[int]] = []
     labels: dict[int, str] = {}
-    tlines: list[tuple[int, int, int]] = []  # (line_no, edge_index, threshold)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        kind = fields[0]
-        if kind == "p":
-            if n is not None:
-                raise HceParseError(line_no, "duplicate header")
-            if len(fields) != 4 or fields[1] != "hce":
-                raise HceParseError(line_no, f"malformed header {line!r}")
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise HceParseError(line_no, f"malformed header {line!r}") from None
-            if n < 0 or m < 0:
-                raise HceParseError(line_no, "negative count in header")
-        elif kind == "e":
-            if n is None:
-                raise HceParseError(line_no, "edge before header")
-            try:
-                nums = [int(x) for x in fields[1:]]
-            except ValueError:
-                raise HceParseError(line_no, "non-integer in edge line") from None
-            if not nums:
-                raise HceParseError(line_no, "edge line without vertex count")
-            k, vs = nums[0], nums[1:]
-            if len(vs) != k:
-                raise HceParseError(
-                    line_no, f"edge declares {k} vertices but lists {len(vs)}"
-                )
-            if k < 1:
+    tlines: dict[int, tuple[int, int]] = {}  # edge index -> (line_no, threshold)
+    for line_no, kind, nums in _records(text, ("e", "t", "l"), ("hce", 2)):
+        if kind == "e":
+            vs = _counted(line_no, nums, n)
+            if not vs:
                 raise HceParseError(line_no, "empty edge")
-            for v in vs:
-                if not 1 <= v <= n:
-                    raise HceParseError(line_no, f"vertex {v} outside [1, {n}]")
-            if len(set(vs)) != k:
-                raise HceParseError(line_no, "repeated vertex in edge")
-            edges.append([v - 1 for v in vs])
+            edges.append(vs)
+        elif kind == "p":
+            head, (n, m) = line_no, nums
         elif kind == "t":
-            if len(fields) != 3:
+            if len(nums) != 2:
                 raise HceParseError(line_no, "threshold line needs index and value")
-            try:
-                tlines.append((line_no, int(fields[1]), int(fields[2])))
-            except ValueError:
-                raise HceParseError(line_no, "non-integer in threshold line") from None
-        elif kind == "l":
-            if n is None:
-                raise HceParseError(line_no, "label before header")
-            if len(fields) < 3:
-                raise HceParseError(line_no, "label line needs vertex and label")
-            try:
-                v = int(fields[1])
-            except ValueError:
-                raise HceParseError(line_no, "non-integer vertex in label line") from None
-            if not 1 <= v <= n:
-                raise HceParseError(line_no, f"vertex {v} outside [1, {n}]")
-            labels[v - 1] = " ".join(fields[2:])
+            if not 1 <= nums[0] <= m:
+                raise HceParseError(line_no, f"edge index {nums[0]} outside [1, {m}]")
+            if nums[0] in tlines:
+                raise HceParseError(line_no, f"second threshold for edge {nums[0]}")
+            tlines[nums[0]] = (line_no, nums[1])
         else:
-            raise HceParseError(line_no, f"unknown line kind {kind!r}")
-    if n is None:
-        raise HceParseError(1, "missing header")
+            if not 1 <= nums[0] <= n:
+                raise HceParseError(line_no, f"vertex {nums[0]} outside [1, {n}]")
+            labels[nums[0] - 1] = nums[1]
     if len(edges) != m:
-        raise HceParseError(1, f"header declares {m} edges, file has {len(edges)}")
+        raise HceParseError(head, f"header declares {m} edges, file has {len(edges)}")
     graph = Hypergraph(n, edges, labels)
     thresholds = None
     if tlines:
-        thresholds = [max(len(e) - 1, 0) for e in graph.edges]
-        for line_no, idx, value in tlines:
-            if not 1 <= idx <= m:
-                raise HceParseError(line_no, f"edge index {idx} outside [1, {m}]")
+        thresholds = list(default_thresholds(graph))
+        for idx, (line_no, value) in tlines.items():
+            hi = thresholds[idx - 1]
+            if not 0 <= value <= hi:
+                raise HceParseError(
+                    line_no, f"threshold {value} for edge {idx} outside [0, {hi}]"
+                )
             thresholds[idx - 1] = value
     return graph, thresholds
 
@@ -330,8 +368,9 @@ def write_instance(
     if thresholds is not None:
         if len(thresholds) != graph.m:
             raise ValueError("thresholds length differs from edge count")
+        defaults = default_thresholds(graph)
         for i, t in enumerate(thresholds):
-            if t != max(len(graph.edges[i]) - 1, 0):
+            if t != defaults[i]:
                 out.append(f"t {i + 1} {t}")
     for v in sorted(graph.labels):
         out.append(f"l {v + 1} {graph.labels[v]}")
@@ -339,24 +378,16 @@ def write_instance(
 
 
 def read_vertex_set(text: str) -> set[int]:
-    """Parse a one-line ``s <k> <v1> ... <vk>`` vertex-set file (1-based)."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] != "s":
-            raise HceParseError(line_no, f"expected an 's' line, got {fields[0]!r}")
-        try:
-            nums = [int(x) for x in fields[1:]]
-        except ValueError:
-            raise HceParseError(line_no, "non-integer in vertex-set line") from None
-        if not nums or len(nums) - 1 != nums[0]:
-            raise HceParseError(line_no, "vertex count does not match list")
-        if any(v < 1 for v in nums[1:]):
-            raise HceParseError(line_no, "vertices are 1-based")
-        return {v - 1 for v in nums[1:]}
-    raise HceParseError(1, "missing 's' line")
+    """Parse a vertex-set file: exactly one ``s <k> <v1> ... <vk>`` line of
+    distinct 1-based vertices."""
+    found = None
+    for line_no, _, nums in _records(text, ("s",)):
+        if found is not None:
+            raise HceParseError(line_no, "a vertex-set file holds one 's' line")
+        found = set(_counted(line_no, nums))
+    if found is None:
+        raise HceParseError(1, "missing 's' line")
+    return found
 
 
 def write_vertex_set(vertices: Iterable[int]) -> str:

@@ -117,7 +117,8 @@ def oracle_min_radius_over_min_cores(
     """
     size, _ = oracle_min_core(graph, thresholds, budget)
     best = oracle_best_radius_at_size(graph, size, thresholds, budget)
-    assert best is not None
+    if best is None:
+        raise RuntimeError("a minimum core size always has a core")
     return size, best[0], best[1]
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, default_thresholds
 
 
 class NotACoreError(ValueError):
@@ -42,13 +42,15 @@ class ThresholdMap:
 
     @classmethod
     def default(cls, graph: Hypergraph) -> "ThresholdMap":
-        return cls(tuple(max(len(e) - 1, 0) for e in graph.edges))
+        return cls(default_thresholds(graph))
 
     def validate(self, graph: Hypergraph) -> None:
-        if len(self.values) != graph.m:
+        defaults = default_thresholds(graph)
+        if len(self.values) != len(defaults):
             raise ValueError("threshold count differs from edge count")
-        for i, t in enumerate(self.values):
-            hi = max(len(graph.edges[i]) - 1, 0)
+        if self.values == defaults:  # valid by definition; skips the loop
+            return
+        for i, (t, hi) in enumerate(zip(self.values, defaults)):
             if not 0 <= t <= hi:
                 raise ValueError(f"threshold {t} for edge {i} outside [0, {hi}]")
 
@@ -59,7 +61,7 @@ Thresholds = Union[ThresholdMap, Sequence[int], None]
 def resolve_thresholds(graph: Hypergraph, thresholds: Thresholds) -> tuple[int, ...]:
     """Normalize a threshold argument to a validated value tuple."""
     if thresholds is None:
-        return tuple(max(len(e) - 1, 0) for e in graph.edges)
+        return default_thresholds(graph)
     if not isinstance(thresholds, ThresholdMap):
         thresholds = ThresholdMap(tuple(thresholds))
     thresholds.validate(graph)
@@ -86,7 +88,6 @@ class PropagationTrace:
     assimilated_at: dict[int, int]
     extending: list[bool]
     assimilator: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    covered_at: dict[int, int] = field(default_factory=dict)
     uncovered: tuple[int, ...] = ()
 
     @property
@@ -174,14 +175,12 @@ def propagate(
         assim[v] = 1
     count = [0] * graph.m
     covered = [False] * graph.m
-    covered_at: dict[int, int] = {}
     initially = []
     pending = []
     for i, e in enumerate(edges):
         count[i] = sum(assim[v] for v in e)
         if count[i] == len(e):
             covered[i] = True
-            covered_at[i] = 0
             initially.append(i)
         elif count[i] >= t[i]:
             pending.append(i)
@@ -198,7 +197,6 @@ def propagate(
         credited: dict[int, int] = {}  # new vertex -> smallest same-layer edge
         for e_idx in layer:
             covered[e_idx] = True
-            covered_at[e_idx] = depth
             for u in edges[e_idx]:
                 if not assim[u] and u not in credited:
                     credited[u] = e_idx
@@ -228,7 +226,6 @@ def propagate(
         assimilated_at=assimilated_at,
         extending=extending,
         assimilator=assimilator,
-        covered_at=covered_at,
         uncovered=uncovered,
     )
 

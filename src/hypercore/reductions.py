@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .hypergraph import HceParseError, Hypergraph
+from .hypergraph import HceParseError, Hypergraph, _counted, _records
 from .propagation import (
     NotACoreError,
     ThresholdMap,
@@ -487,9 +487,11 @@ def core_to_minrep(cert: MinrepCertificate, core: Iterable[int]) -> frozenset[in
             candidate = base_set
         else:
             missing = [u for u in info.inputs if u not in closure]
-            assert len(missing) == 1, "a core can be one input short at most"
+            if len(missing) != 1:
+                raise RuntimeError("a core can be one input short at most")
             candidate = base_set | {missing[0]}
-        assert is_core(graph, candidate), "relay rewrite must preserve core-ness"
+        if not is_core(graph, candidate):
+            raise RuntimeError("relay rewrite must preserve core-ness")
         work = candidate
     for se in cert.source.super_edges():
         c1 = cert.copy_vertex[(1, se)]
@@ -500,9 +502,10 @@ def core_to_minrep(cert: MinrepCertificate, core: Iterable[int]) -> frozenset[in
             work = (work - {c1, c2}) | {a, b}
         elif len(present) == 1:
             work = work - {present[0]}
-        if present:
-            assert is_core(graph, work), "copy rewrite must preserve core-ness"
-    assert all(v < cert.node_count for v in work)
+        if present and not is_core(graph, work):
+            raise RuntimeError("copy rewrite must preserve core-ness")
+    if any(v >= cert.node_count for v in work):
+        raise RuntimeError("rewritten core must use graph nodes only")
     return frozenset(work)
 
 
@@ -624,99 +627,54 @@ def threshold_add_per_edge(
 
 def read_setcover(text: str) -> SetCoverInstance:
     """Parse ``p sc <|U|> <|S|>`` plus one 1-based ``s`` line per set."""
-    universe = count = None
     sets: list[frozenset[int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if len(fields) != 4 or fields[1] != "sc":
-                raise HceParseError(line_no, f"malformed header {line!r}")
-            universe, count = int(fields[2]), int(fields[3])
-        elif fields[0] == "s":
-            if universe is None:
-                raise HceParseError(line_no, "set line before header")
-            try:
-                nums = [int(x) for x in fields[1:]]
-            except ValueError:
-                raise HceParseError(line_no, "non-integer in set line") from None
-            if not nums or len(nums) - 1 != nums[0]:
-                raise HceParseError(line_no, "set count does not match list")
-            if any(not 1 <= x <= universe for x in nums[1:]):
-                raise HceParseError(line_no, "element outside the universe")
-            sets.append(frozenset(x - 1 for x in nums[1:]))
+    for line_no, kind, nums in _records(text, ("s",), ("sc", 2)):
+        if kind == "p":
+            head, (universe, count) = line_no, nums
         else:
-            raise HceParseError(line_no, f"unknown line kind {fields[0]!r}")
-    if universe is None:
-        raise HceParseError(1, "missing header")
+            sets.append(frozenset(_counted(line_no, nums, universe)))
     if count != len(sets):
-        raise HceParseError(1, f"header declares {count} sets, file has {len(sets)}")
-    return SetCoverInstance(universe, tuple(sets))
+        raise HceParseError(head, f"header declares {count} sets, file has {len(sets)}")
+    try:
+        return SetCoverInstance(universe, tuple(sets))
+    except ValueError as exc:
+        raise HceParseError(head, str(exc)) from None
 
 
 def read_minrep(text: str) -> MinrepInstance:
     """Parse ``p minrep <qA> <mA> <qB> <mB>`` plus 1-based ``e <a> <b>`` lines."""
-    header = None
     edges: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if len(fields) != 6 or fields[1] != "minrep":
-                raise HceParseError(line_no, f"malformed header {line!r}")
-            header = tuple(int(x) for x in fields[2:])
-        elif fields[0] == "e":
-            if header is None:
-                raise HceParseError(line_no, "edge before header")
-            if len(fields) != 3:
-                raise HceParseError(line_no, "edge line needs two endpoints")
-            a, b = int(fields[1]), int(fields[2])
-            if a < 1 or b < 1:
-                raise HceParseError(line_no, "endpoints are 1-based")
-            edges.append((a - 1, b - 1))
+    for line_no, kind, nums in _records(text, ("e",), ("minrep", 4)):
+        if kind == "p":
+            if min(nums) < 1:
+                raise HceParseError(line_no, "group counts and sizes must be positive")
+            header, num_a, num_b = nums, nums[0] * nums[1], nums[2] * nums[3]
+        elif len(nums) != 2 or not (1 <= nums[0] <= num_a and 1 <= nums[1] <= num_b):
+            raise HceParseError(
+                line_no, f"edge needs endpoints in [1, {num_a}] and [1, {num_b}]"
+            )
         else:
-            raise HceParseError(line_no, f"unknown line kind {fields[0]!r}")
-    if header is None:
-        raise HceParseError(1, "missing header")
+            edges.append((nums[0] - 1, nums[1] - 1))
     return MinrepInstance(*header, tuple(edges))
 
 
 def read_cnf(text: str) -> CnfFormula:
     """Parse DIMACS-style CNF; every clause needs three distinct literals."""
-    num_vars = declared = None
     clauses: list[tuple[int, int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for line_no, kind, nums in _records(text, ("",), ("cnf", 2)):
+        if kind == "p":
+            head, (num_vars, declared) = line_no, nums
             continue
-        fields = line.split()
-        if fields[0] == "p":
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise HceParseError(line_no, f"malformed header {line!r}")
-            num_vars, declared = int(fields[2]), int(fields[3])
-        else:
-            if num_vars is None:
-                raise HceParseError(line_no, "clause before header")
-            try:
-                lits = [int(x) for x in fields]
-            except ValueError:
-                raise HceParseError(line_no, "non-integer literal") from None
-            if not lits or lits[-1] != 0:
-                raise HceParseError(line_no, "clause must end with 0")
-            lits = lits[:-1]
-            if len(lits) != 3 or len(set(lits)) != 3:
-                raise HceParseError(line_no, "clause needs three distinct literals")
-            if any(lit == 0 or abs(lit) > num_vars for lit in lits):
-                raise HceParseError(line_no, "literal out of range")
-            clauses.append((lits[0], lits[1], lits[2]))
-    if num_vars is None:
-        raise HceParseError(1, "missing header")
+        lits = nums[:-1]
+        if nums[-1:] != [0]:
+            raise HceParseError(line_no, "clause must end with 0")
+        if len(lits) != 3 or len(set(lits)) != 3:
+            raise HceParseError(line_no, "clause needs three distinct literals")
+        if any(lit == 0 or abs(lit) > num_vars for lit in lits):
+            raise HceParseError(line_no, "literal out of range")
+        clauses.append((lits[0], lits[1], lits[2]))
     if declared != len(clauses):
         raise HceParseError(
-            1, f"header declares {declared} clauses, file has {len(clauses)}"
+            head, f"header declares {declared} clauses, file has {len(clauses)}"
         )
     return CnfFormula(num_vars, tuple(clauses))

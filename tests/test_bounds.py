@@ -14,6 +14,7 @@ from hypercore import (
     neighbor_radius_bound,
     radius,
 )
+from hypercore import bounds
 from hypercore.bounds import GUARD_BAND, max_degree, max_neighbor_count
 
 
@@ -88,3 +89,16 @@ def test_bound_report_fields(path):
     assert report.diameter_bound == 1.0
     assert report.neighbor_bound == pytest.approx(math.log2(3) - 1)
     assert radius(path, {0}) > report.neighbor_bound - GUARD_BAND
+
+
+def test_bound_report_computes_diameter_once(monkeypatch, path):
+    calls = []
+    real = bounds.diameter
+    monkeypatch.setattr(bounds, "diameter", lambda graph: calls.append(graph) or real(graph))
+    for core_size in (1, 2):
+        report = bound_report(path, core_size)
+    assert len(calls) == 2
+    assert report.diameter == 2 and report.diameter_bound == 0.0
+    disconnected = bound_report(Hypergraph(4, [(0, 1), (2, 3)]), 1)
+    assert len(calls) == 3
+    assert math.isinf(disconnected.diameter_bound)

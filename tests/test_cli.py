@@ -1,11 +1,16 @@
 """Command line surface: formats, exit codes, determinism."""
 
+import ast
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import hypercore
 from hypercore import Hypergraph, generate_random, write_instance
+from hypercore.cli import main
+from test_hypergraph import MALFORMED
 
 PATH_TEXT = "p hce 3 2\ne 2 1 2\ne 2 2 3\n"
 TRIANGLE_TEXT = "p hce 3 3\ne 2 1 2\ne 2 2 3\ne 2 1 3\n"
@@ -127,6 +132,27 @@ def test_parse_error_exit_2(tmp_path):
     assert "line 2" in res.stderr
 
 
+@pytest.mark.parametrize("reader, text, line", MALFORMED)
+def test_malformed_file_exits_2_with_line(tmp_path, capsys, reader, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    inst = tmp_path / "path.hce"
+    inst.write_text(PATH_TEXT)
+    out = str(tmp_path / "out.hce")
+    argv = {
+        "read_instance": ["peel", str(bad)],
+        "read_vertex_set": ["check-core", str(inst), str(bad)],
+        "read_filtration": ["convert", "filtration-to-core", str(inst), str(bad)],
+        "read_setcover": ["reduce", "setcover", str(bad), "-o", out],
+        "read_minrep": ["reduce", "minrep", str(bad), "-o", out],
+        "read_cnf": ["reduce", "3sat", str(bad), "-k", "4", "-o", out],
+    }[reader.__name__]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line {line}:" in captured.err
+
+
 def test_reduce_3sat_k_guard(tmp_path):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n")
@@ -196,3 +222,16 @@ def test_mincore_output_unchanged_under_optimize_flag(tmp_path):
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout.startswith(b"a 3\n")
     assert optimized.stdout == plain.stdout
+
+
+def test_package_has_no_assert_statements():
+    """``python -O`` strips ``assert``, so no runtime check may be one."""
+    files = sorted(pathlib.Path(hypercore.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

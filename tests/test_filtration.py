@@ -14,6 +14,7 @@ from hypercore import (
     radius,
     validate_filtration,
 )
+from hypercore import filtration
 from hypercore.filtration import (
     InvalidFiltrationError,
     read_filtration,
@@ -130,3 +131,12 @@ def test_filtration_file_round_trip(triangle):
     assert f2.foundation == frozenset({1})
     assert f2.edge_order == (0, 1)
     assert f2.added_vertex == (0, 2)
+
+
+def test_core_to_filtration_multi_vertex_layer_raises_runtime_error(monkeypatch):
+    real = filtration.propagate
+    monkeypatch.setattr(
+        filtration, "propagate", lambda graph, core: real(graph, core, [0] * graph.m)
+    )
+    with pytest.raises(RuntimeError, match="at most one vertex"):
+        core_to_filtration(Hypergraph(3, [(0, 1, 2)]), {0})

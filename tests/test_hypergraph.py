@@ -17,6 +17,8 @@ from hypercore import (
     write_instance,
     write_vertex_set,
 )
+from hypercore.filtration import read_filtration
+from hypercore.reductions import read_cnf, read_minrep, read_setcover
 from conftest import seeded_family
 
 
@@ -217,3 +219,91 @@ def test_vertex_set_roundtrip():
         read_vertex_set("s 2 1\n")
     with pytest.raises(HceParseError):
         read_vertex_set("x 1 1\n")
+
+
+# Malformed inputs of every line-record format: (reader, text, line of the error).
+MALFORMED = [
+    pytest.param(read_setcover, "p sc x 1\ns 1 1\n", 1, id="sc-header-non-integer"),
+    pytest.param(read_minrep, "p minrep 1 1 1 x\n", 1, id="minrep-header-non-integer"),
+    pytest.param(read_cnf, "p cnf x 1\n1 2 3 0\n", 1, id="cnf-header-non-integer"),
+    pytest.param(read_minrep, "p minrep 1 1 1 1\ne x 1\n", 2, id="minrep-edge-non-integer"),
+    pytest.param(read_minrep, "p minrep 1 1 1 1\ne 5 1\n", 2, id="minrep-edge-out-of-range"),
+    pytest.param(read_setcover, "p sc 1 1\np sc 1 1\ns 1 1\n", 2, id="sc-second-header"),
+    pytest.param(read_minrep, "p minrep 1 1 1 1\np minrep 1 1 1 1\n", 2, id="minrep-second-header"),
+    pytest.param(read_cnf, "p cnf 3 1\np cnf 3 1\n1 2 3 0\n", 2, id="cnf-second-header"),
+    pytest.param(read_vertex_set, "s 2 1 1\n", 1, id="set-repeated-vertex"),
+    pytest.param(read_vertex_set, "s 1 1\ns 1 2\n", 2, id="set-second-line"),
+    pytest.param(read_vertex_set, "s 1 1\nzzz\n", 2, id="set-trailing-junk"),
+    pytest.param(read_instance, "p hce 2 1\ne 2 1 2\nt 1 0\nt 1 1\n", 4, id="hce-second-threshold"),
+    pytest.param(read_instance, "p hce 2 1\ne 2 1 2\nt 1 7\n", 3, id="hce-threshold-above-edge"),
+    pytest.param(read_instance, "t 1 0\np hce 2 1\ne 2 1 2\n", 1, id="hce-threshold-before-header"),
+    pytest.param(read_instance, "p hce 2 1\ncorrupt e 1 1\ne 2 1 2\n", 2, id="hce-c-prefixed-word"),
+    pytest.param(read_filtration, "f 1 0\n", 1, id="filtration-vertex-zero"),
+    pytest.param(read_filtration, "f 0\no 0\n", 2, id="filtration-edge-zero"),
+    pytest.param(read_instance, "c x\np hce 2 2\ne 2 1 2\n", 2, id="hce-count-at-header-line"),
+]
+
+
+@pytest.mark.parametrize("reader, text, line", MALFORMED)
+def test_malformed_records_raise_with_line(reader, text, line):
+    with pytest.raises(HceParseError) as err:
+        reader(text)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")
+
+
+def test_comment_is_first_field_c_only():
+    g, _ = read_instance("c\nc a comment\n  c indented\np hce 1 1\ne 1 1\n")
+    assert g == Hypergraph(1, [(0,)])
+    assert read_vertex_set("c core\ns 1 2\nc trailing\n") == {1}
+
+
+def test_threshold_range_and_header_order():
+    g, t = read_instance("p hce 3 2\nt 2 0\ne 3 1 2 3\ne 1 2\n")
+    assert t == [2, 0]  # t may precede its edge; size-1 edges admit only 0
+    with pytest.raises(HceParseError) as err:
+        read_instance("p hce 3 1\ne 1 2\nt 1 1\n")
+    assert err.value.line == 3
+    with pytest.raises(HceParseError) as err:
+        read_instance("p hce 3 1\ne 2 1 2\nt 1 -1\n")
+    assert err.value.line == 3
+
+
+def test_has_sdr_long_augmenting_path():
+    """A 5,000-edge chain whose last edge forces one augmenting path through
+    every other edge; recursion depth must not matter."""
+    n = 5000
+    g = Hypergraph(n, [(i, i + 1) for i in range(n - 1)] + [(0,)])
+    ok, witness = has_sdr(g)
+    assert ok
+    assert witness == {**{i: i + 1 for i in range(n - 1)}, n - 1: 0}
+
+
+def _sdr_recursive(graph):
+    """The recursive augmenting-path search, kept as the assignment reference."""
+    if graph.m > graph.n:
+        return False, None
+    owner = {}
+
+    def augment(edge_index, seen):
+        for v in graph.edges[edge_index]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in owner or augment(owner[v], seen):
+                owner[v] = edge_index
+                return True
+        return False
+
+    for i in range(graph.m):
+        if not augment(i, set()):
+            return False, None
+    return True, {i: v for v, i in owner.items()}
+
+
+def test_has_sdr_matches_recursive_assignment():
+    for g in seeded_family(200, seed=12, n_hi=9, m_cap=9, size_lo=1, size_hi=4, n_lo=1):
+        got = has_sdr(g)
+        assert got == _sdr_recursive(g)
+        if got[0]:
+            assert list(got[1].items()) == list(_sdr_recursive(g)[1].items())

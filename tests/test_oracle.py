@@ -17,6 +17,7 @@ from hypercore import (
     oracle_setcover,
     reference_is_core,
 )
+from hypercore import oracle
 
 
 def test_min_core_examples(triangle):
@@ -87,3 +88,9 @@ def test_reference_check_examples(triangle):
     assert not reference_is_core(Hypergraph(3, []), {0, 1})
     with pytest.raises(ValueError):
         reference_is_core(triangle, {5})
+
+
+def test_min_radius_invariant_raises_runtime_error(monkeypatch, path):
+    monkeypatch.setattr(oracle, "oracle_best_radius_at_size", lambda *args: None)
+    with pytest.raises(RuntimeError, match="always has a core"):
+        oracle_min_radius_over_min_cores(path)

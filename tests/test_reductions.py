@@ -7,6 +7,7 @@ import pytest
 
 from hypercore import (
     CnfFormula,
+    HceParseError,
     Hypergraph,
     MinrepInstance,
     NotACoreError,
@@ -31,6 +32,7 @@ from hypercore import (
     triangulate_edge,
     triangulation_gadget,
 )
+from hypercore import reductions
 from hypercore.reductions import read_cnf, read_minrep, read_setcover
 
 FIGURE = SetCoverInstance(3, (frozenset({0}), frozenset({0, 1}), frozenset({2})))
@@ -275,6 +277,14 @@ def test_minrep_canonicalization():
         core_to_minrep(cert, set())
 
 
+def test_core_to_minrep_invariants_raise_runtime_error(monkeypatch):
+    cert = minrep_to_mincore(MinrepInstance(1, 1, 1, 1, ((0, 0),)))
+    verdicts = iter([True, False])  # accept the input core, reject the rewrite
+    monkeypatch.setattr(reductions, "is_core", lambda graph, core: next(verdicts))
+    with pytest.raises(RuntimeError, match="relay rewrite must preserve core-ness"):
+        core_to_minrep(cert, range(cert.instance.n))
+
+
 # ---------------------------------------------------------------------------
 # CNF radius construction
 
@@ -436,8 +446,9 @@ def test_emitted_instances_survive_the_text_format():
 def test_read_setcover():
     inst = read_setcover("c demo\np sc 3 3\ns 1 1\ns 2 1 2\ns 1 3\n")
     assert inst == FIGURE
-    with pytest.raises(Exception):
+    with pytest.raises(HceParseError) as err:
         read_setcover("p sc 2 1\ns 1 1\n")  # family fails to cover
+    assert err.value.line == 1
 
 
 def test_read_minrep():
@@ -448,5 +459,6 @@ def test_read_minrep():
 def test_read_cnf():
     phi = read_cnf("c demo\np cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n")
     assert phi == CnfFormula(3, ((1, 2, 3), (-1, -2, -3)))
-    with pytest.raises(Exception):
+    with pytest.raises(HceParseError) as err:
         read_cnf("p cnf 2 1\n1 2 0\n")  # needs exactly three literals
+    assert err.value.line == 2
