@@ -68,7 +68,7 @@ def _core_line(vertices) -> str:
 
 def _cmd_check_core(args) -> int:
     graph, thresholds = _load_instance(args.instance, args.thresholds)
-    core = read_vertex_set(_read_text(args.core))
+    core = read_vertex_set(_read_text(args.core), graph.n)
     trace = propagate(graph, core, thresholds)
     sys.stdout.write(trace_report(trace))
     return EXIT_OK if trace.verdict else EXIT_NO
@@ -107,7 +107,7 @@ def _cmd_mincore(args) -> int:
 
 def _cmd_radius(args) -> int:
     graph, thresholds = _load_instance(args.instance, args.thresholds)
-    core = read_vertex_set(_read_text(args.core))
+    core = read_vertex_set(_read_text(args.core), graph.n)
     trace = propagate(graph, core, thresholds)
     if not trace.verdict:
         print("not a core")
@@ -155,11 +155,13 @@ def _cmd_reduce(args) -> int:
 def _cmd_convert(args) -> int:
     graph, _ = _load_instance(args.instance, False)
     if args.direction == "core-to-filtration":
-        core = read_vertex_set(_read_text(args.input))
+        core = read_vertex_set(_read_text(args.input), graph.n)
         filt = filtration_mod.core_to_filtration(graph, core)
         out_text = filtration_mod.write_filtration(filt)
     else:
-        filt = filtration_mod.read_filtration(_read_text(args.input))
+        filt = filtration_mod.read_filtration(
+            _read_text(args.input), graph.n, graph.m
+        )
         core = filtration_mod.filtration_to_core(graph, filt)
         out_text = write_vertex_set(core)
     if args.output:

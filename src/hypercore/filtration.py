@@ -182,8 +182,13 @@ def write_filtration(filtration: Filtration) -> str:
     return "\n".join(out) + "\n"
 
 
-def read_filtration(text: str) -> Filtration:
-    """Parse one ``f`` line of distinct vertices, then the ``o`` lines."""
+def read_filtration(
+    text: str, n: Optional[int] = None, m: Optional[int] = None
+) -> Filtration:
+    """Parse one ``f`` line of distinct vertices, then the ``o`` lines.
+
+    With ``n`` (``m``) given, a vertex (edge) index above it is an error
+    on its line."""
     foundation: Optional[frozenset[int]] = None
     order: list[int] = []
     added: list[Optional[int]] = []
@@ -191,11 +196,15 @@ def read_filtration(text: str) -> Filtration:
         if kind == "f":
             if foundation is not None:
                 raise HceParseError(line_no, "duplicate foundation line")
-            foundation = frozenset(_counted(line_no, nums))
+            foundation = frozenset(_counted(line_no, nums, n))
         elif foundation is None:
             raise HceParseError(line_no, "order line before foundation")
         elif len(nums) not in (1, 2) or min(nums) < 1:
             raise HceParseError(line_no, "order line needs edge [vertex], 1-based")
+        elif m is not None and nums[0] > m:
+            raise HceParseError(line_no, f"edge {nums[0]} outside [1, {m}]")
+        elif n is not None and nums[1:] and nums[1] > n:
+            raise HceParseError(line_no, f"vertex {nums[1]} outside [1, {n}]")
         else:
             order.append(nums[0] - 1)
             added.append(nums[1] - 1 if len(nums) == 2 else None)

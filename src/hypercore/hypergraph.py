@@ -203,18 +203,50 @@ def diameter(graph: Hypergraph) -> float:
     """Maximum pairwise hop distance; ``math.inf`` when disconnected.
 
     Integer valued whenever finite.  Requires at least two vertices.
+
+    Exact, by iFUB (Crescenzi, Grossi, Habib, Lanzi, Marino, "On computing
+    the diameter of real-world undirected graphs", TCS 2013).  One BFS
+    from vertex 0 settles connectivity.  A double sweep (a vertex ``a``
+    farthest from 0, then ``b`` farthest from ``a``) gives the lower bound
+    ``ecc(b)`` and the root: the smallest-index midpoint of a shortest
+    ``a``-``b`` path.  The root's BFS levels are then scanned from the
+    deepest up, raising the lower bound ``lb`` with each vertex's
+    eccentricity.  Before each vertex of level ``i`` every deeper vertex
+    is scanned, so a pair of unscanned vertices lies within ``2 i`` hops
+    through the root and any other pair within ``lb``: the scan stops as
+    soon as ``lb >= 2 i``.  Only the four sweeps can repeat a source, so
+    the worst case is ``n + 2`` BFS against the ``n`` of an all-pairs
+    loop.  A cycle, where every vertex has the same eccentricity, needs
+    about ``n / 2 + 4``; a path needs 4.
     """
     if graph.n < 2:
         raise ValueError("diameter needs at least two vertices")
-    best = 0
-    for s in range(graph.n):
-        dist = _bfs_distances(graph, (s,))
-        for d in dist:
-            if d < 0:
-                return math.inf
-            if d > best:
-                best = d
-    return best
+    ecc: dict[int, int] = {}
+
+    def sweep(v: int) -> list[int]:
+        dist = _bfs_distances(graph, (v,))
+        ecc[v] = max(dist)
+        return dist
+
+    dist = sweep(0)
+    if min(dist) < 0:
+        return math.inf
+    a = dist.index(ecc[0])
+    dist_a = sweep(a)
+    b = dist_a.index(ecc[a])
+    dist_b = sweep(b)
+    half = ecc[a] // 2
+    root = next(
+        v for v in range(graph.n) if dist_a[v] == half and dist_b[v] == ecc[a] - half
+    )
+    depth = sweep(root)
+    lb = max(ecc.values())
+    # Deepest level first, by index inside a level; the root (depth 0) always stops it.
+    for v in sorted(range(graph.n), key=depth.__getitem__, reverse=True):
+        if lb >= 2 * depth[v]:
+            break
+        lb = max(lb, ecc[v] if v in ecc else max(sweep(v)))
+    return lb
 
 
 def generate_random(
@@ -377,14 +409,14 @@ def write_instance(
     return "\n".join(out) + "\n"
 
 
-def read_vertex_set(text: str) -> set[int]:
+def read_vertex_set(text: str, n: Optional[int] = None) -> set[int]:
     """Parse a vertex-set file: exactly one ``s <k> <v1> ... <vk>`` line of
-    distinct 1-based vertices."""
+    distinct 1-based vertices, none above ``n`` when it is given."""
     found = None
     for line_no, _, nums in _records(text, ("s",)):
         if found is not None:
             raise HceParseError(line_no, "a vertex-set file holds one 's' line")
-        found = set(_counted(line_no, nums))
+        found = set(_counted(line_no, nums, n))
     if found is None:
         raise HceParseError(1, "missing 's' line")
     return found

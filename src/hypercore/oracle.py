@@ -102,7 +102,7 @@ def oracle_min_core(
         for combo in itertools.combinations(range(graph.n), k):
             if is_core(graph, combo, t):
                 return k, frozenset(combo)
-    raise AssertionError("the full vertex set is always a core")
+    raise RuntimeError("the full vertex set is always a core")
 
 
 def oracle_min_radius_over_min_cores(
@@ -157,7 +157,7 @@ def oracle_setcover(instance, budget: OracleBudget = DEFAULT_BUDGET):
                 union |= instance.sets[i]
             if union >= universe:
                 return size, combo
-    raise AssertionError("instance invariant guarantees the full family covers")
+    raise RuntimeError("instance invariant guarantees the full family covers")
 
 
 def oracle_minrep(instance, budget: OracleBudget = DEFAULT_BUDGET):
@@ -186,7 +186,7 @@ def oracle_minrep(instance, budget: OracleBudget = DEFAULT_BUDGET):
                 for se in supers
             ):
                 return size, frozenset(combo)
-    raise AssertionError("picking every node covers all super-edges")
+    raise RuntimeError("picking every node covers all super-edges")
 
 
 def oracle_sat(formula, budget: OracleBudget = DEFAULT_BUDGET):

@@ -44,7 +44,7 @@ class SetCoverInstance:
                 if not 0 <= x < self.universe_size:
                     raise ValueError(f"element {x} outside the universe")
             union |= s
-        if union != set(range(self.universe_size)):
+        if len(union) != self.universe_size:  # every element is in range
             raise ValueError("the set family must cover the universe")
 
 

@@ -153,6 +153,30 @@ def test_malformed_file_exits_2_with_line(tmp_path, capsys, reader, text, line):
     assert f"line {line}:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        pytest.param("check-core", "s 1 9\n", 1, id="core-vertex"),
+        pytest.param("radius", "c core\ns 2 1 4\n", 2, id="radius-core-vertex"),
+        pytest.param("core-to-filtration", "s 1 4\n", 1, id="convert-core-vertex"),
+        pytest.param("filtration-to-core", "f 1 9\no 1 2\no 2 3\n", 1, id="foundation-vertex"),
+        pytest.param("filtration-to-core", "f 1 1\no 1 2\no 9\n", 3, id="order-edge"),
+        pytest.param("filtration-to-core", "f 1 1\no 1 9\no 2 3\n", 2, id="order-vertex"),
+    ],
+)
+def test_out_of_range_index_exits_2_with_line(tmp_path, capsys, path_file, command, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    if command in ("check-core", "radius"):
+        argv = [command, path_file, str(bad)]
+    else:
+        argv = ["convert", command, path_file, str(bad)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line {line}:" in captured.err
+
+
 def test_reduce_3sat_k_guard(tmp_path):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -17,9 +18,11 @@ from hypercore import (
     write_instance,
     write_vertex_set,
 )
+from hypercore import hypergraph
 from hypercore.filtration import read_filtration
 from hypercore.reductions import read_cnf, read_minrep, read_setcover
 from conftest import seeded_family
+from test_acceptance import _peelable_instance
 
 
 def test_constructor_normalizes_and_validates():
@@ -149,6 +152,80 @@ def test_diameter_dominates_pairs():
         else:
             assert dia == max(dists)
             assert all(d <= dia for d in dists)
+
+
+def _diameter_all_pairs(graph):
+    """Reference: one BFS from every vertex."""
+    best = 0
+    for s in range(graph.n):
+        for d in hypergraph._bfs_distances(graph, (s,)):
+            if d < 0:
+                return math.inf
+            best = max(best, d)
+    return best
+
+
+def _path(n):
+    return Hypergraph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _cycle(n):
+    return Hypergraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _diameter_cases():
+    # Random instances with size-1 and duplicate edges and isolated vertices.
+    yield from seeded_family(300, seed=11, n_hi=30, m_cap=45, size_lo=1, size_hi=4)
+    # Long thin trees with a few chords: deep BFS levels and varied eccentricities.
+    for s in range(100):
+        rng = random.Random(s)
+        n = rng.randint(2, 60)
+        edges = [(v, rng.randrange(max(0, v - 3), v)) for v in range(1, n)]
+        edges += [tuple(rng.sample(range(n), min(n, 3))) for _ in range(rng.randint(0, 3))]
+        yield Hypergraph(n, edges)
+    for n in (2, 3, 4, 5, 8, 9, 16, 17):
+        yield _path(n)
+        yield Hypergraph(n, [(0, v) for v in range(1, n)])  # star
+        yield Hypergraph(n, itertools.combinations(range(n), 2))
+        yield Hypergraph(n, [tuple(range(n))])  # one edge holding every vertex
+    for n in (3, 4, 5, 6, 31, 32):
+        yield _cycle(n)
+    yield Hypergraph(2, [(0,), (1,)])
+    for n, seed in ((150, 0), (151, 1), (220, 2), (300, 3)):
+        yield _peelable_instance(n, seed)  # the banded shape of the bounds bench
+
+
+def test_diameter_matches_all_pairs():
+    for g in _diameter_cases():
+        assert diameter(g) == _diameter_all_pairs(g), g
+
+
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    calls = []
+    real = hypergraph._bfs_distances
+    monkeypatch.setattr(
+        hypergraph,
+        "_bfs_distances",
+        lambda graph, sources: calls.append(1) or real(graph, sources),
+    )
+    return calls
+
+
+def test_diameter_disconnected_costs_one_bfs(bfs_calls):
+    g = Hypergraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    assert math.isinf(diameter(g))
+    assert len(bfs_calls) == 1
+
+
+def test_diameter_long_path_costs_few_bfs(bfs_calls):
+    assert diameter(_path(4000)) == 3999
+    assert len(bfs_calls) <= 8
+
+
+def test_diameter_cycle_costs_half_the_vertices(bfs_calls):
+    assert diameter(_cycle(1001)) == 500  # every eccentricity is 500
+    assert len(bfs_calls) <= 1001 // 2 + 4
 
 
 def test_generate_random_contract():

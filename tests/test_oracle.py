@@ -17,7 +17,7 @@ from hypercore import (
     oracle_setcover,
     reference_is_core,
 )
-from hypercore import oracle
+from hypercore import oracle, propagation
 
 
 def test_min_core_examples(triangle):
@@ -94,3 +94,9 @@ def test_min_radius_invariant_raises_runtime_error(monkeypatch, path):
     monkeypatch.setattr(oracle, "oracle_best_radius_at_size", lambda *args: None)
     with pytest.raises(RuntimeError, match="always has a core"):
         oracle_min_radius_over_min_cores(path)
+
+
+def test_min_core_invariant_raises_runtime_error(monkeypatch, path):
+    monkeypatch.setattr(propagation, "is_core", lambda *args: False)
+    with pytest.raises(RuntimeError, match="always a core"):
+        oracle_min_core(path)

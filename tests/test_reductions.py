@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -449,6 +450,23 @@ def test_read_setcover():
     with pytest.raises(HceParseError) as err:
         read_setcover("p sc 2 1\ns 1 1\n")  # family fails to cover
     assert err.value.line == 1
+
+
+def test_setcover_coverage_counts_distinct_elements():
+    assert SetCoverInstance(3, (frozenset({0, 1}), frozenset({1, 2}))).universe_size == 3
+    assert SetCoverInstance(0, ()).sets == ()
+    with pytest.raises(ValueError, match="cover"):
+        SetCoverInstance(3, (frozenset({0, 1}), frozenset({0, 1})))
+    # The verdict must not cost memory in proportion to a declared universe.
+    tracemalloc.start()
+    try:
+        with pytest.raises(HceParseError, match="cover") as err:
+            read_setcover("p sc 2000000 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == 1
+    assert peak < 1_000_000
 
 
 def test_read_minrep():
