@@ -9,6 +9,7 @@ the inputs and flags; ``--jobs`` affects wall time, never bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional, Sequence
@@ -203,7 +204,10 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so repeated :func:`main` calls share it."""
     parser = argparse.ArgumentParser(
         prog="hypercore",
         description="Hypergraph activation cores: checking, search, bounds,"

@@ -129,7 +129,8 @@ def filtration_radius(graph: Hypergraph, filtration: Filtration) -> int:
 def core_to_filtration(graph: Hypergraph, core: Iterable[int]) -> Filtration:
     """Linearize a core's propagation into a filtration with equal radius.
 
-    Edges are ordered layer by layer, ascending edge index inside a layer.
+    Edges are ordered layer by layer, ascending edge index inside a layer;
+    each position introduces the vertex the trace credits to its edge.
     Requires every edge to keep a vertex outside the core.
     """
     trace = propagate(graph, core)
@@ -141,15 +142,12 @@ def core_to_filtration(graph: Hypergraph, core: Iterable[int]) -> Filtration:
             + str([graph.edges[i] for i in trace.initially_covered])
         )
     order = [e for layer in trace.layers for e in layer]
-    seen = set(trace.core)
     added: list[Optional[int]] = []
     for edge_index in order:
-        new = set(graph.edges[edge_index]) - seen
+        new = trace.assimilator.get(edge_index, ())
         if len(new) > 1:
             raise RuntimeError("default-threshold layers add at most one vertex")
-        v = next(iter(new)) if new else None
-        added.append(v)
-        seen |= new
+        added.append(new[0] if new else None)
     return Filtration(
         foundation=frozenset(trace.core),
         edge_order=tuple(order),

@@ -8,12 +8,12 @@ all cores of that size; when some residual has no degree-one vertex, no
 core of size ``n - m`` exists at all.
 
 :func:`mincore_fpt` lifts this to cores of size ``n - m + a``.  It peels the
-whole instance once to its residual edges, the ones degree-one peeling
-cannot remove, then deletes every ``a``-subset of the residual edges, peels
-the remainder (the deleted edges are masked, not copied out), and
-re-inserts the deleted edges (which may add one final layer).  The run over
-all subsets is embarrassingly parallel; results are aggregated
-deterministically.
+whole instance once, with the same round loop run until it stalls, to its
+residual edges, the ones degree-one peeling cannot remove.  Then it deletes
+every ``a``-subset of the residual edges, peels the remainder (the deleted
+edges are masked, not copied out), and re-inserts the deleted edges (which
+may add one final layer).  The run over all subsets is embarrassingly
+parallel; results are aggregated deterministically.
 """
 
 from __future__ import annotations
@@ -72,6 +72,49 @@ class MinCoreResult:
     parameter_a: int
 
 
+def _peel(graph: Hypergraph, dead: set[int]):
+    """Peel degree-one vertices in synchronous rounds, ``dead`` left out.
+
+    Each round removes every alive edge that has a degree-one vertex and
+    credits it with the smallest such vertex; the rounds run until no
+    degree-one vertex is left.  Returns ``(rounds, victims, alive)``: the
+    rounds in peeling order, each an ascending edge tuple, ``victims[e]``
+    the vertex credited to edge ``e``, and the mask of edges left alive.
+    """
+    edges, incidence = graph.edges, graph._incidence
+    deg = graph.degrees()
+    alive = [True] * graph.m
+    for ei in dead:
+        alive[ei] = False
+        for u in edges[ei]:
+            deg[u] -= 1
+    ptr = [0] * graph.n
+    victims: dict[int, int] = {}
+    rounds: list[tuple[int, ...]] = []
+    frontier = [v for v, d in enumerate(deg) if d == 1]
+    while frontier:
+        batch = set()
+        for v in frontier:
+            ix = incidence[v]
+            p = ptr[v]
+            while not alive[ix[p]]:
+                p += 1
+            ptr[v] = p
+            batch.add(ix[p])
+        ordered = sorted(batch)
+        for ei in ordered:
+            victims[ei] = min(v for v in edges[ei] if deg[v] == 1)
+        touched = set()
+        for ei in ordered:
+            alive[ei] = False
+            for u in edges[ei]:
+                deg[u] -= 1
+                touched.add(u)
+        frontier = [u for u in touched if deg[u] == 1]
+        rounds.append(tuple(ordered))
+    return rounds, victims, alive
+
+
 def peel_nm(graph: Hypergraph, deleted: Sequence[int] = ()) -> PeelResult:
     """Find a core of size ``n - m`` with optimal radius, or fail.
 
@@ -87,72 +130,24 @@ def peel_nm(graph: Hypergraph, deleted: Sequence[int] = ()) -> PeelResult:
     dead = set(deleted)
     if dead and (min(dead) < 0 or max(dead) >= m):
         raise ValueError(f"deleted edge index outside [0, {m})")
-    remaining = m - len(dead)
-    if remaining > n:
+    if m - len(dead) > n:
         raise NoCoreOfSizeNM()
-    edges = graph.edges
-    incidence = graph._incidence
-    deg = graph.degrees()
-    alive = [True] * m
-    for ei in dead:
-        alive[ei] = False
-        for u in edges[ei]:
-            deg[u] -= 1
-    ptr = [0] * n
-    core = set(range(n))
-    assimilator: dict[int, int] = {}
-    rounds: list[tuple[int, ...]] = []
-    frontier = [v for v in range(n) if deg[v] == 1]
-    while remaining:
-        if not frontier:
-            raise NoCoreOfSizeNM()
-        batch = set()
-        for v in frontier:
-            ix = incidence[v]
-            p = ptr[v]
-            while not alive[ix[p]]:
-                p += 1
-            ptr[v] = p
-            batch.add(ix[p])
-        ordered = sorted(batch)
-        for ei in ordered:
-            victim = min(v for v in edges[ei] if deg[v] == 1)
-            assimilator[ei] = victim
-            core.discard(victim)
-        touched = set()
-        for ei in ordered:
-            alive[ei] = False
-            remaining -= 1
-            for u in edges[ei]:
-                deg[u] -= 1
-                touched.add(u)
-        frontier = sorted(u for u in touched if deg[u] == 1)
-        rounds.append(tuple(ordered))
+    rounds, victims, alive = _peel(graph, dead)
+    if any(alive):
+        raise NoCoreOfSizeNM()
     rounds.reverse()
-    return PeelResult(core=frozenset(core), layers=rounds, assimilator=assimilator)
+    core = frozenset(range(n)).difference(victims.values())
+    return PeelResult(core=core, layers=rounds, assimilator=victims)
 
 
 def _residual(graph: Hypergraph) -> list[int]:
     """Sorted indices of the edges that degree-one peeling cannot remove.
 
     Any order of peeling ends at the same edge set (see
-    :func:`mincore_fpt`), so this peels one edge at a time from a stack.
+    :func:`mincore_fpt`), so the rounds of :func:`_peel` find it.
     """
-    edges, incidence = graph.edges, graph._incidence
-    deg = graph.degrees()
-    alive = [True] * graph.m
-    stack = [v for v in range(graph.n) if deg[v] == 1]
-    while stack:
-        v = stack.pop()
-        if deg[v] != 1:
-            continue
-        ei = next(i for i in incidence[v] if alive[i])
-        alive[ei] = False
-        for u in edges[ei]:
-            deg[u] -= 1
-            if deg[u] == 1:
-                stack.append(u)
-    return [i for i in range(graph.m) if alive[i]]
+    alive = _peel(graph, set())[2]
+    return [i for i, a in enumerate(alive) if a]
 
 
 def _attempt(graph: Hypergraph, deleted: tuple[int, ...]) -> Optional[tuple[int, int]]:
@@ -250,12 +245,9 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     """
     if a_max < 0:
         raise ValueError("a_max must be non-negative")
-    m = graph.m
     residual = _residual(graph)
     spanned = {v for ei in residual for v in graph.edges[ei]}
     for a in range(max(0, len(residual) - len(spanned)), a_max + 1):
-        if a > m:
-            break
         best: Optional[tuple[int, tuple[int, ...]]] = None
         if jobs <= 1:
             for deleted in itertools.combinations(residual, a):

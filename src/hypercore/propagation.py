@@ -9,12 +9,15 @@ process covers every edge and leaves no vertex inactive; vertices in no
 edge can only become active by being seeds, so they must belong to the
 core itself.
 
-:func:`propagate` runs the process in synchronous rounds and records the
-resulting layer structure: layer ``L_i`` holds every still-uncovered edge
-whose threshold is met by the vertices assimilated before round ``i``.
-Because the firing rule is monotone, this greedy schedule uses the fewest
-possible rounds, so the number of layers is the radius of the core.  Edges
-fully inside the core are covered up front and belong to no layer.
+One frontier loop runs the process in synchronous rounds: layer ``L_i``
+holds every still-uncovered edge whose threshold is met by the vertices
+assimilated before round ``i``.  Because the firing rule is monotone, this
+greedy schedule uses the fewest possible rounds, so the number of layers
+is the radius of the core.  Edges fully inside the core are covered up
+front and belong to no layer.  :func:`is_core` and
+:func:`assimilated_closure` read the per-vertex rounds of that loop;
+:func:`propagate` also packs its layers and credits into a
+:class:`PropagationTrace`.
 """
 
 from __future__ import annotations
@@ -75,10 +78,10 @@ class PropagationTrace:
     ``layers`` partitions the edges covered during the rounds;
     ``initially_covered`` lists edges that were subsets of the core and
     never entered a layer.  ``assimilated_at`` maps each active vertex to
-    its layer (0 for core members).  An edge is *extending* when covering
-    it activated at least one new vertex; ``assimilator`` records which
-    vertices it is credited with.  When two same-layer edges could both
-    activate a vertex, the smallest edge index gets the credit.
+    its layer (0 for core members).  ``assimilator`` maps each edge whose
+    covering activated new vertices to the vertices it is credited with.
+    When two same-layer edges could both activate a vertex, the smallest
+    edge index gets the credit.
     """
 
     verdict: bool
@@ -86,7 +89,6 @@ class PropagationTrace:
     layers: list[tuple[int, ...]]
     initially_covered: tuple[int, ...]
     assimilated_at: dict[int, int]
-    extending: list[bool]
     assimilator: dict[int, tuple[int, ...]] = field(default_factory=dict)
     uncovered: tuple[int, ...] = ()
 
@@ -103,24 +105,66 @@ def _check_core(graph: Hypergraph, core: Iterable[int]) -> frozenset[int]:
     return cs
 
 
-def _isolated_outside(graph: Hypergraph, core: frozenset[int]) -> bool:
-    return any(
-        not graph._incidence[v] and v not in core for v in range(graph.n)
-    )
+def _spread(graph: Hypergraph, core: frozenset[int], t: Sequence[int]):
+    """Run the synchronous rounds from ``core`` under thresholds ``t``.
+
+    Returns ``(depth, credit, layers, inside, fired)``.  ``depth[v]`` is
+    the round that assimilated ``v`` (0 for the core, -1 for never) and
+    ``credit[v]`` the smallest-index edge of that round containing ``v``
+    (-1 when no edge assimilated it).  ``layers`` holds each round's fired
+    edges in ascending order, ``inside`` the edges lying inside the core,
+    and ``fired[j]`` is set for every edge that fired or lies inside.
+    """
+    edges, incidence = graph.edges, graph._incidence
+    depth = [-1] * graph.n
+    credit = [-1] * graph.n
+    count = [0] * graph.m
+    for v in core:
+        depth[v] = 0
+        for j in incidence[v]:
+            count[j] += 1
+    fired = bytearray(graph.m)
+    inside = []
+    frontier = []
+    for j, e in enumerate(edges):
+        if count[j] == len(e):
+            fired[j] = 1
+            inside.append(j)
+        elif count[j] >= t[j]:
+            frontier.append(j)
+    layers: list[tuple[int, ...]] = []
+    while frontier:
+        frontier.sort()
+        layers.append(tuple(frontier))
+        r = len(layers)
+        new = []
+        for j in frontier:  # ascending, so the smallest edge gets the credit
+            fired[j] = 1
+            for u in edges[j]:
+                if depth[u] < 0:
+                    depth[u] = r
+                    credit[u] = j
+                    new.append(u)
+        frontier = []
+        for u in new:
+            for j in incidence[u]:
+                count[j] += 1
+                # counts grow by one, so an edge meets its threshold once
+                if count[j] == t[j] and not fired[j]:
+                    frontier.append(j)
+    return depth, credit, layers, inside, fired
 
 
 def is_core(graph: Hypergraph, core: Iterable[int], thresholds: Thresholds = None) -> bool:
     """True iff ``core`` activates every edge and every vertex.
 
-    Queue-based closure; equivalent to :func:`propagate` but without layer
-    bookkeeping.
+    Runs the same rounds as :func:`propagate` without building the trace.
+    Every vertex ends assimilated exactly when every edge fires and every
+    vertex in no edge is in the core.
     """
     cs = _check_core(graph, core)
     t = resolve_thresholds(graph, thresholds)
-    if _isolated_outside(graph, cs):
-        return False
-    covered = _closure(graph, cs, t)[1]
-    return all(covered)
+    return -1 not in _spread(graph, cs, t)[0]
 
 
 def assimilated_closure(
@@ -129,38 +173,8 @@ def assimilated_closure(
     """All vertices active after propagation from ``core`` (core included)."""
     cs = _check_core(graph, core)
     t = resolve_thresholds(graph, thresholds)
-    assim = _closure(graph, cs, t)[0]
-    return {v for v in range(graph.n) if assim[v]}
-
-
-def _closure(graph, core, t):
-    assim = bytearray(graph.n)
-    covered = bytearray(graph.m)
-    count = [0] * graph.m
-    edges = graph.edges
-    incidence = graph._incidence
-    stack = []
-    for v in core:
-        assim[v] = 1
-        stack.append(v)
-    for i, ti in enumerate(t):
-        if ti == 0:
-            covered[i] = 1
-            for u in edges[i]:
-                if not assim[u]:
-                    assim[u] = 1
-                    stack.append(u)
-    while stack:
-        v = stack.pop()
-        for j in incidence[v]:
-            count[j] += 1
-            if not covered[j] and count[j] >= t[j]:
-                covered[j] = 1
-                for u in edges[j]:
-                    if not assim[u]:
-                        assim[u] = 1
-                        stack.append(u)
-    return assim, covered
+    depth = _spread(graph, cs, t)[0]
+    return {v for v, d in enumerate(depth) if d >= 0}
 
 
 def propagate(
@@ -169,64 +183,19 @@ def propagate(
     """Synchronous-round propagation with full layer bookkeeping."""
     cs = _check_core(graph, core)
     t = resolve_thresholds(graph, thresholds)
-    edges = graph.edges
-    assim = bytearray(graph.n)
-    for v in cs:
-        assim[v] = 1
-    count = [0] * graph.m
-    covered = [False] * graph.m
-    initially = []
-    pending = []
-    for i, e in enumerate(edges):
-        count[i] = sum(assim[v] for v in e)
-        if count[i] == len(e):
-            covered[i] = True
-            initially.append(i)
-        elif count[i] >= t[i]:
-            pending.append(i)
-
-    assimilated_at = {v: 0 for v in cs}
-    layers: list[tuple[int, ...]] = []
-    extending = [False] * graph.m
-    assimilator: dict[int, tuple[int, ...]] = {}
-
-    while pending:
-        layer = tuple(sorted(pending))
-        layers.append(layer)
-        depth = len(layers)
-        credited: dict[int, int] = {}  # new vertex -> smallest same-layer edge
-        for e_idx in layer:
-            covered[e_idx] = True
-            for u in edges[e_idx]:
-                if not assim[u] and u not in credited:
-                    credited[u] = e_idx
-        by_edge: dict[int, list[int]] = {}
-        for u, e_idx in credited.items():
-            assim[u] = 1
-            assimilated_at[u] = depth
-            by_edge.setdefault(e_idx, []).append(u)
-        for e_idx, vs in by_edge.items():
-            extending[e_idx] = True
-            assimilator[e_idx] = tuple(sorted(vs))
-        nxt = set()
-        for u in credited:
-            for j in graph._incidence[u]:
-                count[j] += 1
-                if not covered[j] and count[j] >= t[j]:
-                    nxt.add(j)
-        pending = nxt
-
-    uncovered = tuple(i for i in range(graph.m) if not covered[i])
-    verdict = not uncovered and not _isolated_outside(graph, cs)
+    depth, credit, layers, inside, fired = _spread(graph, cs, t)
+    credited: dict[int, list[int]] = {}
+    for v, j in enumerate(credit):
+        if j >= 0:
+            credited.setdefault(j, []).append(v)
     return PropagationTrace(
-        verdict=verdict,
+        verdict=-1 not in depth,
         core=cs,
         layers=layers,
-        initially_covered=tuple(initially),
-        assimilated_at=assimilated_at,
-        extending=extending,
-        assimilator=assimilator,
-        uncovered=uncovered,
+        initially_covered=tuple(inside),
+        assimilated_at={v: d for v, d in enumerate(depth) if d >= 0},
+        assimilator={j: tuple(vs) for j, vs in credited.items()},
+        uncovered=tuple(j for j, f in enumerate(fired) if not f),
     )
 
 

@@ -35,6 +35,19 @@ def seeded_family(count, seed, n_hi=12, m_cap=None, size_lo=2, size_hi=4, n_lo=2
     return out
 
 
+def messy_instance(rng):
+    """Small instance with duplicate edges, size-1 edges and isolated vertices."""
+    n = rng.randint(1, 10)
+    used = rng.randint(1, n)  # vertices used..n-1 stay isolated
+    edges = []
+    for _ in range(rng.randint(0, used + 3)):
+        if edges and rng.random() < 0.2:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append(rng.sample(range(used), rng.randint(1, min(3, used))))
+    return Hypergraph(n, edges)
+
+
 def all_subsets(n):
     for bits in range(2**n):
         yield frozenset(v for v in range(n) if bits >> v & 1)

@@ -9,7 +9,7 @@ import pytest
 
 import hypercore
 from hypercore import Hypergraph, generate_random, write_instance
-from hypercore.cli import main
+from hypercore.cli import build_parser, main
 from test_hypergraph import MALFORMED
 
 PATH_TEXT = "p hce 3 2\ne 2 1 2\ne 2 2 3\n"
@@ -175,6 +175,28 @@ def test_out_of_range_index_exits_2_with_line(tmp_path, capsys, path_file, comma
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"line {line}:" in captured.err
+
+
+def test_repeated_in_process_calls_share_one_parser(tmp_path, capsys, path_file, triangle_file):
+    core = tmp_path / "core.txt"
+    core.write_text("s 1 2\n")
+    commands = [
+        ["peel", path_file],
+        ["peel", triangle_file],
+        ["radius", path_file, str(core)],
+        ["mincore", triangle_file, "--max-a", "1"],
+        ["check-core", triangle_file, str(tmp_path / "missing.txt")],
+    ]
+    rounds = []
+    for _ in range(2):
+        outcome = []
+        for argv in commands:
+            code = main(argv)
+            outcome.append((code, capsys.readouterr().out))
+        rounds.append(outcome)
+    assert rounds[0] == rounds[1]
+    assert [code for code, _ in rounds[0]] == [0, 1, 0, 0, 2]
+    assert build_parser() is build_parser()
 
 
 def test_reduce_3sat_k_guard(tmp_path):

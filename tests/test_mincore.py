@@ -22,7 +22,7 @@ from hypercore import (
 )
 from hypercore import mincore
 from hypercore.mincore import PEEL_FAILURE_MESSAGE, MinCoreResult, _residual
-from conftest import seeded_family
+from conftest import messy_instance, seeded_family
 
 
 def test_peel_path(path):
@@ -194,19 +194,6 @@ def _reference_fpt(g, a_max):
     raise NotFoundWithin(a_max)
 
 
-def _messy_instance(rng):
-    """Small instance with duplicate edges, size-1 edges and isolated vertices."""
-    n = rng.randint(1, 10)
-    used = rng.randint(1, n)  # vertices used..n-1 stay isolated
-    edges = []
-    for _ in range(rng.randint(0, used + 3)):
-        if edges and rng.random() < 0.2:
-            edges.append(rng.choice(edges))
-        else:
-            edges.append(rng.sample(range(used), rng.randint(1, min(3, used))))
-    return Hypergraph(n, edges)
-
-
 def _outcome(search, g, a_max, **kwargs):
     try:
         return search(g, a_max, **kwargs)
@@ -217,7 +204,7 @@ def _outcome(search, g, a_max, **kwargs):
 def test_fpt_matches_unkernelised_reference():
     for s in range(320):
         rng = random.Random(9_000_011 + s)
-        g = _messy_instance(rng)
+        g = messy_instance(rng)
         a_max = rng.randint(0, 4)
         expected = _outcome(_reference_fpt, g, a_max)
         assert _outcome(mincore_fpt, g, a_max) == expected
@@ -246,6 +233,36 @@ def test_residual(path, star, triangle):
     # a pendant path hanging off a triangle peels away
     tail = Hypergraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
     assert _residual(tail) == [0, 1, 2]
+
+
+def _reference_residual(graph):
+    """The stack peel that computed the residual before the round loop
+    served it too: one edge at a time, in stack order."""
+    edges, incidence = graph.edges, graph._incidence
+    deg = graph.degrees()
+    alive = [True] * graph.m
+    stack = [v for v in range(graph.n) if deg[v] == 1]
+    while stack:
+        v = stack.pop()
+        if deg[v] != 1:
+            continue
+        ei = next(i for i in incidence[v] if alive[i])
+        alive[ei] = False
+        for u in edges[ei]:
+            deg[u] -= 1
+            if deg[u] == 1:
+                stack.append(u)
+    return [i for i in range(graph.m) if alive[i]]
+
+
+def test_residual_matches_stack_peel():
+    """Peeling ends at the same edge set in any order, so the round loop
+    and the stack peel leave the same residual, also when ``m > n``."""
+    graphs = [messy_instance(random.Random(9_100_003 + s)) for s in range(300)]
+    graphs += seeded_family(100, seed=37, n_hi=8, m_cap=16, size_lo=1)
+    assert sum(g.m > g.n for g in graphs) >= 50
+    for g in graphs:
+        assert _residual(g) == _reference_residual(g)
 
 
 def test_fpt_skips_levels_below_residual_excess(monkeypatch):

@@ -1,5 +1,7 @@
 """Activation semantics: verdicts, layers, radius, threshold generalization."""
 
+import random
+
 import pytest
 
 from hypercore import (
@@ -8,12 +10,14 @@ from hypercore import (
     ThresholdMap,
     assimilated_closure,
     is_core,
+    PropagationTrace,
     propagate,
     radius,
     reference_is_core,
     trace_report,
 )
-from conftest import all_subsets, seeded_family
+from hypercore.propagation import _check_core, resolve_thresholds
+from conftest import all_subsets, messy_instance, seeded_family
 
 
 def test_is_core_examples(triangle):
@@ -37,7 +41,7 @@ def test_propagate_triangle(triangle):
     assert trace.verdict
     assert trace.layers == [(0, 2), (1,)]
     assert trace.radius == 2
-    assert trace.extending == [True, False, True]
+    assert sorted(trace.assimilator) == [0, 2]  # edge 1 activates nothing new
     assert trace.assimilator == {0: (1,), 2: (2,)}
     assert trace.assimilated_at == {0: 0, 1: 1, 2: 1}
 
@@ -89,7 +93,7 @@ def test_extending_tiebreak_prefers_smaller_index():
     g = Hypergraph(2, [(0, 1), (0, 1)])
     trace = propagate(g, {0})
     assert trace.layers == [(0, 1)]
-    assert trace.extending == [True, False]
+    assert 1 not in trace.assimilator
     assert trace.assimilator == {0: (1,)}
 
 
@@ -141,9 +145,10 @@ def test_extending_edges_credit_one_vertex_each():
         trace = propagate(g, core)
         assert all(len(vs) == 1 for vs in trace.assimilator.values())
         assert sum(len(vs) for vs in trace.assimilator.values()) == g.n - len(core)
-        assert sorted(trace.assimilator) == [
-            i for i, flag in enumerate(trace.extending) if flag
-        ]
+        # a credited vertex enters in the layer of the edge credited with it
+        layer_of = {e: d for d, layer in enumerate(trace.layers, 1) for e in layer}
+        for e, vs in trace.assimilator.items():
+            assert all(trace.assimilated_at[v] == layer_of[e] for v in vs)
 
 
 def test_radius_zero_iff_all_edges_inside():
@@ -179,3 +184,148 @@ def test_trace_report_shape(triangle):
     assert "vertex 2 layer 1" in lines
     bad = trace_report(propagate(triangle, set()))
     assert "not-a-core" in bad and "uncovered" in bad
+
+
+# The two engines the single round loop replaced, kept as references: a
+# stack closure behind ``is_core``/``assimilated_closure`` and a separate
+# round-based ``propagate``.  The old trace also carried an ``extending``
+# flag list, dropped here because it equals ``j in trace.assimilator``.
+
+
+def _isolated_outside(graph, core):
+    return any(
+        not graph._incidence[v] and v not in core for v in range(graph.n)
+    )
+
+
+def _reference_is_core(graph, core, thresholds=None):
+    cs = _check_core(graph, core)
+    t = resolve_thresholds(graph, thresholds)
+    if _isolated_outside(graph, cs):
+        return False
+    covered = _closure(graph, cs, t)[1]
+    return all(covered)
+
+
+def _reference_closure(graph, core, thresholds=None):
+    cs = _check_core(graph, core)
+    t = resolve_thresholds(graph, thresholds)
+    assim = _closure(graph, cs, t)[0]
+    return {v for v in range(graph.n) if assim[v]}
+
+
+def _closure(graph, core, t):
+    assim = bytearray(graph.n)
+    covered = bytearray(graph.m)
+    count = [0] * graph.m
+    edges = graph.edges
+    incidence = graph._incidence
+    stack = []
+    for v in core:
+        assim[v] = 1
+        stack.append(v)
+    for i, ti in enumerate(t):
+        if ti == 0:
+            covered[i] = 1
+            for u in edges[i]:
+                if not assim[u]:
+                    assim[u] = 1
+                    stack.append(u)
+    while stack:
+        v = stack.pop()
+        for j in incidence[v]:
+            count[j] += 1
+            if not covered[j] and count[j] >= t[j]:
+                covered[j] = 1
+                for u in edges[j]:
+                    if not assim[u]:
+                        assim[u] = 1
+                        stack.append(u)
+    return assim, covered
+
+
+def _reference_propagate(graph, core, thresholds=None):
+    cs = _check_core(graph, core)
+    t = resolve_thresholds(graph, thresholds)
+    edges = graph.edges
+    assim = bytearray(graph.n)
+    for v in cs:
+        assim[v] = 1
+    count = [0] * graph.m
+    covered = [False] * graph.m
+    initially = []
+    pending = []
+    for i, e in enumerate(edges):
+        count[i] = sum(assim[v] for v in e)
+        if count[i] == len(e):
+            covered[i] = True
+            initially.append(i)
+        elif count[i] >= t[i]:
+            pending.append(i)
+
+    assimilated_at = {v: 0 for v in cs}
+    layers = []
+    assimilator = {}
+
+    while pending:
+        layer = tuple(sorted(pending))
+        layers.append(layer)
+        depth = len(layers)
+        credited = {}  # new vertex -> smallest same-layer edge
+        for e_idx in layer:
+            covered[e_idx] = True
+            for u in edges[e_idx]:
+                if not assim[u] and u not in credited:
+                    credited[u] = e_idx
+        by_edge = {}
+        for u, e_idx in credited.items():
+            assim[u] = 1
+            assimilated_at[u] = depth
+            by_edge.setdefault(e_idx, []).append(u)
+        for e_idx, vs in by_edge.items():
+            assimilator[e_idx] = tuple(sorted(vs))
+        nxt = set()
+        for u in credited:
+            for j in graph._incidence[u]:
+                count[j] += 1
+                if not covered[j] and count[j] >= t[j]:
+                    nxt.add(j)
+        pending = nxt
+
+    uncovered = tuple(i for i in range(graph.m) if not covered[i])
+    verdict = not uncovered and not _isolated_outside(graph, cs)
+    return PropagationTrace(
+        verdict=verdict,
+        core=cs,
+        layers=layers,
+        initially_covered=tuple(initially),
+        assimilated_at=assimilated_at,
+        assimilator=assimilator,
+        uncovered=uncovered,
+    )
+
+
+def _reference_case(rng):
+    """A messy instance, a random valid threshold list (or the default)
+    and a random core."""
+    g = messy_instance(rng)
+    t = None
+    if rng.random() < 0.6:
+        t = [rng.randint(0, len(e) - 1) for e in g.edges]
+    core = {v for v in range(g.n) if rng.random() < rng.choice((0.2, 0.5, 0.8))}
+    return g, t, core
+
+
+def test_single_engine_matches_both_replaced_engines():
+    cases = [_reference_case(random.Random(4_000_037 + s)) for s in range(400)]
+    assert sum(any(len(e) == 1 for e in g.edges) for g, _, _ in cases) >= 50
+    assert sum(len(set(g.edges)) < g.m for g, _, _ in cases) >= 50
+    assert sum(any(not ix for ix in g._incidence) for g, _, _ in cases) >= 50
+    verdicts = set()
+    for g, t, core in cases:
+        trace = propagate(g, core, t)
+        assert trace == _reference_propagate(g, core, t)
+        assert is_core(g, core, t) == _reference_is_core(g, core, t) == trace.verdict
+        assert assimilated_closure(g, core, t) == _reference_closure(g, core, t)
+        verdicts.add(trace.verdict)
+    assert verdicts == {True, False}
