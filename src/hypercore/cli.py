@@ -171,10 +171,10 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _fmt(value: float) -> str:
+def _fmt(value: float, digits: int) -> str:
     if math.isinf(value):
         return "inf"
-    return f"{value:.6f}"
+    return f"{value:.{digits}f}"
 
 
 def _cmd_bounds(args) -> int:
@@ -182,14 +182,10 @@ def _cmd_bounds(args) -> int:
     report = bounds_mod.bound_report(graph, args.core_size)
     print(f"j: {report.j_neighbors}")
     print(f"d: {report.d_degree}")
-    dia = "inf" if math.isinf(report.diameter) else str(int(report.diameter))
-    print(f"diameter: {dia}")
-    print(f"neighbor_bound: {_fmt(report.neighbor_bound)}")
-    print(f"degree_bound: {_fmt(report.degree_bound)}")
-    dbound = (
-        "inf" if math.isinf(report.diameter_bound) else str(int(report.diameter_bound))
-    )
-    print(f"diameter_bound: {dbound}")
+    print(f"diameter: {_fmt(report.diameter, 0)}")
+    print(f"neighbor_bound: {_fmt(report.neighbor_bound, 6)}")
+    print(f"degree_bound: {_fmt(report.degree_bound, 6)}")
+    print(f"diameter_bound: {_fmt(report.diameter_bound, 0)}")
     print(f"neighbor_degenerate: {'yes' if report.neighbor_degenerate else 'no'}")
     print(f"degree_degenerate: {'yes' if report.degree_degenerate else 'no'}")
     return EXIT_OK

@@ -37,10 +37,6 @@ class Filtration:
     edge_order: tuple[int, ...]
     added_vertex: tuple[Optional[int], ...]
 
-    @property
-    def type_b(self) -> int:
-        return len(self.foundation)
-
 
 def validate_filtration(
     graph: Hypergraph, filtration: Filtration
@@ -185,16 +181,19 @@ def read_filtration(
 ) -> Filtration:
     """Parse one ``f`` line of distinct vertices, then the ``o`` lines.
 
-    With ``n`` (``m``) given, a vertex (edge) index above it is an error
-    on its line."""
+    An edge ordered twice is an error on its second line.  With ``n``
+    (``m``) given, a vertex (edge) index above it is an error on its line,
+    and with ``m`` given, ordering fewer than ``m`` edges is an error on
+    the ``f`` line."""
     foundation: Optional[frozenset[int]] = None
     order: list[int] = []
     added: list[Optional[int]] = []
+    ordered: set[int] = set()
     for line_no, kind, nums in _records(text, ("f", "o")):
         if kind == "f":
             if foundation is not None:
                 raise HceParseError(line_no, "duplicate foundation line")
-            foundation = frozenset(_counted(line_no, nums, n))
+            head, foundation = line_no, frozenset(_counted(line_no, nums, n))
         elif foundation is None:
             raise HceParseError(line_no, "order line before foundation")
         elif len(nums) not in (1, 2) or min(nums) < 1:
@@ -203,9 +202,14 @@ def read_filtration(
             raise HceParseError(line_no, f"edge {nums[0]} outside [1, {m}]")
         elif n is not None and nums[1:] and nums[1] > n:
             raise HceParseError(line_no, f"vertex {nums[1]} outside [1, {n}]")
+        elif nums[0] in ordered:
+            raise HceParseError(line_no, f"edge {nums[0]} ordered twice")
         else:
+            ordered.add(nums[0])
             order.append(nums[0] - 1)
             added.append(nums[1] - 1 if len(nums) == 2 else None)
     if foundation is None:
         raise HceParseError(1, "missing foundation line")
+    if m is not None and len(order) < m:
+        raise HceParseError(head, f"{len(order)} of {m} edges ordered")
     return Filtration(foundation, tuple(order), tuple(added))

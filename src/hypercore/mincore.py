@@ -150,8 +150,8 @@ def _residual(graph: Hypergraph) -> list[int]:
     return [i for i, a in enumerate(alive) if a]
 
 
-def _attempt(graph: Hypergraph, deleted: tuple[int, ...]) -> Optional[tuple[int, int]]:
-    """Peel with ``deleted`` removed; on success return (full radius, peel radius)."""
+def _attempt(graph: Hypergraph, deleted: tuple[int, ...]) -> Optional[int]:
+    """Peel with ``deleted`` removed; on success return the full radius."""
     try:
         res = peel_nm(graph, deleted)
     except NoCoreOfSizeNM:
@@ -159,7 +159,18 @@ def _attempt(graph: Hypergraph, deleted: tuple[int, ...]) -> Optional[tuple[int,
     trace = propagate(graph, res.core)
     if not trace.verdict:
         raise RuntimeError("peeled core must stay a core after re-insertion")
-    return trace.radius, res.radius
+    return trace.radius
+
+
+def _best(graph: Hypergraph, combos) -> Optional[tuple[int, tuple[int, ...]]]:
+    """Smallest ``(radius, deleted)`` over the successful deletions among
+    ``combos``, which come in ascending order; None when none succeeds."""
+    best = None
+    for deleted in combos:
+        radius = _attempt(graph, deleted)
+        if radius is not None and (best is None or radius < best[0]):
+            best = (radius, deleted)
+    return best
 
 
 _POOL_GRAPH: Optional[Hypergraph] = None
@@ -170,15 +181,10 @@ def _pool_init(n: int, edges: tuple) -> None:
     _POOL_GRAPH = Hypergraph(n, edges)
 
 
-def _pool_run(chunk: list[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:
+def _pool_run(chunk: list[tuple[int, ...]]) -> Optional[tuple[int, tuple[int, ...]]]:
     if _POOL_GRAPH is None:
         raise RuntimeError("pool worker ran before _pool_init")
-    out = []
-    for deleted in chunk:
-        hit = _attempt(_POOL_GRAPH, deleted)
-        if hit is not None:
-            out.append((hit[0], deleted))
-    return out
+    return _best(_POOL_GRAPH, chunk)
 
 
 def _chunks(items, size):
@@ -248,23 +254,17 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     residual = _residual(graph)
     spanned = {v for ei in residual for v in graph.edges[ei]}
     for a in range(max(0, len(residual) - len(spanned)), a_max + 1):
-        best: Optional[tuple[int, tuple[int, ...]]] = None
+        combos = itertools.combinations(residual, a)
         if jobs <= 1:
-            for deleted in itertools.combinations(residual, a):
-                hit = _attempt(graph, deleted)
-                if hit is not None and (best is None or hit[0] < best[0]):
-                    best = (hit[0], deleted)
+            best = _best(graph, combos)
         else:
-            combos = itertools.combinations(residual, a)
             with ProcessPoolExecutor(
                 max_workers=jobs,
                 initializer=_pool_init,
                 initargs=(graph.n, graph.edges),
             ) as pool:
-                for block in pool.map(_pool_run, _chunks(combos, 64)):
-                    for hit in block:
-                        if best is None or hit < best:
-                            best = hit
+                hits = pool.map(_pool_run, _chunks(combos, 64))
+                best = min((hit for hit in hits if hit is not None), default=None)
         if best is not None:
             radius_full, deleted = best
             try:

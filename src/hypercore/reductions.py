@@ -106,14 +106,13 @@ class CnfFormula:
 
 @dataclass
 class ReductionCertificate:
-    kind: str
     instance: Hypergraph
 
 
 @dataclass
 class SetCoverCertificate(ReductionCertificate):
     source: SetCoverInstance
-    hub: Optional[int] = None  # shared extra vertex of the 3-uniform variant
+    _element_base: int  # vertex of the first element twin
 
     @property
     def num_sets(self) -> int:
@@ -123,13 +122,12 @@ class SetCoverCertificate(ReductionCertificate):
         return 2 * i, 2 * i + 1
 
     def element_vertices(self, j: int) -> tuple[int, int]:
-        base = 2 * self.num_sets + (1 if self.hub is not None else 0)
-        return base + 2 * j, base + 2 * j + 1
+        return self._element_base + 2 * j, self._element_base + 2 * j + 1
 
     def element_of_vertex(self, v: int) -> Optional[int]:
-        base = 2 * self.num_sets + (1 if self.hub is not None else 0)
-        if base <= v < base + 2 * self.source.universe_size:
-            return (v - base) // 2
+        offset = v - self._element_base
+        if 0 <= offset < 2 * self.source.universe_size:
+            return offset // 2
         return None
 
 
@@ -166,12 +164,6 @@ class SatRadiusCertificate(ReductionCertificate):
     def literal_vertex(self, clause: int, slot: int) -> int:
         return 9 * clause + slot
 
-    def guard_vertex(self, clause: int, slot: int) -> int:
-        return 9 * clause + 3 + slot
-
-    def outer_vertex(self, clause: int, slot: int) -> int:
-        return 9 * clause + 6 + slot
-
 
 # ---------------------------------------------------------------------------
 # Set Cover
@@ -186,28 +178,52 @@ def setcover_to_mincore(instance: SetCoverInstance) -> SetCoverCertificate:
     element vertices plus one set-side vertex) hand it back, so once every
     element is active the remaining set pairs follow.
     """
+    return _compile_setcover(instance, three_uniform=False)
+
+
+def setcover_to_mincore_3uniform(instance: SetCoverInstance) -> SetCoverCertificate:
+    """Covering compiler emitting only size-3 edges.
+
+    Twin edges gain a shared hub vertex; the collector edges are expanded
+    into per-set trees rooted at the set twins with the element vertices
+    as leaves.  Minimum core size becomes minimum cover size plus one (the
+    hub).
+    """
+    return _compile_setcover(instance, three_uniform=True)
+
+
+def _compile_setcover(
+    instance: SetCoverInstance, three_uniform: bool
+) -> SetCoverCertificate:
+    """Set twins ``2i, 2i+1``, then the hub (3-uniform only), then element
+    twins, then the collector trees' internal vertices (3-uniform only)."""
     k = len(instance.sets)
-    u = instance.universe_size
-    labels = {}
+    hub = (2 * k,) if three_uniform else ()
+    base = 2 * k + len(hub)
+    labels = {v: "hub" for v in hub}
     for i in range(k):
         labels[2 * i] = f"set{i + 1}a"
         labels[2 * i + 1] = f"set{i + 1}b"
-    for j in range(u):
-        labels[2 * k + 2 * j] = f"elem{j + 1}a"
-        labels[2 * k + 2 * j + 1] = f"elem{j + 1}b"
-    v2 = [2 * k + x for x in range(2 * u)]
-    edges: list[tuple[int, ...]] = []
-    for i in range(k):
-        edges.append((2 * i, 2 * i + 1))
+    for j in range(instance.universe_size):
+        labels[base + 2 * j] = f"elem{j + 1}a"
+        labels[base + 2 * j + 1] = f"elem{j + 1}b"
+    elements = list(range(base, base + 2 * instance.universe_size))
+    edges: list[tuple[int, ...]] = [(2 * i, 2 * i + 1, *hub) for i in range(k)]
     for i in range(k):
         for j in sorted(instance.sets[i]):
-            edges.append((2 * i, 2 * i + 1, 2 * k + 2 * j))
-            edges.append((2 * i, 2 * i + 1, 2 * k + 2 * j + 1))
-    for i in range(k):
-        edges.append(tuple(sorted(v2 + [2 * i])))
-        edges.append(tuple(sorted(v2 + [2 * i + 1])))
-    graph = Hypergraph(2 * k + 2 * u, edges, labels)
-    return SetCoverCertificate(kind="setcover", instance=graph, source=instance)
+            edges.append((2 * i, 2 * i + 1, base + 2 * j))
+            edges.append((2 * i, 2 * i + 1, base + 2 * j + 1))
+    fresh = base + len(elements)
+    for root in range(2 * k):
+        if three_uniform:
+            tree, end = _gadget_edges(elements, root, fresh)
+            for t in range(fresh, end):
+                labels[t] = f"tree{t - fresh + 1}@g{root + 1}"
+            edges.extend(tree)
+            fresh = end
+        else:
+            edges.append((root, *elements))
+    return SetCoverCertificate(Hypergraph(fresh, edges, labels), instance, base)
 
 
 def core_to_setcover(cert: SetCoverCertificate, core: Iterable[int]) -> list[int]:
@@ -217,7 +233,7 @@ def core_to_setcover(cert: SetCoverCertificate, core: Iterable[int]) -> list[int
     containing their element, then every set with a chosen twin joins the
     cover.
     """
-    if cert.kind != "setcover":
+    if cert._element_base != 2 * cert.num_sets:  # a hub precedes the elements
         raise ValueError("extraction is defined for the general covering compiler")
     if not is_core(cert.instance, core):
         raise NotACoreError("the given set is not a core of the compiled instance")
@@ -320,49 +336,6 @@ def triangulate_edge(graph: Hypergraph, edge_index: int) -> Hypergraph:
     return Hypergraph(next_fresh, edges, labels)
 
 
-def setcover_to_mincore_3uniform(instance: SetCoverInstance) -> SetCoverCertificate:
-    """Covering compiler emitting only size-3 edges.
-
-    Twin edges gain a shared hub vertex; the collector edges are expanded
-    into per-set trees rooted at the set twins with the element vertices
-    as leaves.  Minimum core size becomes minimum cover size plus one (the
-    hub).
-    """
-    k = len(instance.sets)
-    u = instance.universe_size
-    hub = 2 * k
-    labels = {hub: "hub"}
-    for i in range(k):
-        labels[2 * i] = f"set{i + 1}a"
-        labels[2 * i + 1] = f"set{i + 1}b"
-    elem_base = 2 * k + 1
-    for j in range(u):
-        labels[elem_base + 2 * j] = f"elem{j + 1}a"
-        labels[elem_base + 2 * j + 1] = f"elem{j + 1}b"
-    v2 = [elem_base + x for x in range(2 * u)]
-    edges: list[tuple[int, ...]] = []
-    for i in range(k):
-        edges.append(tuple(sorted((2 * i, 2 * i + 1, hub))))
-    for i in range(k):
-        for j in sorted(instance.sets[i]):
-            edges.append((2 * i, 2 * i + 1, elem_base + 2 * j))
-            edges.append((2 * i, 2 * i + 1, elem_base + 2 * j + 1))
-    next_fresh = elem_base + 2 * u
-    tree_counter = 0
-    for i in range(k):
-        for root in (2 * i, 2 * i + 1):
-            tree_counter += 1
-            gadget_edges, fresh_end = _gadget_edges(v2, root, next_fresh)
-            for t in range(next_fresh, fresh_end):
-                labels[t] = f"tree{t - next_fresh + 1}@g{tree_counter}"
-            next_fresh = fresh_end
-            edges.extend(gadget_edges)
-    graph = Hypergraph(next_fresh, edges, labels)
-    return SetCoverCertificate(
-        kind="setcover3", instance=graph, source=instance, hub=hub
-    )
-
-
 # ---------------------------------------------------------------------------
 # AND gadget and the bipartite covering reduction
 
@@ -450,7 +423,6 @@ def minrep_to_mincore(instance: MinrepInstance) -> MinrepCertificate:
     }
     graph = Hypergraph(base, edges, labels)
     return MinrepCertificate(
-        kind="minrep",
         instance=graph,
         source=instance,
         copy_vertex=copy_vertex,
@@ -573,7 +545,6 @@ def threesat_to_mincore_radius(formula: CnfFormula, k: int) -> SatRadiusCertific
         edges.append((chain[r], chain[r + 1]))
     graph = Hypergraph(base, edges, labels)
     return SatRadiusCertificate(
-        kind="3sat-radius",
         instance=graph,
         source=formula,
         k=k,

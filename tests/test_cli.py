@@ -162,6 +162,8 @@ def test_malformed_file_exits_2_with_line(tmp_path, capsys, reader, text, line):
         pytest.param("filtration-to-core", "f 1 9\no 1 2\no 2 3\n", 1, id="foundation-vertex"),
         pytest.param("filtration-to-core", "f 1 1\no 1 2\no 9\n", 3, id="order-edge"),
         pytest.param("filtration-to-core", "f 1 1\no 1 9\no 2 3\n", 2, id="order-vertex"),
+        pytest.param("filtration-to-core", "f 1 1\no 1 2\no 1 3\n", 3, id="order-repeats-edge"),
+        pytest.param("filtration-to-core", "c short\nf 1 1\no 1 2\n", 2, id="order-skips-edge"),
     ],
 )
 def test_out_of_range_index_exits_2_with_line(tmp_path, capsys, path_file, command, text, line):

@@ -11,6 +11,7 @@ from hypercore import (
     NoCoreOfSizeNM,
     NotFoundWithin,
     ThresholdMap,
+    generate_random,
     is_core,
     mincore_fpt,
     oracle_best_radius_at_size,
@@ -165,7 +166,9 @@ def test_fpt_radius_sandwich():
 
 
 def test_fpt_deterministic_and_parallel_identical():
-    for g in seeded_family(6, seed=35, n_hi=7):
+    # The last instance's 286 deletions at a = 3 span five pool chunks; the
+    # first chunk's best has radius 4, the second chunk's radius 3.
+    for g in [*seeded_family(6, seed=35, n_hi=7), generate_random(14, 14, 2, 3, 59)]:
         a = mincore_fpt(g, g.n)
         b = mincore_fpt(g, g.n)
         c = mincore_fpt(g, g.n, jobs=2)

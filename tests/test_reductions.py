@@ -1,5 +1,6 @@
 """Gadget compilers, solution extraction, threshold transformations."""
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -94,6 +95,10 @@ def test_setcover_extraction():
     assert core_to_setcover(cert, call) == [0, 1, 2]
     with pytest.raises(NotACoreError):
         core_to_setcover(cert, {cert.set_vertices(0)[0]})
+    # the 3-uniform layout (hub, tree vertices) is refused, even for a core
+    cert3 = setcover_to_mincore_3uniform(FIGURE)
+    with pytest.raises(ValueError, match="general covering compiler"):
+        core_to_setcover(cert3, range(cert3.instance.n))
 
 
 def test_setcover_extraction_bounded_by_every_core():
@@ -118,7 +123,7 @@ def _random_setcover(rng, max_u=4, max_k=4):
     ]
     missing = set(range(u)) - set().union(*sets)
     if missing:
-        sets[rng.randrange(k)] = sets[rng.randrange(k)] | missing
+        sets[rng.randrange(k)] |= missing
     return SetCoverInstance(u, tuple(sets))
 
 
@@ -442,6 +447,49 @@ def test_emitted_instances_survive_the_text_format():
         assert all(" " not in label for label in g.labels.values())
         back, _ = read_instance(write_instance(g))
         assert back == g
+
+
+# SHA-256 of each compiler's concatenated `write_instance` text over the
+# fixed family in `test_emitted_instance_bytes_are_pinned`, recorded before
+# the two set-cover compilers shared one body.
+EMITTED_DIGESTS = {
+    "setcover": "634dca9cd41d5421478f7d2b3c1de1bb5c5e9f4bf25abb9331f5aadc22e75d83",
+    "setcover3": "9846830b5d3e8461827ead8e4d2c5ea1f4ebf4e48bc88f7c58c22181cdc0b133",
+    "minrep": "3bd5b11477fa885eeb3b746faae0776830a2700fb0d724fabd9eba228a1302a4",
+    "3sat": "4bd345085bef67e41abb474da8dcf098d8d9a5a7ddeef636cda5959893517e2e",
+}
+
+
+def test_emitted_instance_bytes_are_pinned():
+    from hypercore import write_instance
+
+    covers = [FIGURE] + [_random_setcover(random.Random(1300 + s), 6, 6) for s in range(60)]
+    minreps = [
+        MinrepInstance(1, 1, 1, 1, ((0, 0),)),
+        MinrepInstance(2, 1, 1, 1, ((0, 0), (1, 0))),
+        MinrepInstance(1, 2, 1, 2, ()),
+        MinrepInstance(2, 2, 2, 2, ((0, 1), (1, 0), (2, 3), (3, 3), (1, 2))),
+        MinrepInstance(3, 1, 2, 2, ((2, 3), (0, 0), (1, 1), (2, 0))),
+    ]
+    formulas = [
+        CnfFormula(3, ((1, 2, 3),)),
+        CnfFormula(3, ((1, 2, 3), (-1, -2, -3))),
+        CnfFormula(6, ((1, 2, 3), (4, 5, 6))),
+        CnfFormula(4, ((1, -2, 3), (-1, 2, 4), (2, -3, -4), (-1, -2, -4))),
+    ]
+    compiled = {
+        "setcover": [setcover_to_mincore(inst) for inst in covers],
+        "setcover3": [setcover_to_mincore_3uniform(inst) for inst in covers],
+        "minrep": [minrep_to_mincore(inst) for inst in minreps],
+        "3sat": [threesat_to_mincore_radius(phi, k) for phi in formulas for k in (4, 5)],
+    }
+    digests = {
+        name: hashlib.sha256(
+            "".join(write_instance(cert.instance) for cert in certs).encode()
+        ).hexdigest()
+        for name, certs in compiled.items()
+    }
+    assert digests == EMITTED_DIGESTS
 
 
 def test_read_setcover():
