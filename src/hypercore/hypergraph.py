@@ -81,7 +81,9 @@ class Hypergraph:
         for i, e in enumerate(self.edges):
             for v in e:
                 incidence[v].append(i)
-        self._incidence = tuple(tuple(ix) for ix in incidence)
+        for v, ix in enumerate(incidence):
+            incidence[v] = tuple(ix)
+        self._incidence = tuple(incidence)
 
     @property
     def m(self) -> int:

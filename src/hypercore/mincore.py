@@ -7,25 +7,30 @@ whose radius equals the number of rounds, and that radius is optimal among
 all cores of that size; when some residual has no degree-one vertex, no
 core of size ``n - m`` exists at all.
 
-:func:`mincore_fpt` lifts this to cores of size ``n - m + a``.  It peels the
-whole instance once, with the same round loop run until it stalls, to its
-residual edges, the ones degree-one peeling cannot remove.  Then it deletes
-every ``a``-subset of the residual edges, peels the remainder (the deleted
-edges are masked, not copied out), and re-inserts the deleted edges (which
-may add one final layer).  The run over all subsets is embarrassingly
-parallel; results are aggregated deterministically.
+:func:`mincore_fpt` lifts this to cores of size ``n - m + a``.  It strips
+the whole instance once to its residual edges ``R``, the ones degree-one
+peeling cannot remove, and re-indexes ``R`` once as a small hypergraph of
+its own, the kernel.  Whether deleting an ``a``-subset ``D`` of ``R``
+leaves a peelable instance depends only on ``R - D`` (lemma 3 of
+:func:`mincore_fpt`), so every deletion is decided by stripping the
+kernel alone.  Only the deletions that succeed touch the whole instance:
+:func:`peel_nm` peels it without them, and the deleted edges are
+re-inserted (which may add one final layer) to score the radius.  The run
+over all subsets is embarrassingly parallel; results are aggregated
+deterministically.
 """
 
 from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, default_thresholds
 from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_best_radius_at_size
-from .propagation import propagate
+from .propagation import _core_radius
 
 PEEL_FAILURE_MESSAGE = "no core of size n-m possible"
 
@@ -140,51 +145,109 @@ def peel_nm(graph: Hypergraph, deleted: Sequence[int] = ()) -> PeelResult:
     return PeelResult(core=core, layers=rounds, assimilator=victims)
 
 
-def _residual(graph: Hypergraph) -> list[int]:
-    """Sorted indices of the edges that degree-one peeling cannot remove.
+def _strip(graph: Hypergraph, template: list[int], dead: Sequence[int] = ()) -> bytearray:
+    """Strip degree-one vertices from ``graph`` without ``dead``; return the
+    mask of the edges left alive.
 
-    Any order of peeling ends at the same edge set (see
-    :func:`mincore_fpt`), so the rounds of :func:`_peel` find it.
+    ``template`` is ``graph.degrees()``, computed once by the caller and
+    copied here.  Edges go one at a time, in stack order: by lemma 1 of
+    :func:`mincore_fpt` every order leaves the same edges, ``core2``.
     """
-    alive = _peel(graph, set())[2]
+    edges, incidence = graph.edges, graph._incidence
+    deg = template[:]
+    alive = bytearray(b"\x01") * graph.m
+    for ei in dead:
+        alive[ei] = 0
+        for u in edges[ei]:
+            deg[u] -= 1
+    stack = [v for v, d in enumerate(deg) if d == 1]
+    while stack:
+        v = stack.pop()
+        if deg[v] != 1:
+            continue
+        for ei in incidence[v]:
+            if alive[ei]:
+                break
+        alive[ei] = 0
+        for u in edges[ei]:
+            deg[u] -= 1
+            if deg[u] == 1:
+                stack.append(u)
+    return alive
+
+
+def _residual(graph: Hypergraph) -> list[int]:
+    """Sorted indices of the edges that degree-one peeling cannot remove."""
+    alive = _strip(graph, graph.degrees())
     return [i for i, a in enumerate(alive) if a]
 
 
-def _attempt(graph: Hypergraph, deleted: tuple[int, ...]) -> Optional[int]:
-    """Peel with ``deleted`` removed; on success return the full radius."""
+def _peeled_core(graph: Hypergraph, deleted: tuple[int, ...]) -> frozenset[int]:
+    """Core of :func:`peel_nm` without ``deleted``, a deletion whose
+    remainder the kernel stripped to nothing."""
     try:
-        res = peel_nm(graph, deleted)
+        return peel_nm(graph, deleted).core
     except NoCoreOfSizeNM:
-        return None
-    trace = propagate(graph, res.core)
-    if not trace.verdict:
-        raise RuntimeError("peeled core must stay a core after re-insertion")
-    return trace.radius
+        raise RuntimeError("a deletion that strips the kernel must peel the instance")
 
 
-def _best(graph: Hypergraph, combos) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Smallest ``(radius, deleted)`` over the successful deletions among
-    ``combos``, which come in ascending order; None when none succeeds."""
-    best = None
-    for deleted in combos:
-        radius = _attempt(graph, deleted)
-        if radius is not None and (best is None or radius < best[0]):
-            best = (radius, deleted)
-    return best
+class _Kernel:
+    """The residual ``R`` of ``graph`` as its own hypergraph, built once per
+    search.
+
+    Local edge ``i`` of ``local`` is edge ``residual[i]`` of ``graph`` with
+    its vertices renumbered ascending over ``V(R)``.  ``R`` is sorted, so
+    ``combinations(range(|R|), a)`` runs in the order of
+    ``combinations(R, a)``.
+    """
+
+    __slots__ = ("graph", "residual", "local", "template", "thresholds")
+
+    def __init__(self, graph: Hypergraph, residual: list[int]):
+        spanned = sorted({v for ei in residual for v in graph.edges[ei]})
+        index = {v: i for i, v in enumerate(spanned)}
+        self.graph = graph
+        self.residual = residual
+        self.local = Hypergraph(
+            len(spanned), [[index[v] for v in graph.edges[ei]] for ei in residual]
+        )
+        self.template = self.local.degrees()
+        self.thresholds = default_thresholds(graph)
+
+    def best(self, combos) -> Optional[tuple[int, tuple[int, ...]]]:
+        """Smallest ``(radius, deleted)`` over the successful deletions among
+        ``combos``, local index tuples in ascending order; ``deleted`` holds
+        the edge indices of ``graph``.  None when none succeeds.
+
+        Each deletion is decided on the kernel; a success is peeled on
+        ``graph`` and scored by propagating its core over all of ``graph``.
+        """
+        graph, local, template = self.graph, self.local, self.template
+        best = None
+        for combo in combos:
+            if 1 in _strip(local, template, combo):
+                continue
+            deleted = tuple([self.residual[i] for i in combo])
+            radius = _core_radius(graph, _peeled_core(graph, deleted), self.thresholds)
+            if radius is None:
+                raise RuntimeError("peeled core must stay a core after re-insertion")
+            if best is None or radius < best[0]:
+                best = (radius, deleted)
+        return best
 
 
-_POOL_GRAPH: Optional[Hypergraph] = None
+_POOL_KERNEL: Optional[_Kernel] = None
 
 
-def _pool_init(n: int, edges: tuple) -> None:
-    global _POOL_GRAPH
-    _POOL_GRAPH = Hypergraph(n, edges)
+def _pool_init(n: int, edges: tuple, residual: list[int]) -> None:
+    global _POOL_KERNEL
+    _POOL_KERNEL = _Kernel(Hypergraph(n, edges), residual)
 
 
 def _pool_run(chunk: list[tuple[int, ...]]) -> Optional[tuple[int, tuple[int, ...]]]:
-    if _POOL_GRAPH is None:
+    if _POOL_KERNEL is None:
         raise RuntimeError("pool worker ran before _pool_init")
-    return _best(_POOL_GRAPH, chunk)
+    return _POOL_KERNEL.best(chunk)
 
 
 def _chunks(items, size):
@@ -242,9 +305,11 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
        ``R - D`` has at least ``|R| - a`` edges on at most ``|V(R)|``
        vertices, so by 3 no level ``a < |R| - |V(R)|`` has a success.
 
-    So the levels skipped and the deletions left out hold no success, the
-    successful deletions at ``a*`` are the same, and each is scored the
-    same way (peel ``G - D``, re-insert, propagate on ``G``).
+    So the levels skipped and the deletions left out hold no success, and
+    the successful deletions at ``a*`` are the same.  By 3 each deletion is
+    decided on ``R`` alone: it succeeds iff stripping ``R - D`` leaves no
+    edge, so a failing deletion never touches ``G``.  Each success is
+    scored as before: peel ``G - D``, re-insert, propagate on ``G``.
     ``combinations(R, a)`` of the sorted ``R`` yields them in the same
     lexicographic order as ``combinations(range(m), a)``, so the radius
     tie-break picks the same tuple.
@@ -252,31 +317,32 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     if a_max < 0:
         raise ValueError("a_max must be non-negative")
     residual = _residual(graph)
-    spanned = {v for ei in residual for v in graph.edges[ei]}
-    for a in range(max(0, len(residual) - len(spanned)), a_max + 1):
-        combos = itertools.combinations(residual, a)
-        if jobs <= 1:
-            best = _best(graph, combos)
-        else:
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_pool_init,
-                initargs=(graph.n, graph.edges),
-            ) as pool:
+    kernel = _Kernel(graph, residual)
+    pool = (
+        ProcessPoolExecutor(
+            max_workers=jobs,
+            initializer=_pool_init,
+            initargs=(graph.n, graph.edges, residual),
+        )
+        if jobs > 1
+        else nullcontext()
+    )
+    with pool:
+        for a in range(max(0, kernel.local.m - kernel.local.n), a_max + 1):
+            combos = itertools.combinations(range(len(residual)), a)
+            if jobs <= 1:
+                best = kernel.best(combos)
+            else:
                 hits = pool.map(_pool_run, _chunks(combos, 64))
                 best = min((hit for hit in hits if hit is not None), default=None)
-        if best is not None:
-            radius_full, deleted = best
-            try:
-                res = peel_nm(graph, deleted)
-            except NoCoreOfSizeNM:  # pragma: no cover - best came from a success
-                raise RuntimeError("winning deletion must re-peel")
-            return MinCoreResult(
-                core=res.core,
-                radius=radius_full,
-                deleted_edges=deleted,
-                parameter_a=a,
-            )
+            if best is not None:
+                radius_full, deleted = best
+                return MinCoreResult(
+                    core=_peeled_core(graph, deleted),
+                    radius=radius_full,
+                    deleted_edges=deleted,
+                    parameter_a=a,
+                )
     raise NotFoundWithin(a_max)
 
 

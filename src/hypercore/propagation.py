@@ -14,16 +14,16 @@ holds every still-uncovered edge whose threshold is met by the vertices
 assimilated before round ``i``.  Because the firing rule is monotone, this
 greedy schedule uses the fewest possible rounds, so the number of layers
 is the radius of the core.  Edges fully inside the core are covered up
-front and belong to no layer.  :func:`is_core` and
-:func:`assimilated_closure` read the per-vertex rounds of that loop;
-:func:`propagate` also packs its layers and credits into a
+front and belong to no layer.  :func:`is_core`,
+:func:`assimilated_closure` and :func:`radius` read the rounds of that
+loop directly; :func:`propagate` also packs its layers and credits into a
 :class:`PropagationTrace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .hypergraph import Hypergraph, default_thresholds
 
@@ -155,6 +155,15 @@ def _spread(graph: Hypergraph, core: frozenset[int], t: Sequence[int]):
     return depth, credit, layers, inside, fired
 
 
+def _core_radius(
+    graph: Hypergraph, core: frozenset[int], t: Sequence[int]
+) -> Optional[int]:
+    """The radius of ``core`` under thresholds ``t``, or None when it is
+    not a core: the verdict and radius of :func:`propagate`, unpacked."""
+    depth, _, layers, _, _ = _spread(graph, core, t)
+    return None if -1 in depth else len(layers)
+
+
 def is_core(graph: Hypergraph, core: Iterable[int], thresholds: Thresholds = None) -> bool:
     """True iff ``core`` activates every edge and every vertex.
 
@@ -201,10 +210,11 @@ def propagate(
 
 def radius(graph: Hypergraph, core: Iterable[int], thresholds: Thresholds = None) -> int:
     """Number of propagation layers; requires ``core`` to be a core."""
-    trace = propagate(graph, core, thresholds)
-    if not trace.verdict:
-        raise NotACoreError(f"{sorted(trace.core)} is not a core")
-    return trace.radius
+    cs = _check_core(graph, core)
+    r = _core_radius(graph, cs, resolve_thresholds(graph, thresholds))
+    if r is None:
+        raise NotACoreError(f"{sorted(cs)} is not a core")
+    return r
 
 
 def trace_report(trace: PropagationTrace) -> str:

@@ -187,8 +187,11 @@ def setcover_to_mincore_3uniform(instance: SetCoverInstance) -> SetCoverCertific
     Twin edges gain a shared hub vertex; the collector edges are expanded
     into per-set trees rooted at the set twins with the element vertices
     as leaves.  Minimum core size becomes minimum cover size plus one (the
-    hub).
+    hub).  An empty universe with at least one set is refused: its
+    collector trees would have no leaves.
     """
+    if instance.sets and not instance.universe_size:
+        raise ValueError("the 3-uniform covering compiler needs a non-empty universe")
     return _compile_setcover(instance, three_uniform=True)
 
 

@@ -223,6 +223,16 @@ def test_reduce_setcover_roundtrip(tmp_path):
     assert run("oracle", str(out), "--budget", "12").stdout.splitlines()[0] == "size 2"
 
 
+def test_reduce_empty_universe(tmp_path, capsys):
+    sc = tmp_path / "empty.sc"
+    sc.write_text("p sc 0 1\ns 0\n")
+    out = str(tmp_path / "out.hce")
+    assert main(["reduce", "setcover3", str(sc), "-o", out]) == 2
+    assert "non-empty universe" in capsys.readouterr().err
+    assert main(["reduce", "setcover", str(sc), "-o", out]) == 0
+    assert capsys.readouterr().out == "n 2\nm 3\n"
+
+
 def test_convert_round_trip(tmp_path, path_file):
     core = tmp_path / "core.txt"
     core.write_text("s 1 2\n")

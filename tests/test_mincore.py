@@ -1,7 +1,7 @@
 """Degree-one peeling and the parameterized minimum-core search."""
 
-import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -215,6 +215,100 @@ def test_fpt_matches_unkernelised_reference():
             assert _outcome(mincore_fpt, g, a_max, jobs=2) == expected
 
 
+def _peels(g, deleted):
+    try:
+        peel_nm(g, deleted)
+    except NoCoreOfSizeNM:
+        return False
+    return True
+
+
+def _scan_reference(g, a_max):
+    """The search with deletions decided on the whole instance: one
+    ``peel_nm`` of ``g`` and one ``propagate`` per deletion of residual
+    edges."""
+    residual = _residual(g)
+    spanned = {v for ei in residual for v in g.edges[ei]}
+    for a in range(max(0, len(residual) - len(spanned)), a_max + 1):
+        best = None
+        for deleted in itertools.combinations(residual, a):
+            try:
+                core = peel_nm(g, deleted).core
+            except NoCoreOfSizeNM:
+                continue
+            trace = propagate(g, core)
+            assert trace.verdict
+            if best is None or trace.radius < best[0]:
+                best = (trace.radius, deleted, core)
+        if best is not None:
+            return MinCoreResult(
+                core=best[2], radius=best[0], deleted_edges=best[1], parameter_a=a
+            )
+    raise NotFoundWithin(a_max)
+
+
+def _kernel_family():
+    graphs = [messy_instance(random.Random(9_200_017 + s)) for s in range(250)]
+    graphs += seeded_family(150, seed=38, n_hi=8, m_cap=14, size_lo=1)
+    return graphs
+
+
+def test_kernel_verdicts_and_search_match_whole_instance_scan():
+    """Stripping ``R - D`` decides every deletion as peeling ``G - D`` does
+    (lemma 3), and the search returns what the whole-instance scan does."""
+    graphs = _kernel_family()
+    assert sum(len(set(g.edges)) < g.m for g in graphs) >= 40  # duplicate edges
+    assert sum(any(len(e) == 1 for e in g.edges) for g in graphs) >= 40
+    assert sum(min(g.degrees(), default=1) == 0 for g in graphs) >= 40  # isolated
+    assert sum(g.m > g.n for g in graphs) >= 40
+    for g in graphs:
+        residual = _residual(g)
+        kernel = mincore._Kernel(g, residual)
+        top = len(residual) if len(residual) <= 10 else 3
+        for a in range(top + 1):
+            for combo in itertools.combinations(range(len(residual)), a):
+                stripped = 1 not in mincore._strip(kernel.local, kernel.template, combo)
+                assert stripped == _peels(g, [residual[i] for i in combo])
+        assert _outcome(mincore_fpt, g, g.n) == _outcome(_scan_reference, g, g.n)
+
+
+def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
+    """``peel_nm`` runs once per successful deletion at the levels tried,
+    plus once for the winner; the kernel decides every deletion there."""
+    peeled, decided = [], []
+
+    def counting_peel(graph, deleted=()):
+        peeled.append(tuple(deleted))
+        return peel_nm(graph, deleted)
+
+    def counting_strip(graph, template, dead=()):
+        if graph is not g:
+            decided.append(tuple(dead))
+        return strip(graph, template, dead)
+
+    strip = mincore._strip
+    for s in range(120):
+        rng = random.Random(9_300_007 + s)
+        g = messy_instance(rng)
+        a_max = rng.randint(0, 4)
+        residual = _residual(g)
+        outcome = _outcome(_scan_reference, g, a_max)
+        found = isinstance(outcome, MinCoreResult)
+        start = max(0, len(residual) - len({v for ei in residual for v in g.edges[ei]}))
+        levels = range(start, (outcome.parameter_a if found else a_max) + 1)
+        successes = sum(
+            _peels(g, deleted) for a in levels for deleted in itertools.combinations(residual, a)
+        )
+        peeled.clear()
+        decided.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(mincore, "peel_nm", counting_peel)
+            patch.setattr(mincore, "_strip", counting_strip)
+            assert _outcome(mincore_fpt, g, a_max) == outcome
+        assert len(peeled) == successes + found
+        assert len(decided) == sum(math.comb(len(residual), a) for a in levels)
+
+
 def test_peel_with_deleted_edges_matches_rebuilt_subgraph(triangle):
     res = peel_nm(triangle, deleted=(1,))
     rebuilt = peel_nm(Hypergraph(3, [(0, 1), (0, 2)]))
@@ -239,8 +333,8 @@ def test_residual(path, star, triangle):
 
 
 def _reference_residual(graph):
-    """The stack peel that computed the residual before the round loop
-    served it too: one edge at a time, in stack order."""
+    """A stack peel written independently of ``_strip``: one edge at a
+    time, in stack order."""
     edges, incidence = graph.edges, graph._incidence
     deg = graph.degrees()
     alive = [True] * graph.m
@@ -259,41 +353,55 @@ def _reference_residual(graph):
 
 
 def test_residual_matches_stack_peel():
-    """Peeling ends at the same edge set in any order, so the round loop
-    and the stack peel leave the same residual, also when ``m > n``."""
+    """Peeling ends at the same edge set in any order, so the strip loop,
+    the round loop of ``peel_nm`` and the reference stack peel leave the
+    same residual, also when ``m > n``."""
     graphs = [messy_instance(random.Random(9_100_003 + s)) for s in range(300)]
     graphs += seeded_family(100, seed=37, n_hi=8, m_cap=16, size_lo=1)
     assert sum(g.m > g.n for g in graphs) >= 50
     for g in graphs:
+        rounds_alive = mincore._peel(g, set())[2]
         assert _residual(g) == _reference_residual(g)
+        assert _residual(g) == [i for i, a in enumerate(rounds_alive) if a]
 
 
 def test_fpt_skips_levels_below_residual_excess(monkeypatch):
     """K4 has 6 residual edges on 4 vertices, so levels 0 and 1 cannot succeed."""
     k4 = Hypergraph(4, list(itertools.combinations(range(4), 2)))
-    calls = []
+    calls, decided = [], []
 
     def counting_peel(graph, deleted=()):
         calls.append(tuple(deleted))
         return peel_nm(graph, deleted)
 
+    def counting_strip(graph, template, dead=()):
+        if graph is not k4:
+            decided.append(tuple(dead))
+        return strip(graph, template, dead)
+
+    strip = mincore._strip
     monkeypatch.setattr(mincore, "peel_nm", counting_peel)
+    monkeypatch.setattr(mincore, "_strip", counting_strip)
     with pytest.raises(NotFoundWithin) as err:
         mincore_fpt(k4, 1)
     assert err.value.a_max == 1
-    assert calls == []
+    assert calls == decided == []
     res = mincore_fpt(k4, 3)
     assert res.parameter_a == 3
-    assert {len(d) for d in calls} == {2, 3}
+    # no deletion of two edges peels K4, so only level 3 reaches peel_nm
+    assert {len(d) for d in decided} == {2, 3}
+    assert {len(d) for d in calls} == {3}
 
 
-def test_internal_invariants_raise_runtime_error(monkeypatch, path):
-    def broken_propagate(graph, core):
-        return dataclasses.replace(propagate(graph, core), verdict=False)
-
-    monkeypatch.setattr(mincore, "propagate", broken_propagate)
-    with pytest.raises(RuntimeError, match="must stay a core after re-insertion"):
-        mincore_fpt(path, 0)
+def test_internal_invariants_raise_runtime_error(monkeypatch, path, triangle):
+    with monkeypatch.context() as patch:
+        patch.setattr(mincore, "_core_radius", lambda graph, core, t: None)
+        with pytest.raises(RuntimeError, match="must stay a core after re-insertion"):
+            mincore_fpt(path, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(mincore, "_strip", lambda graph, template, dead=(): bytearray())
+        with pytest.raises(RuntimeError, match="strips the kernel must peel"):
+            mincore_fpt(triangle, 0)
     with pytest.raises(RuntimeError, match="_pool_init"):
         mincore._pool_run([()])
 

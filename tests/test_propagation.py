@@ -1,6 +1,7 @@
 """Activation semantics: verdicts, layers, radius, threshold generalization."""
 
 import random
+import re
 
 import pytest
 
@@ -327,5 +328,11 @@ def test_single_engine_matches_both_replaced_engines():
         assert trace == _reference_propagate(g, core, t)
         assert is_core(g, core, t) == _reference_is_core(g, core, t) == trace.verdict
         assert assimilated_closure(g, core, t) == _reference_closure(g, core, t)
+        if trace.verdict:
+            assert radius(g, core, t) == trace.radius
+        else:
+            message = re.escape(f"{sorted(core)} is not a core")
+            with pytest.raises(NotACoreError, match=f"^{message}$"):
+                radius(g, core, t)
         verdicts.add(trace.verdict)
     assert verdicts == {True, False}

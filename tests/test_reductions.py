@@ -223,6 +223,15 @@ def test_setcover3_shapes_and_optimum():
     assert set(cert_fig.instance.labels) == set(range(cert_fig.instance.n))
 
 
+def test_setcover3_refuses_empty_universe_with_sets():
+    empty = SetCoverInstance(0, (frozenset(),))
+    with pytest.raises(ValueError, match="non-empty universe"):
+        setcover_to_mincore_3uniform(empty)
+    assert setcover_to_mincore(empty).instance.edges == ((0, 1), (0,), (1,))
+    # with no sets there is no collector tree to build
+    assert setcover_to_mincore_3uniform(SetCoverInstance(0, ())).instance.n == 1
+
+
 # ---------------------------------------------------------------------------
 # AND gadget / MINREP
 
