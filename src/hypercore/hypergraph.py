@@ -3,7 +3,10 @@
 Vertices are dense 0-based integers ``0..n-1``.  Edges are sorted,
 duplicate-free vertex tuples; the edge *list* may contain duplicate edges
 (multiplicity is meaningful and counted by degree queries).  Instances are
-immutable after construction and safe to share between threads.
+immutable after construction and safe to share between threads.  The one
+field written later, the cached default thresholds, is a value derived
+from the edge list and filled on first use: every writer stores an equal
+tuple, and equality, hashing and ``repr`` never read it.
 
 The text exchange format ("HCE") is line oriented, UTF-8, 1-based:
 
@@ -51,7 +54,7 @@ class Hypergraph:
     strings used by the reduction compilers to record gadget provenance.
     """
 
-    __slots__ = ("n", "edges", "labels", "_incidence")
+    __slots__ = ("n", "edges", "labels", "_incidence", "_thresholds")
 
     def __init__(
         self,
@@ -84,6 +87,7 @@ class Hypergraph:
         for v, ix in enumerate(incidence):
             incidence[v] = tuple(ix)
         self._incidence = tuple(incidence)
+        self._thresholds: Optional[tuple[int, ...]] = None
 
     @property
     def m(self) -> int:
@@ -277,8 +281,14 @@ def generate_random(
 
 def default_thresholds(graph: Hypergraph) -> tuple[int, ...]:
     """Per-edge default, and largest valid, activation thresholds:
-    ``|e| - 1``, or 0 for a size-1 edge."""
-    return tuple([max(len(e) - 1, 0) for e in graph.edges])
+    ``|e| - 1``, or 0 for a size-1 edge.
+
+    Built once per instance; later calls return the same tuple.
+    """
+    t = graph._thresholds
+    if t is None:
+        t = graph._thresholds = tuple([max(len(e) - 1, 0) for e in graph.edges])
+    return t
 
 
 def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]] = None):

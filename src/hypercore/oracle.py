@@ -1,9 +1,15 @@
 """Exponential-time ground truth for small instances.
 
-Everything here is deliberately naive: exhaustive subset enumeration and a
-one-edge-at-a-time reference activation check.  These routines exist to
-cross-certify the fast algorithms and the gadget compilers, so they avoid
-any cleverness that could share a bug with the code under test.
+The searches are deliberately naive: exhaustive subset enumeration in
+(cardinality, lexicographic) order, with no pruning.  They cross-certify
+the fast algorithms and the gadget compilers, but they are not independent
+of them: every verdict and radius here comes from the same propagation
+engine (``propagation._spread``, through :func:`~.propagation.is_core`
+and ``_core_radius``) that :func:`~.mincore.mincore_fpt` scores with.  The
+independent check of that engine is :func:`reference_is_core`, a
+one-edge-at-a-time activation rescan sharing no code with it, which
+acceptance criterion 1 compares with ``is_core`` on every subset of 200
+random instances.
 """
 
 from __future__ import annotations
@@ -14,11 +20,24 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .hypergraph import Hypergraph
-from .propagation import Thresholds, propagate, resolve_thresholds
+from .propagation import Thresholds, _core_radius, resolve_thresholds
 
 
 class BudgetExceededError(RuntimeError):
-    """The instance is too large for exhaustive certification."""
+    """The instance is too large for exhaustive certification.
+
+    A refusal by the subset budget of a core search carries ``spent``, the
+    subsets already enumerated, and ``block``, the number of subsets in the
+    cardinality block it refused to start; every other refusal sets both
+    to None.
+    """
+
+    def __init__(
+        self, message: str, spent: Optional[int] = None, block: Optional[int] = None
+    ):
+        super().__init__(message)
+        self.spent = spent
+        self.block = block
 
 
 @dataclass(frozen=True)
@@ -81,7 +100,9 @@ def _block_guard(spent: int, n: int, k: int, budget: OracleBudget) -> int:
     if spent + block > budget.max_subsets:
         raise BudgetExceededError(
             f"enumerating {spent + block} subsets exceeds the budget of"
-            f" {budget.max_subsets}"
+            f" {budget.max_subsets}",
+            spent=spent,
+            block=block,
         )
     return spent + block
 
@@ -134,9 +155,9 @@ def oracle_best_radius_at_size(
     _block_guard(0, graph.n, size, budget)
     best: Optional[tuple[int, frozenset[int]]] = None
     for combo in itertools.combinations(range(graph.n), size):
-        trace = propagate(graph, combo, t)
-        if trace.verdict and (best is None or trace.radius < best[0]):
-            best = (trace.radius, frozenset(combo))
+        r = _core_radius(graph, combo, t)
+        if r is not None and (best is None or r < best[0]):
+            best = (r, frozenset(combo))
     return best
 
 

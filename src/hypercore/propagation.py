@@ -62,9 +62,14 @@ Thresholds = Union[ThresholdMap, Sequence[int], None]
 
 
 def resolve_thresholds(graph: Hypergraph, thresholds: Thresholds) -> tuple[int, ...]:
-    """Normalize a threshold argument to a validated value tuple."""
-    if thresholds is None:
-        return default_thresholds(graph)
+    """Normalize a threshold argument to a validated value tuple.
+
+    The defaults are built once per instance, so ``None``, or the tuple a
+    previous call resolved ``None`` to, costs no per-edge work.
+    """
+    defaults = default_thresholds(graph)
+    if thresholds is None or thresholds is defaults:
+        return defaults
     if not isinstance(thresholds, ThresholdMap):
         thresholds = ThresholdMap(tuple(thresholds))
     thresholds.validate(graph)
@@ -105,8 +110,10 @@ def _check_core(graph: Hypergraph, core: Iterable[int]) -> frozenset[int]:
     return cs
 
 
-def _spread(graph: Hypergraph, core: frozenset[int], t: Sequence[int]):
+def _spread(graph: Hypergraph, core: Iterable[int], t: Sequence[int]):
     """Run the synchronous rounds from ``core`` under thresholds ``t``.
+
+    ``core`` must hold distinct vertices of ``[0, n)``; it is not checked.
 
     Returns ``(depth, credit, layers, inside, fired)``.  ``depth[v]`` is
     the round that assimilated ``v`` (0 for the core, -1 for never) and
@@ -156,10 +163,14 @@ def _spread(graph: Hypergraph, core: frozenset[int], t: Sequence[int]):
 
 
 def _core_radius(
-    graph: Hypergraph, core: frozenset[int], t: Sequence[int]
+    graph: Hypergraph, core: Iterable[int], t: Sequence[int]
 ) -> Optional[int]:
     """The radius of ``core`` under thresholds ``t``, or None when it is
-    not a core: the verdict and radius of :func:`propagate`, unpacked."""
+    not a core: the verdict and radius of :func:`propagate`, unpacked.
+
+    Like :func:`_spread`, it trusts ``core`` and ``t``: callers pass
+    distinct in-range vertices and thresholds resolved once per search.
+    """
     depth, _, layers, _, _ = _spread(graph, core, t)
     return None if -1 in depth else len(layers)
 

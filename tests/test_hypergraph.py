@@ -18,10 +18,12 @@ from hypercore import (
     write_instance,
     write_vertex_set,
 )
-from hypercore import hypergraph
+from hypercore import ThresholdMap, hypergraph
 from hypercore.filtration import read_filtration
+from hypercore.hypergraph import default_thresholds
+from hypercore.propagation import resolve_thresholds
 from hypercore.reductions import read_cnf, read_minrep, read_setcover
-from conftest import seeded_family
+from conftest import messy_instance, seeded_family
 from test_acceptance import _peelable_instance
 
 
@@ -36,6 +38,25 @@ def test_constructor_normalizes_and_validates():
         Hypergraph(2, [(0, 2)])
     with pytest.raises(ValueError):
         Hypergraph(-1, [])
+
+
+def test_default_thresholds_are_built_once_and_stay_invisible():
+    rng = random.Random(2800)
+    graphs = [messy_instance(rng) for _ in range(200)]
+    assert sum(any(len(e) == 1 for e in g.edges) for g in graphs) >= 40
+    assert sum(len(set(g.edges)) < g.m for g in graphs) >= 40
+    assert sum(g.m == 0 for g in graphs) >= 10
+    for g in graphs:
+        twin = Hypergraph(g.n, g.edges)
+        before = (hash(g), repr(g))
+        t = default_thresholds(g)
+        assert t == tuple(max(len(e) - 1, 0) for e in g.edges)
+        assert default_thresholds(g) is t
+        assert resolve_thresholds(g, None) is t
+        assert ThresholdMap.default(g).values is t
+        # twin never filled its cache; g did
+        assert g == twin and twin == g
+        assert (hash(g), repr(g)) == before == (hash(twin), repr(twin))
 
 
 def test_degrees_examples(triangle, path):

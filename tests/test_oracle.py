@@ -1,5 +1,10 @@
 """Ground-truth searches and their budgets."""
 
+import collections
+import itertools
+import math
+import random
+
 import pytest
 
 from hypercore import (
@@ -9,15 +14,19 @@ from hypercore import (
     MinrepInstance,
     OracleBudget,
     SetCoverInstance,
+    ThresholdMap,
     oracle_best_radius_at_size,
     oracle_min_core,
     oracle_min_radius_over_min_cores,
     oracle_minrep,
     oracle_sat,
     oracle_setcover,
+    propagate,
     reference_is_core,
 )
 from hypercore import oracle, propagation
+from hypercore.hypergraph import default_thresholds
+from conftest import messy_instance, seeded_family
 
 
 def test_min_core_examples(triangle):
@@ -44,14 +53,37 @@ def test_witness_is_lexicographically_first(triangle):
 
 def test_budget_vertices():
     g = Hypergraph(20, [])
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as info:
         oracle_min_core(g, budget=OracleBudget(max_vertices=19))
+    assert (info.value.spent, info.value.block) == (None, None)
     assert oracle_min_core(g, budget=OracleBudget(max_vertices=20, max_subsets=2**21))
 
 
 def test_budget_subsets(triangle):
-    with pytest.raises(BudgetExceededError):
-        oracle_min_core(triangle, budget=OracleBudget(max_vertices=18, max_subsets=2))
+    tight = OracleBudget(max_vertices=18, max_subsets=2)
+    with pytest.raises(BudgetExceededError) as info:
+        oracle_min_core(triangle, budget=tight)
+    # block 0 (the empty set) was spent, block 1 (three singletons) refused
+    assert str(info.value) == "enumerating 4 subsets exceeds the budget of 2"
+    assert (info.value.spent, info.value.block) == (1, 3)
+    with pytest.raises(BudgetExceededError) as info:
+        oracle_best_radius_at_size(triangle, 2, budget=tight)
+    assert str(info.value) == "enumerating 3 subsets exceeds the budget of 2"
+    assert (info.value.spent, info.value.block) == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "search, source",
+    [
+        (oracle_setcover, SetCoverInstance(2, (frozenset({0}), frozenset({1})))),
+        (oracle_minrep, MinrepInstance(1, 1, 1, 1, ((0, 0),))),
+        (oracle_sat, CnfFormula(3, ((1, 2, 3),))),
+    ],
+)
+def test_budget_of_compiled_sources_carries_no_block(search, source):
+    with pytest.raises(BudgetExceededError, match="exceed the subset budget") as info:
+        search(source, budget=OracleBudget(max_subsets=3))
+    assert (info.value.spent, info.value.block) == (None, None)
 
 
 def test_setcover_example():
@@ -100,3 +132,81 @@ def test_min_core_invariant_raises_runtime_error(monkeypatch, path):
     monkeypatch.setattr(propagation, "is_core", lambda *args: False)
     with pytest.raises(RuntimeError, match="always a core"):
         oracle_min_core(path)
+
+
+def _best_radius_reference(graph, size, thresholds=None):
+    """The radius pass before it read the engine: one full ``propagate``
+    trace per subset of ``size`` vertices, in lexicographic order."""
+    best = None
+    for combo in itertools.combinations(range(graph.n), size):
+        trace = propagate(graph, combo, thresholds)
+        if trace.verdict and (best is None or trace.radius < best[0]):
+            best = (trace.radius, frozenset(combo))
+    return best
+
+
+def _threshold_cases(count_messy, count_family, seed):
+    """Each instance under default thresholds and under a random valid
+    custom map, given alternately as a list and as a ``ThresholdMap``."""
+    rng = random.Random(seed)
+    graphs = [messy_instance(rng) for _ in range(count_messy)]
+    graphs += seeded_family(count_family, seed, n_hi=10, m_cap=14, size_lo=1)
+    cases = []
+    for i, g in enumerate(graphs):
+        custom = [rng.randint(0, hi) for hi in default_thresholds(g)]
+        cases += [(g, None), (g, ThresholdMap(tuple(custom)) if i % 2 else custom)]
+    return cases
+
+
+def test_radius_pass_matches_propagate_reference():
+    cases = _threshold_cases(250, 150, 8300)
+    ties = custom = 0
+    for g, t in cases:
+        first = None
+        for k in range(g.n + 1):
+            ref = _best_radius_reference(g, k, t)
+            assert oracle_best_radius_at_size(g, k, t) == ref, (g.edges, t, k)
+            if first is None and ref is not None:
+                first = (k, *ref)
+        assert oracle_min_radius_over_min_cores(g, t) == first, (g.edges, t)
+        size, best, _ = first
+        ties += sum(
+            trace.verdict and trace.radius == best
+            for trace in (
+                propagate(g, c, t) for c in itertools.combinations(range(g.n), size)
+            )
+        ) > 1
+        custom += t is not None and tuple(getattr(t, "values", t)) != default_thresholds(g)
+    # several minimum cores share the best radius, so the witness order is pinned
+    assert ties >= 100, ties
+    assert custom >= 200
+
+
+def test_oracle_work_counts(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(propagation, "is_core", counted("is_core", propagation.is_core))
+    monkeypatch.setattr(oracle, "_core_radius", counted("_core_radius", oracle._core_radius))
+    trace = counted("propagate", propagation.propagate)
+    monkeypatch.setattr(propagation, "propagate", trace)
+    # catches a module-level import of propagate coming back into the oracle
+    monkeypatch.setattr(oracle, "propagate", trace, raising=False)
+    for g, t in _threshold_cases(60, 60, 8400):
+        calls.clear()
+        size, witness = oracle_min_core(g, t)
+        rank = list(itertools.combinations(range(g.n), size)).index(tuple(sorted(witness)))
+        visited = sum(math.comb(g.n, j) for j in range(size)) + rank + 1
+        assert calls == {"is_core": visited}
+        calls.clear()
+        oracle_best_radius_at_size(g, size, t)
+        assert calls == {"_core_radius": math.comb(g.n, size)}
+        calls.clear()
+        oracle_min_radius_over_min_cores(g, t)
+        assert calls == {"is_core": visited, "_core_radius": math.comb(g.n, size)}

@@ -79,7 +79,7 @@ def test_threshold_one_assimilates_whole_edge():
 
 def test_threshold_map_validation():
     g = Hypergraph(3, [(0, 1, 2), (0,)])
-    ThresholdMap((2, 0)).validate(g)
+    ThresholdMap((2, 0)).validate(g)  # also caches the defaults
     ThresholdMap((1, 0)).validate(g)
     with pytest.raises(ValueError):
         ThresholdMap((3, 0)).validate(g)
@@ -87,6 +87,9 @@ def test_threshold_map_validation():
         ThresholdMap((1, 1)).validate(g)
     with pytest.raises(ValueError):
         ThresholdMap((1,)).validate(g)
+    for bad in ((3, 0), [1, 1], (-1, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            is_core(g, {0}, bad)
     assert ThresholdMap.default(g).values == (2, 0)
 
 
