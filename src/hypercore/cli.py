@@ -4,6 +4,14 @@ Exit codes: 0 success / answer yes, 1 answer no / not found, 2 input
 error, 3 enumeration budget exceeded.  All user-facing vertex and edge
 numbers are 1-based, matching the file formats.  Output depends only on
 the inputs and flags; ``--jobs`` affects wall time, never bytes.
+
+Output files (``-o``) are written in place and then cut to the new
+length, with no ``fsync``: an existing file keeps its inode, permissions
+and hard links, a symlink is written through, and a new file is created
+under the umask.  Truncating a file to zero before rewriting it can stall
+for tens of milliseconds in the kernel; overwriting does not.  There is no
+crash-durability promise: a crash mid-write can leave old bytes past the
+new ones rather than a short file.
 """
 
 from __future__ import annotations
@@ -11,6 +19,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 from typing import Optional, Sequence
 
@@ -54,8 +64,12 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "w", encoding="utf-8") as handle:
         handle.write(text)
+        # /dev/null, FIFOs and terminals cannot be truncated
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
 
 
 def _load_instance(path: str, use_thresholds: bool):

@@ -204,18 +204,35 @@ def propagate(
     cs = _check_core(graph, core)
     t = resolve_thresholds(graph, thresholds)
     depth, credit, layers, inside, fired = _spread(graph, cs, t)
-    credited: dict[int, list[int]] = {}
+    verdict = -1 not in depth
+    # Most edges are credited with one vertex: it is stored as a 1-tuple,
+    # and only an edge credited with a second vertex grows a list.
+    assimilator: dict[int, tuple[int, ...]] = {}
+    grown: dict[int, list[int]] = {}
     for v, j in enumerate(credit):
         if j >= 0:
-            credited.setdefault(j, []).append(v)
+            if j in grown:
+                grown[j].append(v)
+            elif j in assimilator:
+                grown[j] = [*assimilator[j], v]
+            else:
+                assimilator[j] = (v,)
+    for j, vs in grown.items():
+        assimilator[j] = tuple(vs)
+    if verdict:  # every vertex is active and every edge fired
+        assimilated_at = dict(enumerate(depth))
+        uncovered: tuple[int, ...] = ()
+    else:
+        assimilated_at = {v: d for v, d in enumerate(depth) if d >= 0}
+        uncovered = tuple(j for j, f in enumerate(fired) if not f)
     return PropagationTrace(
-        verdict=-1 not in depth,
+        verdict=verdict,
         core=cs,
         layers=layers,
         initially_covered=tuple(inside),
-        assimilated_at={v: d for v, d in enumerate(depth) if d >= 0},
-        assimilator={j: tuple(vs) for j, vs in credited.items()},
-        uncovered=tuple(j for j, f in enumerate(fired) if not f),
+        assimilated_at=assimilated_at,
+        assimilator=assimilator,
+        uncovered=uncovered,
     )
 
 

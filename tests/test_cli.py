@@ -1,7 +1,10 @@
 """Command line surface: formats, exit codes, determinism."""
 
 import ast
+import os
 import pathlib
+import re
+import stat
 import subprocess
 import sys
 
@@ -282,14 +285,123 @@ def test_mincore_output_unchanged_under_optimize_flag(tmp_path):
     assert optimized.stdout == plain.stdout
 
 
-def test_package_has_no_assert_statements():
-    """``python -O`` strips ``assert``, so no runtime check may be one."""
+GEN_ARGV = ["gen", "--n", "6", "--m", "5", "--emin", "2", "--emax", "3", "--seed", "9"]
+
+
+def _gen_to(output, capsys):
+    """Run ``gen -o output`` in process; returns its stdout, which is also
+    the text written to the output file."""
+    assert main([*GEN_ARGV, "-o", str(output)]) == 0
+    return capsys.readouterr().out
+
+
+def test_longer_existing_output_is_cut_to_the_new_bytes(tmp_path, capsys):
+    sc = tmp_path / "inst.sc"
+    sc.write_text("p sc 3 3\ns 1 1\ns 2 1 2\ns 1 3\n")
+    fresh, reused = tmp_path / "fresh.hce", tmp_path / "reused.hce"
+    reused.write_bytes(b"x" * 10_000)
+    for out in (fresh, reused):
+        assert main(["reduce", "setcover", str(sc), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == "n 12\nm 17\n" * 2
+    assert fresh.read_bytes().startswith(b"p hce 12 17\n")
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_output_file_keeps_inode_permissions_and_hard_links(tmp_path, capsys):
+    out = tmp_path / "g.hce"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    os.link(out, tmp_path / "hard.hce")
+    before = out.stat()
+    text = _gen_to(out, capsys)
+    after = out.stat()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o640
+    assert (tmp_path / "hard.hce").read_text(encoding="utf-8") == text
+
+
+def test_output_through_symlink_updates_target(tmp_path, capsys):
+    target = tmp_path / "real.hce"
+    target.write_text("old contents, longer than nothing\n" * 20)
+    link = tmp_path / "link.hce"
+    link.symlink_to(target)
+    text = _gen_to(link, capsys)
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == text
+
+
+def test_convert_to_dev_null(tmp_path, capsys, path_file):
+    core = tmp_path / "core.txt"
+    core.write_text("s 1 2\n")
+    argv = ["convert", "core-to-filtration", path_file, str(core)]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "-o", os.devnull]) == 0
+    assert capsys.readouterr().out == plain
+    assert plain.splitlines()[0] == "f 1 2"
+
+
+def test_new_output_file_gets_the_umask_mode(tmp_path, capsys):
+    old_mask = os.umask(0o027)
+    try:
+        ref = tmp_path / "ref.hce"
+        ref.write_text("")  # open(path, "w") under the same umask
+        out = tmp_path / "new.hce"
+        text = _gen_to(out, capsys)
+    finally:
+        os.umask(old_mask)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode) == 0o640
+    assert out.read_text(encoding="utf-8") == text
+
+
+def _package_trees():
     files = sorted(pathlib.Path(hypercore.__file__).parent.glob("*.py"))
     assert len(files) > 5
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in files]
+
+
+def test_package_has_no_assert_statements():
+    """``python -O`` strips ``assert``, so no runtime check may be one."""
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in files
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def _open_modes(call):
+    """The string literals an ``open``-like call may take as its mode: the
+    ``mode`` keyword, or a leading positional argument that reads as a mode
+    (``Path.open`` takes it first, ``open`` and ``io.open`` second)."""
+    values = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[:2]
+    return [
+        v.value
+        for v in values
+        if isinstance(v, ast.Constant)
+        and isinstance(v.value, str)
+        and re.fullmatch(r"[rwxabt+]{1,4}", v.value)
+    ]
+
+
+def test_package_never_truncates_a_file_to_rewrite_it():
+    """Truncating an existing file to zero before rewriting it can stall in
+    the kernel for tens of milliseconds; ``cli._write_text`` overwrites in
+    place (``os.open`` without ``O_TRUNC``, then ``os.fdopen``) and cuts to
+    length instead.  No ``open``/``io.open``/``Path.open`` call may use a
+    truncating write mode, and no ``Path.write_text`` or
+    ``Path.write_bytes`` may be called."""
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            modes = _open_modes(node) if called == "open" else []
+            if any("w" in mode for mode in modes) or (
+                isinstance(func, ast.Attribute) and called in ("write_text", "write_bytes")
+            ):
+                found.append(f"{name}:{node.lineno}")
     assert found == []
