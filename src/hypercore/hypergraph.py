@@ -28,6 +28,14 @@ the free-text label of an ``l`` line; every 1-based index is at least 1.
 A ``t`` line names each edge at most once and its value lies in
 ``[0, |e| - 1]``.  Malformed text raises :class:`HceParseError` with the
 offending line's number, or the header's line for whole-file checks.
+
+Each record is checked once.  The tokeniser takes an integer record of a
+known kind after the header without further tests; a counted record
+(``e``, ``s``, ``f``) is sorted once into its 0-based tuple while its
+count, repeats and range are checked; and :func:`read_instance` builds
+the instance from those checked tuples instead of passing them through
+the public constructor, which checks its edges again for every other
+caller.
 """
 
 from __future__ import annotations
@@ -74,14 +82,25 @@ class Hypergraph:
             if vs[0] < 0 or vs[-1] >= n:
                 raise ValueError(f"edge {vs} has a vertex outside [0, {n})")
             normalized.append(vs)
-        self.n = n
-        self.edges = tuple(normalized)
-        self.labels = dict(labels) if labels else {}
-        for v in self.labels:
+        labels = dict(labels) if labels else {}
+        for v in labels:
             if not 0 <= v < n:
                 raise ValueError(f"label for vertex {v} outside [0, {n})")
+        self._fill(n, tuple(normalized), labels)
+
+    def _fill(
+        self, n: int, edges: tuple[tuple[int, ...], ...], labels: dict[int, str]
+    ) -> None:
+        """Set the fields and build the incidence from checked parts: each
+        edge a sorted, non-empty, duplicate-free tuple inside ``[0, n)``,
+        each labelled vertex inside ``[0, n)``.  ``__init__`` checks its
+        arguments and then calls this; ``read_instance`` calls it on a bare
+        instance with the tuples its records were checked into."""
+        self.n = n
+        self.edges = edges
+        self.labels = labels
         incidence: list[list[int]] = [[] for _ in range(n)]
-        for i, e in enumerate(self.edges):
+        for i, e in enumerate(edges):
             for v in e:
                 incidence[v].append(i)
         for v, ix in enumerate(incidence):
@@ -304,12 +323,24 @@ def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]
     is yielded with kind ``"p"``.  Every violation raises
     :class:`HceParseError` carrying the offending line's number.
     """
+    plain = frozenset(kinds) - {"", "l"}  # word kinds whose fields are all integers
     seen = header is None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
-        if not fields or fields[0] == "c":
+        if not fields:
             continue
-        kind = fields[0] if fields[0].isalpha() else ""
+        kind = fields[0]
+        if seen and kind in plain:  # the common record, needing no other test
+            try:
+                nums = list(map(int, fields[1:]))
+            except ValueError:
+                raise _non_integer(line_no, raw) from None
+            yield line_no, kind, nums
+            continue
+        if kind == "c":
+            continue
+        if not kind.isalpha():
+            kind = ""
         if kind == "p" and header:
             if seen:
                 raise HceParseError(line_no, "duplicate header")
@@ -331,7 +362,7 @@ def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]
         try:
             nums = list(map(int, values))
         except ValueError:
-            raise HceParseError(line_no, f"non-integer field in {raw.strip()[:40]!r}") from None
+            raise _non_integer(line_no, raw) from None
         if kind == "p" and (len(nums) != header[1] or min(nums, default=0) < 0):
             raise HceParseError(line_no, f"header needs {header[1]} non-negative counts")
         if kind == "l":
@@ -341,19 +372,24 @@ def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]
         raise HceParseError(1, "missing header")
 
 
-def _counted(line_no: int, nums: list[int], hi: Optional[int] = None) -> list[int]:
-    """0-based members of a counted record ``<k> <x1> ... <xk>``: exactly
-    ``k`` distinct 1-based indices, none above ``hi``."""
+def _non_integer(line_no: int, raw: str) -> HceParseError:
+    return HceParseError(line_no, f"non-integer field in {raw.strip()[:40]!r}")
+
+
+def _counted(line_no: int, nums: list[int], hi: Optional[int] = None) -> tuple[int, ...]:
+    """Sorted 0-based members of a counted record ``<k> <x1> ... <xk>``:
+    exactly ``k`` distinct 1-based indices, none above ``hi``."""
     xs = nums[1:]
     if not nums or nums[0] != len(xs):
         raise HceParseError(line_no, "declared count does not match the list")
+    xs.sort()
     if len(set(xs)) != len(xs):
         raise HceParseError(line_no, "repeated index")
-    if xs and min(xs) < 1:
+    if xs and xs[0] < 1:
         raise HceParseError(line_no, "indices are 1-based")
-    if xs and hi is not None and max(xs) > hi:
-        raise HceParseError(line_no, f"index {max(xs)} outside [1, {hi}]")
-    return [x - 1 for x in xs]
+    if xs and hi is not None and xs[-1] > hi:
+        raise HceParseError(line_no, f"index {xs[-1]} outside [1, {hi}]")
+    return tuple([x - 1 for x in xs])
 
 
 def read_instance(text: str):
@@ -361,9 +397,10 @@ def read_instance(text: str):
 
     ``thresholds`` is a list aligned with the edge list when the file has
     any ``t`` line, else ``None``.  Raises :class:`HceParseError` with the
-    offending line number (the header's for the edge count).
+    offending line number (the header's for the edge count).  The graph is
+    built from the records' checked tuples, not through ``Hypergraph()``.
     """
-    edges: list[list[int]] = []
+    edges: list[tuple[int, ...]] = []
     labels: dict[int, str] = {}
     tlines: dict[int, tuple[int, int]] = {}  # edge index -> (line_no, threshold)
     for line_no, kind, nums in _records(text, ("e", "t", "l"), ("hce", 2)):
@@ -388,7 +425,10 @@ def read_instance(text: str):
             labels[nums[0] - 1] = nums[1]
     if len(edges) != m:
         raise HceParseError(head, f"header declares {m} edges, file has {len(edges)}")
-    graph = Hypergraph(n, edges, labels)
+    # Each edge is sorted, distinct, non-empty and inside [0, n), each label
+    # inside [0, n): what the public constructor would check again.
+    graph = Hypergraph.__new__(Hypergraph)
+    graph._fill(n, tuple(edges), labels)
     thresholds = None
     if tlines:
         thresholds = list(default_thresholds(graph))
@@ -405,7 +445,16 @@ def read_instance(text: str):
 def write_instance(
     graph: Hypergraph, thresholds: Optional[Sequence[int]] = None
 ) -> str:
-    """Canonical HCE text; ``read_instance`` of the result round-trips."""
+    """Canonical HCE text; ``read_instance`` of the result round-trips.
+
+    A label must be non-empty, hold no line break, and have no leading,
+    trailing or repeated whitespace: the reader splits an ``l`` line into
+    fields and rejoins them with single spaces, so any other label would
+    be rejected or read back changed.  Such a label raises ``ValueError``.
+    """
+    for v, label in graph.labels.items():
+        if not label or " ".join(label.split()) != label:
+            raise ValueError(f"label {label!r} of vertex {v} cannot be written as an 'l' line")
     out = [f"p hce {graph.n} {graph.m}"]
     for e in graph.edges:
         out.append("e " + " ".join(str(x) for x in (len(e), *(v + 1 for v in e))))

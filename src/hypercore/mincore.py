@@ -23,6 +23,7 @@ deterministically.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -250,6 +251,14 @@ def _pool_run(chunk: list[tuple[int, ...]]) -> Optional[tuple[int, tuple[int, ..
     return _POOL_KERNEL.best(chunk)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: a pool never needs more workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _chunks(items, size):
     it = iter(items)
     while True:
@@ -265,7 +274,9 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     Tries ``a = 0, 1, ...`` in order; at the first ``a`` with any
     successful edge deletion it returns the minimum radius over all
     successful deletions, breaking radius ties by the lexicographically
-    smallest deleted index tuple.  The output is independent of ``jobs``.
+    smallest deleted index tuple.  The output is independent of ``jobs``;
+    ``jobs > 1`` runs the deletions in a process pool of
+    ``min(jobs, CPUs available)`` workers.
 
     Only deletions inside the residual ``R`` (:func:`_residual`) are tried,
     starting at ``a = max(0, |R| - |V(R)|)``, where ``V(R)`` is the set of
@@ -320,7 +331,7 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     kernel = _Kernel(graph, residual)
     pool = (
         ProcessPoolExecutor(
-            max_workers=jobs,
+            max_workers=min(jobs, _cpu_count()),
             initializer=_pool_init,
             initargs=(graph.n, graph.edges, residual),
         )

@@ -28,14 +28,22 @@ from test_acceptance import _peelable_instance
 
 
 def test_constructor_normalizes_and_validates():
-    g = Hypergraph(4, [(2, 0, 3)])
-    assert g.edges == ((0, 2, 3),)
+    # read_instance skips these checks; every other caller still gets them.
+    g = Hypergraph(4, [(2, 0, 3), (3, 1)])
+    assert g.edges == ((0, 2, 3), (1, 3))
+    assert g._incidence == ((0,), (1,), (0,), (0, 1))
     with pytest.raises(ValueError):
         Hypergraph(2, [()])
     with pytest.raises(ValueError):
         Hypergraph(2, [(0, 0)])
     with pytest.raises(ValueError):
+        Hypergraph(3, [(1, 0, 1)])
+    with pytest.raises(ValueError):
         Hypergraph(2, [(0, 2)])
+    with pytest.raises(ValueError):
+        Hypergraph(2, [(-1, 0)])
+    with pytest.raises(ValueError):
+        Hypergraph(2, [(0, 1)], {2: "out"})
     with pytest.raises(ValueError):
         Hypergraph(-1, [])
 
@@ -289,6 +297,62 @@ def test_roundtrip_with_thresholds_and_labels():
     back, tb = read_instance(text)
     assert back == g
     assert tb == t
+
+
+@pytest.mark.parametrize(
+    "label, read_back",
+    [
+        pytest.param("", "label line needs vertex and label", id="empty"),
+        pytest.param("a\nb", "unknown line kind 'b'", id="line-break"),
+        pytest.param("a  b", "a b", id="double-space"),
+        pytest.param(" a", "a", id="leading-space"),
+        pytest.param("x\tz", "x z", id="tab"),
+    ],
+)
+def test_write_instance_refuses_labels_that_do_not_round_trip(label, read_back):
+    g = Hypergraph(2, [[0, 1]], {0: label})
+    with pytest.raises(ValueError, match="cannot be written"):
+        write_instance(g)
+    # What the reader makes of the line the writer would have emitted.
+    text = f"p hce 2 1\ne 2 1 2\nl 1 {label}\n"
+    try:
+        assert read_instance(text)[0].labels[0] == read_back != label
+    except HceParseError as err:
+        assert read_back in str(err)
+
+
+def _with_labels(rng, g):
+    """``g`` with labels on a random subset of its vertices."""
+    words = ["a", "set1a", "tree3@g2", "link1_2_0", "x y", "hub"]
+    chosen = rng.sample(range(g.n), rng.randint(0, g.n))
+    return Hypergraph(g.n, g.edges, {v: rng.choice(words) for v in chosen})
+
+
+def test_read_instance_builds_what_the_constructor_builds():
+    rng = random.Random(3100)
+    graphs = [_with_labels(rng, messy_instance(rng)) for _ in range(300)]
+    assert sum(any(len(e) == 1 for e in g.edges) for g in graphs) >= 60
+    assert sum(len(set(g.edges)) < g.m for g in graphs) >= 60
+    assert sum(g.m == 0 for g in graphs) >= 15
+    assert sum(0 in g.degrees() for g in graphs) >= 100
+    for g in graphs:
+        # Edges written in a shuffled vertex order, read back sorted.
+        lines = [f"p hce {g.n} {g.m}"]
+        for e in g.edges:
+            vs = [v + 1 for v in e]
+            rng.shuffle(vs)
+            lines.append(" ".join(map(str, ["e", len(vs), *vs])))
+        lines += [f"l {v + 1} {label}" for v, label in g.labels.items()]
+        read, _ = read_instance("\n".join(lines))
+        built = Hypergraph(g.n, [list(e) for e in g.edges], g.labels)
+        assert read._thresholds is None
+        assert read == built and built == read
+        assert hash(read) == hash(built)
+        assert (read.n, read.edges, read.labels) == (built.n, built.edges, built.labels)
+        assert read._incidence == built._incidence
+        assert all(type(ix) is tuple for ix in read._incidence)
+        assert read.degrees() == built.degrees()
+        assert default_thresholds(read) == default_thresholds(built)
 
 
 def test_parse_errors_carry_line_numbers():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -173,6 +174,46 @@ def test_fpt_deterministic_and_parallel_identical():
         b = mincore_fpt(g, g.n)
         c = mincore_fpt(g, g.n, jobs=2)
         assert a == b == c
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by one that records ``max_workers`` and runs
+    every chunk in this process, so no worker process is ever started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mincore, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mincore, "_POOL_KERNEL", None)
+    return sizes
+
+
+def test_fpt_jobs_capped_at_cpu_count(pool_sizes, monkeypatch):
+    g = generate_random(14, 14, 2, 3, 59)
+    expected = mincore_fpt(g, g.n)
+    cpus = mincore._cpu_count()
+    assert 1 <= cpus <= (os.cpu_count() or 1)
+    assert mincore_fpt(g, g.n, jobs=10_000) == expected
+    assert mincore_fpt(g, g.n, jobs=2) == expected
+    assert pool_sizes == [min(10_000, cpus), min(2, cpus)]
+    # On one CPU, jobs > 1 still takes the pool path, with one worker.
+    monkeypatch.setattr(mincore, "_cpu_count", lambda: 1)
+    assert mincore_fpt(g, g.n, jobs=2) == expected
+    assert mincore_fpt(g, g.n, jobs=1) == expected
+    assert pool_sizes[2:] == [1]
 
 
 def _reference_fpt(g, a_max):

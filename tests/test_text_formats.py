@@ -124,8 +124,11 @@ def test_fuzzed_files_raise_only_parse_errors(case):
         pass
 
 
+arbitrary_texts = st.text(max_size=40) | st.lists(token_lines, max_size=6).map("\n".join)
+
+
 @SETTINGS
-@given(st.text(max_size=40) | st.lists(token_lines, max_size=6).map("\n".join))
+@given(arbitrary_texts)
 def test_arbitrary_text_raises_only_parse_errors(text):
     for reader in READERS:
         try:
