@@ -42,7 +42,6 @@ from .mincore import (
     PeelResult,
     mincore_fpt,
     peel_nm,
-    verify_optimal_radius_nm,
 )
 from .oracle import (
     BudgetExceededError,

@@ -13,11 +13,15 @@ peeling cannot remove, and re-indexes ``R`` once as a small hypergraph of
 its own, the kernel.  Whether deleting an ``a``-subset ``D`` of ``R``
 leaves a peelable instance depends only on ``R - D`` (lemma 3 of
 :func:`mincore_fpt`), so every deletion is decided by stripping the
-kernel alone.  Only the deletions that succeed touch the whole instance:
-:func:`peel_nm` peels it without them, and the deleted edges are
-re-inserted (which may add one final layer) to score the radius.  The run
-over all subsets is embarrassingly parallel; results are aggregated
-deterministically.
+kernel alone.  Consecutive deletions in lexicographic order share a
+prefix, and stripping commutes with taking more edges out (lemma 7), so
+the kernel strips each deletion prefix once and extends it by one edge,
+stripping only around that edge.  One in-place strip routine serves the
+residual, the kernel and every extension.  Only the deletions that
+succeed touch the whole instance: :func:`peel_nm` peels it without them,
+and the deleted edges are re-inserted (which may add one final layer) to
+score the radius.  The run over all subsets is embarrassingly parallel;
+results are aggregated deterministically.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .hypergraph import Hypergraph, default_thresholds
-from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_best_radius_at_size
 from .propagation import _core_radius
 
 PEEL_FAILURE_MESSAGE = "no core of size n-m possible"
@@ -86,38 +89,47 @@ def _peel(graph: Hypergraph, dead: set[int]):
     degree-one vertex is left.  Returns ``(rounds, victims, alive)``: the
     rounds in peeling order, each an ascending edge tuple, ``victims[e]``
     the vertex credited to edge ``e``, and the mask of edges left alive.
+
+    At the start of a round the frontier is exactly the set of degree-one
+    vertices, in ascending order.  Each has one alive edge, so walking the
+    frontier in order and giving every edge to the first frontier vertex
+    seen on it credits the smallest degree-one vertex; a frontier vertex
+    whose degree is already 0 lost its edge to a smaller one this round.
+    Every frontier vertex ends the round at degree 0, so the next frontier
+    is the vertices whose degree fell to 1 and stayed there (a degree can
+    fall 2 -> 1 -> 0 within one round).
     """
     edges, incidence = graph.edges, graph._incidence
     deg = graph.degrees()
-    alive = [True] * graph.m
+    alive = bytearray(b"\x01") * graph.m
     for ei in dead:
-        alive[ei] = False
+        alive[ei] = 0
         for u in edges[ei]:
             deg[u] -= 1
-    ptr = [0] * graph.n
     victims: dict[int, int] = {}
     rounds: list[tuple[int, ...]] = []
     frontier = [v for v, d in enumerate(deg) if d == 1]
     while frontier:
-        batch = set()
+        batch = []
+        fallen = []
         for v in frontier:
-            ix = incidence[v]
-            p = ptr[v]
-            while not alive[ix[p]]:
-                p += 1
-            ptr[v] = p
-            batch.add(ix[p])
-        ordered = sorted(batch)
-        for ei in ordered:
-            victims[ei] = min(v for v in edges[ei] if deg[v] == 1)
-        touched = set()
-        for ei in ordered:
-            alive[ei] = False
+            if not deg[v]:
+                continue
+            for ei in incidence[v]:
+                if alive[ei]:
+                    break
+            victims[ei] = v
+            batch.append(ei)
+            alive[ei] = 0
             for u in edges[ei]:
-                deg[u] -= 1
-                touched.add(u)
-        frontier = [u for u in touched if deg[u] == 1]
-        rounds.append(tuple(ordered))
+                d = deg[u] - 1
+                deg[u] = d
+                if d == 1:
+                    fallen.append(u)
+        batch.sort()
+        rounds.append(tuple(batch))
+        frontier = [u for u in fallen if deg[u] == 1]
+        frontier.sort()
     return rounds, victims, alive
 
 
@@ -139,29 +151,25 @@ def peel_nm(graph: Hypergraph, deleted: Sequence[int] = ()) -> PeelResult:
     if m - len(dead) > n:
         raise NoCoreOfSizeNM()
     rounds, victims, alive = _peel(graph, dead)
-    if any(alive):
+    if 1 in alive:
         raise NoCoreOfSizeNM()
     rounds.reverse()
     core = frozenset(range(n)).difference(victims.values())
     return PeelResult(core=core, layers=rounds, assimilator=victims)
 
 
-def _strip(graph: Hypergraph, template: list[int], dead: Sequence[int] = ()) -> bytearray:
-    """Strip degree-one vertices from ``graph`` without ``dead``; return the
-    mask of the edges left alive.
+def _strip(graph: Hypergraph, deg: list[int], alive: bytearray, left: int, seeds) -> int:
+    """Strip degree-one vertices from ``graph`` in place; return the number
+    of edges left alive.
 
-    ``template`` is ``graph.degrees()``, computed once by the caller and
-    copied here.  Edges go one at a time, in stack order: by lemma 1 of
+    ``alive`` masks the edges still present, ``left`` counts them and
+    ``deg[v]`` counts those at ``v``; all three describe one state, which
+    the strip updates.  Every degree-one vertex of that state must be among
+    ``seeds``.  Edges go one at a time, in stack order: by lemma 1 of
     :func:`mincore_fpt` every order leaves the same edges, ``core2``.
     """
     edges, incidence = graph.edges, graph._incidence
-    deg = template[:]
-    alive = bytearray(b"\x01") * graph.m
-    for ei in dead:
-        alive[ei] = 0
-        for u in edges[ei]:
-            deg[u] -= 1
-    stack = [v for v, d in enumerate(deg) if d == 1]
+    stack = list(seeds)
     while stack:
         v = stack.pop()
         if deg[v] != 1:
@@ -170,16 +178,25 @@ def _strip(graph: Hypergraph, template: list[int], dead: Sequence[int] = ()) -> 
             if alive[ei]:
                 break
         alive[ei] = 0
+        left -= 1
         for u in edges[ei]:
             deg[u] -= 1
             if deg[u] == 1:
                 stack.append(u)
-    return alive
+    return left
+
+
+def _stripped(graph: Hypergraph) -> tuple[list[int], bytearray, int]:
+    """``(deg, alive, left)`` of ``graph`` stripped to ``core2``."""
+    deg = graph.degrees()
+    alive = bytearray(b"\x01") * graph.m
+    left = _strip(graph, deg, alive, graph.m, [v for v, d in enumerate(deg) if d == 1])
+    return deg, alive, left
 
 
 def _residual(graph: Hypergraph) -> list[int]:
     """Sorted indices of the edges that degree-one peeling cannot remove."""
-    alive = _strip(graph, graph.degrees())
+    alive = _stripped(graph)[1]
     return [i for i, a in enumerate(alive) if a]
 
 
@@ -199,10 +216,11 @@ class _Kernel:
     Local edge ``i`` of ``local`` is edge ``residual[i]`` of ``graph`` with
     its vertices renumbered ascending over ``V(R)``.  ``R`` is sorted, so
     ``combinations(range(|R|), a)`` runs in the order of
-    ``combinations(R, a)``.
+    ``combinations(R, a)``.  ``base`` is the strip state of ``local`` with
+    nothing deleted.
     """
 
-    __slots__ = ("graph", "residual", "local", "template", "thresholds")
+    __slots__ = ("graph", "residual", "local", "base", "thresholds")
 
     def __init__(self, graph: Hypergraph, residual: list[int]):
         spanned = sorted({v for ei in residual for v in graph.edges[ei]})
@@ -212,23 +230,56 @@ class _Kernel:
         self.local = Hypergraph(
             len(spanned), [[index[v] for v in graph.edges[ei]] for ei in residual]
         )
-        self.template = self.local.degrees()
+        self.base = _stripped(self.local)
         self.thresholds = default_thresholds(graph)
+
+    def successes(self, combos):
+        """Yield the combinations among ``combos`` whose deletion strips the
+        kernel to nothing, in the order given.
+
+        By lemma 7 of :func:`mincore_fpt`, ``states[d]`` is the strip state
+        after deleting the first ``d`` edges of the current combination, and
+        each combination reuses the states of the prefix it shares with the
+        one before; a call starts from ``base``.
+        """
+        local = self.local
+        edges = local.edges
+        states = [self.base]
+        prev: tuple[int, ...] = ()
+        for combo in combos:
+            shared = 0
+            for x, y in zip(prev, combo):
+                if x != y:
+                    break
+                shared += 1
+            del states[shared + 1 :]
+            deg, alive, left = states[-1]
+            for ei in combo[shared:]:
+                if alive[ei]:
+                    deg = deg[:]
+                    alive = alive[:]
+                    alive[ei] = 0
+                    for u in edges[ei]:
+                        deg[u] -= 1
+                    left = _strip(local, deg, alive, left - 1, edges[ei])
+                states.append((deg, alive, left))
+            prev = combo
+            if not left:
+                yield combo
 
     def best(self, combos) -> Optional[tuple[int, tuple[int, ...]]]:
         """Smallest ``(radius, deleted)`` over the successful deletions among
         ``combos``, local index tuples in ascending order; ``deleted`` holds
         the edge indices of ``graph``.  None when none succeeds.
 
-        Each deletion is decided on the kernel; a success is peeled on
-        ``graph`` and scored by propagating its core over all of ``graph``.
+        Each deletion is decided on the kernel by :meth:`successes`; a
+        success is peeled on ``graph`` and scored by propagating its core
+        over all of ``graph``.
         """
-        graph, local, template = self.graph, self.local, self.template
+        graph, residual = self.graph, self.residual
         best = None
-        for combo in combos:
-            if 1 in _strip(local, template, combo):
-                continue
-            deleted = tuple([self.residual[i] for i in combo])
+        for combo in self.successes(combos):
+            deleted = tuple([residual[i] for i in combo])
             radius = _core_radius(graph, _peeled_core(graph, deleted), self.thresholds)
             if radius is None:
                 raise RuntimeError("peeled core must stay a core after re-insertion")
@@ -276,7 +327,8 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     successful deletions, breaking radius ties by the lexicographically
     smallest deleted index tuple.  The output is independent of ``jobs``;
     ``jobs > 1`` runs the deletions in a process pool of
-    ``min(jobs, CPUs available)`` workers.
+    ``min(jobs, CPUs available)`` workers, and ``jobs < 1`` raises
+    ``ValueError``.
 
     Only deletions inside the residual ``R`` (:func:`_residual`) are tried,
     starting at ``a = max(0, |R| - |V(R)|)``, where ``V(R)`` is the set of
@@ -316,10 +368,22 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
        ``R - D`` has at least ``|R| - a`` edges on at most ``|V(R)|``
        vertices, so by 3 no level ``a < |R| - |V(R)|`` has a success.
 
+    7. For ``D'`` a subset of ``D``,
+       ``core2(R - D) = core2(core2(R - D') - (D - D'))``: this is 3
+       applied to the instance ``R - D'``, whose ``core2`` is
+       ``core2(R - D')``, and the deletion ``D - D'``.  So the strip of a
+       deletion prefix can be extended edge by edge; an edge the prefix
+       already stripped changes nothing, and stripping after deleting an
+       edge ``e`` starts from the vertices of ``e``, the only ones whose
+       degree changed.
+
     So the levels skipped and the deletions left out hold no success, and
     the successful deletions at ``a*`` are the same.  By 3 each deletion is
     decided on ``R`` alone: it succeeds iff stripping ``R - D`` leaves no
-    edge, so a failing deletion never touches ``G``.  Each success is
+    edge, so a failing deletion never touches ``G``.  By 7 the strip of
+    ``R - D`` starts from the strip of the prefix ``D`` shares with the
+    deletion tried before it.  Each pool chunk of 64 deletions starts from
+    ``R`` itself, so ``jobs`` cannot change a verdict.  Each success is
     scored as before: peel ``G - D``, re-insert, propagate on ``G``.
     ``combinations(R, a)`` of the sorted ``R`` yields them in the same
     lexicographic order as ``combinations(range(m), a)``, so the radius
@@ -327,6 +391,8 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     """
     if a_max < 0:
         raise ValueError("a_max must be non-negative")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     residual = _residual(graph)
     kernel = _Kernel(graph, residual)
     pool = (
@@ -341,7 +407,7 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     with pool:
         for a in range(max(0, kernel.local.m - kernel.local.n), a_max + 1):
             combos = itertools.combinations(range(len(residual)), a)
-            if jobs <= 1:
+            if jobs == 1:
                 best = kernel.best(combos)
             else:
                 hits = pool.map(_pool_run, _chunks(combos, 64))
@@ -355,17 +421,3 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
                     parameter_a=a,
                 )
     raise NotFoundWithin(a_max)
-
-
-def verify_optimal_radius_nm(
-    graph: Hypergraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> bool:
-    """Exhaustively confirm the peeled core's radius is optimal at size ``n - m``.
-
-    True iff no core of size ``n - m`` has a strictly smaller radius than
-    the one :func:`peel_nm` returns.  Propagates :class:`NoCoreOfSizeNM`
-    when peeling fails and raises the budget error on oversized instances.
-    """
-    res = peel_nm(graph)
-    best = oracle_best_radius_at_size(graph, graph.n - graph.m, budget=budget)
-    return best[0] >= res.radius

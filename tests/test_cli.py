@@ -273,6 +273,14 @@ def test_jobs_flag_never_changes_bytes(tmp_path):
         assert again.returncode == base.returncode
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exits_2(path_file, capsys, jobs):
+    assert main(["mincore", path_file, "--max-a", "1", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: jobs must be at least 1\n"
+
+
 def test_mincore_output_unchanged_under_optimize_flag(tmp_path):
     """``python -O`` strips asserts; the search must not depend on them."""
     inst = tmp_path / "g.hce"

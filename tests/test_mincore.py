@@ -20,10 +20,10 @@ from hypercore import (
     oracle_min_radius_over_min_cores,
     peel_nm,
     propagate,
-    verify_optimal_radius_nm,
 )
 from hypercore import mincore
 from hypercore.mincore import PEEL_FAILURE_MESSAGE, MinCoreResult, _residual
+import reference_peel
 from conftest import messy_instance, seeded_family
 
 
@@ -201,6 +201,33 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+def test_fpt_pool_chunks_starting_mid_prefix(pool_sizes):
+    """A chunk of 64 deletions can start inside a run of deletions that
+    share a prefix; each chunk strips from the kernel's base state, so the
+    pool returns what the serial search does."""
+    checked = 0
+    for s in range(200):
+        g = generate_random(24, 22, 2, 3, s)
+        residual = _residual(g)
+        start = max(0, len(residual) - len({v for ei in residual for v in g.edges[ei]}))
+        serial = _outcome(mincore_fpt, g, 3)
+        top = serial.parameter_a if isinstance(serial, MinCoreResult) else 3
+        if all(math.comb(len(residual), a) <= 64 for a in range(start, top + 1)):
+            continue
+        assert _outcome(mincore_fpt, g, 3, jobs=2) == serial
+        checked += 1
+        if checked == 30:
+            break
+    assert checked == 30
+    assert pool_sizes and set(pool_sizes) == {min(2, mincore._cpu_count())}
+
+
+def test_fpt_rejects_jobs_below_one(path):
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            mincore_fpt(path, 0, jobs=jobs)
+
+
 def test_fpt_jobs_capped_at_cpu_count(pool_sizes, monkeypatch):
     g = generate_random(14, 14, 2, 3, 59)
     expected = mincore_fpt(g, g.n)
@@ -307,25 +334,41 @@ def test_kernel_verdicts_and_search_match_whole_instance_scan():
         kernel = mincore._Kernel(g, residual)
         top = len(residual) if len(residual) <= 10 else 3
         for a in range(top + 1):
-            for combo in itertools.combinations(range(len(residual)), a):
-                stripped = 1 not in mincore._strip(kernel.local, kernel.template, combo)
-                assert stripped == _peels(g, [residual[i] for i in combo])
+            combos = list(itertools.combinations(range(len(residual)), a))
+            peeling = [c for c in combos if _peels(g, [residual[i] for i in c])]
+            assert list(kernel.successes(combos)) == peeling
         assert _outcome(mincore_fpt, g, g.n) == _outcome(_scan_reference, g, g.n)
+
+
+def _kernel_strips(g, residual, levels):
+    """Strips the kernel makes while trying ``levels``: one for its base
+    state and, per level, one for each deletion prefix whose last edge the
+    shorter prefix leaves alive, as the reference strip decides."""
+    local = mincore._Kernel(g, residual).local
+    template = local.degrees()
+    count = 1
+    for a in levels:
+        for d in range(1, a + 1):
+            # the d-edge prefixes of a-edge deletions out of |R|
+            for prefix in itertools.combinations(range(len(residual) - (a - d)), d):
+                count += reference_peel._strip(local, template, prefix[:-1])[prefix[-1]]
+    return count
 
 
 def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
     """``peel_nm`` runs once per successful deletion at the levels tried,
-    plus once for the winner; the kernel decides every deletion there."""
-    peeled, decided = [], []
+    plus once for the winner.  The only strip of the instance is the one
+    that finds ``R``; the kernel strips each deletion prefix once per level,
+    and only when its last edge is still alive."""
+    peeled, stripped = [], []
 
     def counting_peel(graph, deleted=()):
         peeled.append(tuple(deleted))
         return peel_nm(graph, deleted)
 
-    def counting_strip(graph, template, dead=()):
-        if graph is not g:
-            decided.append(tuple(dead))
-        return strip(graph, template, dead)
+    def counting_strip(graph, deg, alive, left, seeds):
+        stripped.append(graph is g)
+        return strip(graph, deg, alive, left, seeds)
 
     strip = mincore._strip
     for s in range(120):
@@ -340,14 +383,16 @@ def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
         successes = sum(
             _peels(g, deleted) for a in levels for deleted in itertools.combinations(residual, a)
         )
+        expected_strips = _kernel_strips(g, residual, levels)
         peeled.clear()
-        decided.clear()
+        stripped.clear()
         with monkeypatch.context() as patch:
             patch.setattr(mincore, "peel_nm", counting_peel)
             patch.setattr(mincore, "_strip", counting_strip)
             assert _outcome(mincore_fpt, g, a_max) == outcome
         assert len(peeled) == successes + found
-        assert len(decided) == sum(math.comb(len(residual), a) for a in levels)
+        assert stripped.count(True) == 1
+        assert stripped.count(False) == expected_strips
 
 
 def test_peel_with_deleted_edges_matches_rebuilt_subgraph(triangle):
@@ -409,28 +454,39 @@ def test_residual_matches_stack_peel():
 def test_fpt_skips_levels_below_residual_excess(monkeypatch):
     """K4 has 6 residual edges on 4 vertices, so levels 0 and 1 cannot succeed."""
     k4 = Hypergraph(4, list(itertools.combinations(range(4), 2)))
-    calls, decided = [], []
+    calls, stripped, levels = [], [], []
 
     def counting_peel(graph, deleted=()):
         calls.append(tuple(deleted))
         return peel_nm(graph, deleted)
 
-    def counting_strip(graph, template, dead=()):
-        if graph is not k4:
-            decided.append(tuple(dead))
-        return strip(graph, template, dead)
+    def counting_strip(graph, deg, alive, left, seeds):
+        stripped.append((graph is k4, levels[-1] if levels else None))
+        return strip(graph, deg, alive, left, seeds)
 
-    strip = mincore._strip
+    def levelled_successes(self, combos):
+        combos = list(combos)
+        levels.append(len(combos[0]))
+        return successes(self, combos)
+
+    strip, successes = mincore._strip, mincore._Kernel.successes
     monkeypatch.setattr(mincore, "peel_nm", counting_peel)
     monkeypatch.setattr(mincore, "_strip", counting_strip)
+    monkeypatch.setattr(mincore._Kernel, "successes", levelled_successes)
     with pytest.raises(NotFoundWithin) as err:
         mincore_fpt(k4, 1)
     assert err.value.a_max == 1
-    assert calls == decided == []
+    # only the strip that finds R and the kernel's base state
+    assert stripped == [(True, None), (False, None)]
+    assert calls == levels == []
+    stripped.clear()
     res = mincore_fpt(k4, 3)
     assert res.parameter_a == 3
+    assert levels == [2, 3]
+    assert stripped[:2] == [(True, None), (False, None)]
+    assert {level for on_k4, level in stripped[2:] if not on_k4} == {2, 3}
+    assert all(not on_k4 for on_k4, _ in stripped[2:])
     # no deletion of two edges peels K4, so only level 3 reaches peel_nm
-    assert {len(d) for d in decided} == {2, 3}
     assert {len(d) for d in calls} == {3}
 
 
@@ -440,7 +496,7 @@ def test_internal_invariants_raise_runtime_error(monkeypatch, path, triangle):
         with pytest.raises(RuntimeError, match="must stay a core after re-insertion"):
             mincore_fpt(path, 0)
     with monkeypatch.context() as patch:
-        patch.setattr(mincore, "_strip", lambda graph, template, dead=(): bytearray())
+        patch.setattr(mincore, "_strip", lambda graph, deg, alive, left, seeds: 0)
         with pytest.raises(RuntimeError, match="strips the kernel must peel"):
             mincore_fpt(triangle, 0)
     with pytest.raises(RuntimeError, match="_pool_init"):
@@ -448,11 +504,13 @@ def test_internal_invariants_raise_runtime_error(monkeypatch, path, triangle):
 
 
 def test_verify_optimal_radius_examples(path, star):
-    assert verify_optimal_radius_nm(path)
-    assert verify_optimal_radius_nm(star)
-    assert verify_optimal_radius_nm(Hypergraph(3, []))
+    """No core of size ``n - m`` has a smaller radius than the peeled one."""
+    for g in (path, star, Hypergraph(3, [])):
+        res = peel_nm(g)
+        best = oracle_best_radius_at_size(g, g.n - g.m)
+        assert best is not None and best[0] >= res.radius
     with pytest.raises(NoCoreOfSizeNM):
-        verify_optimal_radius_nm(Hypergraph(3, [(0, 1), (1, 2), (0, 2)]))
+        peel_nm(Hypergraph(3, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_peel_radius_is_optimal_at_size_nm():
@@ -461,7 +519,6 @@ def test_peel_radius_is_optimal_at_size_nm():
             res = peel_nm(g)
         except NoCoreOfSizeNM:
             continue
-        assert verify_optimal_radius_nm(g)
         best = oracle_best_radius_at_size(g, g.n - g.m)
         assert best is not None and best[0] == res.radius
 
