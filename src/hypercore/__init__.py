@@ -28,10 +28,8 @@ from .hypergraph import (
     Hypergraph,
     diameter,
     generate_random,
-    has_sdr,
     read_instance,
     read_vertex_set,
-    shortest_hyperpath,
     write_instance,
     write_vertex_set,
 )
@@ -68,7 +66,6 @@ from .reductions import (
     CnfFormula,
     MinrepInstance,
     SetCoverInstance,
-    and_gadget,
     core_to_minrep,
     core_to_setcover,
     minrep_to_mincore,
@@ -78,7 +75,6 @@ from .reductions import (
     threshold_add_per_edge,
     threshold_add_shared,
     triangulate_edge,
-    triangulation_gadget,
 )
 
 __version__ = "0.1.0"

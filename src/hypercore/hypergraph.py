@@ -150,58 +150,6 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, m={self.m})"
 
 
-def has_sdr(graph: Hypergraph) -> tuple[bool, Optional[dict[int, int]]]:
-    """Test for a system of distinct representatives.
-
-    Returns ``(True, assignment)`` where ``assignment`` maps each edge index
-    to a distinct vertex contained in that edge, or ``(False, None)``.
-    Computed as a maximum bipartite matching (augmenting paths) between
-    edges and vertices.
-    """
-    if graph.m > graph.n:
-        return False, None
-    edges = graph.edges
-    owner: dict[int, int] = {}  # vertex -> edge index currently matched to it
-    for i in range(graph.m):
-        # Depth-first augmenting path on an explicit stack: frame k holds an
-        # edge and its untried vertices, picked[k] the vertex it is trying.
-        seen: set[int] = set()
-        stack = [(i, iter(edges[i]))]
-        picked: list[int] = []
-        while stack:
-            v = next((u for u in stack[-1][1] if u not in seen), None)
-            if v is None:
-                stack.pop()
-                if picked:
-                    picked.pop()
-                continue
-            seen.add(v)
-            picked.append(v)
-            if v not in owner:
-                for (edge_index, _), u in zip(stack, picked):
-                    owner[u] = edge_index
-                break
-            stack.append((owner[v], iter(edges[owner[v]])))
-        else:
-            return False, None
-    return True, {i: v for v, i in owner.items()}
-
-
-def shortest_hyperpath(graph: Hypergraph, s: int, t: int) -> Optional[int]:
-    """Minimum number of edge hops between two distinct vertices.
-
-    One hop moves between two vertices sharing an edge.  Returns ``None``
-    when ``t`` is unreachable from ``s``.
-    """
-    graph._check_vertex(s)
-    graph._check_vertex(t)
-    if s == t:
-        raise ValueError("endpoints must be distinct")
-    dist = _bfs_distances(graph, (s,))
-    d = dist[t]
-    return d if d >= 0 else None
-
-
 def _bfs_distances(graph: Hypergraph, sources: Iterable[int]) -> list[int]:
     """Multi-source hop distances over the shared-edge relation; -1 = unreachable."""
     dist = [-1] * graph.n
@@ -308,6 +256,21 @@ def default_thresholds(graph: Hypergraph) -> tuple[int, ...]:
     if t is None:
         t = graph._thresholds = tuple([max(len(e) - 1, 0) for e in graph.edges])
     return t
+
+
+def _check_thresholds(graph: Hypergraph, values: Sequence[int]) -> None:
+    """The threshold rule, else ``ValueError``: one value per edge, each an
+    ``int`` (not a ``bool``) in ``[0, |e| - 1]``, as a ``t`` line carries.
+    The engine fires an edge when its count *equals* the threshold, so a
+    fractional value would never fire."""
+    defaults = default_thresholds(graph)
+    if len(values) != len(defaults):
+        raise ValueError("threshold count differs from edge count")
+    for i, (t, hi) in enumerate(zip(values, defaults)):
+        if isinstance(t, bool) or not isinstance(t, int):
+            raise ValueError(f"threshold {t!r} for edge {i} is not an integer")
+        if not 0 <= t <= hi:
+            raise ValueError(f"threshold {t} for edge {i} outside [0, {hi}]")
 
 
 def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]] = None):
@@ -450,7 +413,8 @@ def write_instance(
     A label must be non-empty, hold no line break, and have no leading,
     trailing or repeated whitespace: the reader splits an ``l`` line into
     fields and rejoins them with single spaces, so any other label would
-    be rejected or read back changed.  Such a label raises ``ValueError``.
+    be rejected or read back changed.  Such a label raises ``ValueError``,
+    and so do thresholds that break the rule of ``_check_thresholds``.
     """
     for v, label in graph.labels.items():
         if not label or " ".join(label.split()) != label:
@@ -459,8 +423,7 @@ def write_instance(
     for e in graph.edges:
         out.append("e " + " ".join(str(x) for x in (len(e), *(v + 1 for v in e))))
     if thresholds is not None:
-        if len(thresholds) != graph.m:
-            raise ValueError("thresholds length differs from edge count")
+        _check_thresholds(graph, thresholds)
         defaults = default_thresholds(graph)
         for i, t in enumerate(thresholds):
             if t != defaults[i]:

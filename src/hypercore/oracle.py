@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .hypergraph import Hypergraph
-from .propagation import Thresholds, _core_radius, resolve_thresholds
+from .propagation import Thresholds, _core_radius, is_core, resolve_thresholds
 
 
 class BudgetExceededError(RuntimeError):
@@ -115,8 +115,6 @@ def oracle_min_core(
     """Minimum core size with the first witness in (cardinality, lex) order."""
     _enumeration_guard(graph.n, budget)
     t = resolve_thresholds(graph, thresholds)
-    from .propagation import is_core
-
     spent = 0
     for k in range(graph.n + 1):
         spent = _block_guard(spent, graph.n, k, budget)

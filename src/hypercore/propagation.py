@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from .hypergraph import Hypergraph, default_thresholds
+from .hypergraph import Hypergraph, _check_thresholds, default_thresholds
 
 
 class NotACoreError(ValueError):
@@ -36,9 +36,9 @@ class NotACoreError(ValueError):
 class ThresholdMap:
     """Per-edge activation thresholds, aligned with the edge list.
 
-    Valid values satisfy ``0 <= t(e) <= |e| - 1``; size-1 edges admit only
-    the degenerate threshold 0 (they fire unconditionally).  The default
-    map assigns every edge ``|e| - 1``.
+    Valid values are integers with ``0 <= t(e) <= |e| - 1``; size-1 edges
+    admit only the degenerate threshold 0 (they fire unconditionally).  The
+    default map assigns every edge ``|e| - 1``.
     """
 
     values: tuple[int, ...]
@@ -48,14 +48,12 @@ class ThresholdMap:
         return cls(default_thresholds(graph))
 
     def validate(self, graph: Hypergraph) -> None:
-        defaults = default_thresholds(graph)
-        if len(self.values) != len(defaults):
-            raise ValueError("threshold count differs from edge count")
-        if self.values == defaults:  # valid by definition; skips the loop
-            return
-        for i, (t, hi) in enumerate(zip(self.values, defaults)):
-            if not 0 <= t <= hi:
-                raise ValueError(f"threshold {t} for edge {i} outside [0, {hi}]")
+        """Raise ``ValueError`` unless the values obey ``_check_thresholds``.
+        The defaults skip its per-edge loop; values merely equal to them
+        (``True``, ``2.0``) do not."""
+        values = self.values
+        if values != default_thresholds(graph) or not {*map(type, values)} <= {int}:
+            _check_thresholds(graph, values)
 
 
 Thresholds = Union[ThresholdMap, Sequence[int], None]

@@ -261,13 +261,6 @@ def core_to_setcover(cert: SetCoverCertificate, core: Iterable[int]) -> list[int
 # Triangulation gadget
 
 
-@dataclass
-class TriangulationGadget:
-    graph: Hypergraph
-    root: int
-    leaves: tuple[int, ...]
-
-
 def _subtree(leaves: Sequence[int], alloc: list[int]) -> tuple[int, list[tuple[int, int, int]]]:
     """Balanced full binary tree over ``leaves``; fresh ids pop from ``alloc``."""
     if len(leaves) == 1:
@@ -291,27 +284,6 @@ def _gadget_edges(
     left, left_edges = _subtree(leaves[:mid], alloc)
     right, right_edges = _subtree(leaves[mid:], alloc)
     return left_edges + right_edges + [(root, left, right)], alloc[0]
-
-
-def triangulation_gadget(leaf_count: int) -> TriangulationGadget:
-    """Standalone balanced tree gadget: one size-3 edge per internal node.
-
-    Leaves are ``0..leaf_count-1``; the root is ``leaf_count``; further
-    internal nodes follow.  ``leaf_count - 1`` internal nodes in total.
-    """
-    if leaf_count < 1:
-        raise ValueError("need at least one leaf")
-    if leaf_count == 1:
-        graph = Hypergraph(1, [], {0: "root"})
-        return TriangulationGadget(graph, root=0, leaves=(0,))
-    root = leaf_count
-    edges, next_fresh = _gadget_edges(list(range(leaf_count)), root, leaf_count + 1)
-    labels = {i: f"leaf{i + 1}" for i in range(leaf_count)}
-    labels[root] = "root"
-    for t in range(leaf_count + 1, next_fresh):
-        labels[t] = f"tree{t - leaf_count}"
-    graph = Hypergraph(next_fresh, edges, labels)
-    return TriangulationGadget(graph, root=root, leaves=tuple(range(leaf_count)))
 
 
 def triangulate_edge(graph: Hypergraph, edge_index: int) -> Hypergraph:
@@ -343,21 +315,10 @@ def triangulate_edge(graph: Hypergraph, edge_index: int) -> Hypergraph:
 # AND gadget and the bipartite covering reduction
 
 
-def and_gadget(
-    inputs: Iterable[int], output: int, first_inner: int
-) -> tuple[list[tuple[int, ...]], int, int]:
-    """Three edges forcing ``output`` active only after all ``inputs``.
-
-    Fresh relay vertices ``first_inner`` and ``first_inner + 1`` are used;
-    they must appear in no other edge for the forcing to hold.
-    """
-    ins = sorted(inputs)
-    if not ins:
-        raise ValueError("the gadget needs at least one input")
-    return _and_edges(ins, output, first_inner)
-
-
-def _and_edges(ins, output, first_inner):
+def _and_edges(ins: list[int], output: int, first_inner: int):
+    """Three edges forcing ``output`` active only after all of ``ins``,
+    returned with their fresh relays ``x1 = first_inner`` and
+    ``x2 = first_inner + 1``, which must appear in no other edge."""
     x1, x2 = first_inner, first_inner + 1
     return (
         [

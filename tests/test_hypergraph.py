@@ -11,10 +11,8 @@ from hypercore import (
     Hypergraph,
     diameter,
     generate_random,
-    has_sdr,
     read_instance,
     read_vertex_set,
-    shortest_hyperpath,
     write_instance,
     write_vertex_set,
 )
@@ -89,41 +87,6 @@ def test_neighbor_invariants():
             assert len(nb) <= g.n - 1
 
 
-def _sdr_bruteforce(graph):
-    """Try every injective edge-to-vertex assignment."""
-    if graph.m > graph.n:
-        return False
-    for perm in itertools.permutations(range(graph.n), graph.m):
-        if all(perm[i] in graph.edges[i] for i in range(graph.m)):
-            return True
-    return False
-
-
-def test_has_sdr_examples(triangle):
-    ok, witness = has_sdr(triangle)
-    assert ok
-    assert sorted(witness) == [0, 1, 2]
-    assert len(set(witness.values())) == 3
-    assert all(witness[i] in triangle.edges[i] for i in range(3))
-    assert has_sdr(Hypergraph(2, [(0, 1)] * 3)) == (False, None)
-    assert has_sdr(Hypergraph(1, [(0,)])) == (True, {0: 0})
-
-
-def test_has_sdr_against_bruteforce():
-    for g in seeded_family(60, seed=5, n_hi=6, m_cap=7, size_lo=1, size_hi=3, n_lo=1):
-        ok, witness = has_sdr(g)
-        assert ok == _sdr_bruteforce(g)
-        if ok:
-            assert len(set(witness.values())) == g.m
-            assert all(witness[i] in g.edges[i] for i in range(g.m))
-
-
-def test_pigeonhole_property():
-    for g in seeded_family(30, seed=6, n_hi=5, m_cap=8, size_lo=1, size_hi=3, n_lo=1):
-        if g.m > g.n:
-            assert has_sdr(g)[0] is False
-
-
 def _paths_bruteforce(graph, s, t):
     """Shortest hop distance by DFS over all simple vertex sequences."""
     best = [None]
@@ -142,20 +105,24 @@ def _paths_bruteforce(graph, s, t):
 
 
 def test_shortest_hyperpath_examples(triangle, path):
-    assert shortest_hyperpath(path, 0, 2) == 2 == _paths_bruteforce(path, 0, 2)
-    assert shortest_hyperpath(triangle, 0, 1) == 1
-    assert shortest_hyperpath(Hypergraph(3, [(0, 1)]), 0, 2) is None
-    with pytest.raises(ValueError):
-        shortest_hyperpath(path, 1, 1)
+    """Hop distances from ``_bfs_distances``; -1 marks an unreachable vertex."""
+    bfs = hypergraph._bfs_distances
+    assert bfs(path, (0,)) == [0, 1, 2] and _paths_bruteforce(path, 0, 2) == 2
+    assert bfs(triangle, (0,)) == [0, 1, 1]
+    assert bfs(Hypergraph(3, [(0, 1)]), (0,)) == [0, 1, -1]
+    assert bfs(_path(5), (0, 4)) == [0, 1, 2, 1, 0]  # several sources
+    assert bfs(path, (1, 1)) == [1, 0, 1]
 
 
 def test_shortest_hyperpath_properties():
     for g in seeded_family(25, seed=7, n_hi=7, size_lo=1):
+        rows = [hypergraph._bfs_distances(g, (s,)) for s in range(g.n)]
         for s in range(g.n):
+            assert rows[s][s] == 0
             for t in range(s + 1, g.n):
-                d = shortest_hyperpath(g, s, t)
-                assert d == shortest_hyperpath(g, t, s)
-                assert d == _paths_bruteforce(g, s, t)
+                assert rows[s][t] == rows[t][s]
+                expected = _paths_bruteforce(g, s, t)
+                assert rows[s][t] == (-1 if expected is None else expected)
 
 
 def test_diameter_examples(triangle, path):
@@ -172,11 +139,9 @@ def test_diameter_dominates_pairs():
             continue
         dia = diameter(g)
         dists = [
-            shortest_hyperpath(g, s, t)
-            for s in range(g.n)
-            for t in range(s + 1, g.n)
+            d for s in range(g.n) for d in hypergraph._bfs_distances(g, (s,))[s + 1 :]
         ]
-        if any(d is None for d in dists):
+        if -1 in dists:
             assert math.isinf(dia)
         else:
             assert dia == max(dists)
@@ -297,6 +262,11 @@ def test_roundtrip_with_thresholds_and_labels():
     back, tb = read_instance(text)
     assert back == g
     assert tb == t
+    # Thresholds its own reader would reject are refused, not written.
+    single = Hypergraph(3, [(0, 1, 2)])
+    for bad in ([5], [-1], [1.5], [True], [2.0], [1, 1]):
+        with pytest.raises(ValueError, match="threshold"):
+            write_instance(single, bad)
 
 
 @pytest.mark.parametrize(
@@ -429,43 +399,3 @@ def test_threshold_range_and_header_order():
     with pytest.raises(HceParseError) as err:
         read_instance("p hce 3 1\ne 2 1 2\nt 1 -1\n")
     assert err.value.line == 3
-
-
-def test_has_sdr_long_augmenting_path():
-    """A 5,000-edge chain whose last edge forces one augmenting path through
-    every other edge; recursion depth must not matter."""
-    n = 5000
-    g = Hypergraph(n, [(i, i + 1) for i in range(n - 1)] + [(0,)])
-    ok, witness = has_sdr(g)
-    assert ok
-    assert witness == {**{i: i + 1 for i in range(n - 1)}, n - 1: 0}
-
-
-def _sdr_recursive(graph):
-    """The recursive augmenting-path search, kept as the assignment reference."""
-    if graph.m > graph.n:
-        return False, None
-    owner = {}
-
-    def augment(edge_index, seen):
-        for v in graph.edges[edge_index]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in owner or augment(owner[v], seen):
-                owner[v] = edge_index
-                return True
-        return False
-
-    for i in range(graph.m):
-        if not augment(i, set()):
-            return False, None
-    return True, {i: v for v, i in owner.items()}
-
-
-def test_has_sdr_matches_recursive_assignment():
-    for g in seeded_family(200, seed=12, n_hi=9, m_cap=9, size_lo=1, size_hi=4, n_lo=1):
-        got = has_sdr(g)
-        assert got == _sdr_recursive(g)
-        if got[0]:
-            assert list(got[1].items()) == list(_sdr_recursive(g)[1].items())

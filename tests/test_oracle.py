@@ -129,7 +129,7 @@ def test_min_radius_invariant_raises_runtime_error(monkeypatch, path):
 
 
 def test_min_core_invariant_raises_runtime_error(monkeypatch, path):
-    monkeypatch.setattr(propagation, "is_core", lambda *args: False)
+    monkeypatch.setattr(oracle, "is_core", lambda *args: False)
     with pytest.raises(RuntimeError, match="always a core"):
         oracle_min_core(path)
 
@@ -192,7 +192,7 @@ def test_oracle_work_counts(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(propagation, "is_core", counted("is_core", propagation.is_core))
+    monkeypatch.setattr(oracle, "is_core", counted("is_core", oracle.is_core))
     monkeypatch.setattr(oracle, "_core_radius", counted("_core_radius", oracle._core_radius))
     trace = counted("propagate", propagation.propagate)
     monkeypatch.setattr(propagation, "propagate", trace)

@@ -90,6 +90,15 @@ def test_threshold_map_validation():
     for bad in ((3, 0), [1, 1], (-1, 0)):
         with pytest.raises(ValueError, match="outside"):
             is_core(g, {0}, bad)
+    # Only ints count: equal to the defaults or not, a float or bool is refused.
+    for bad in ((1.5, 0), (2.0, 0), (True, 0), (2, False)):
+        with pytest.raises(ValueError, match="not an integer"):
+            is_core(g, {0}, bad)
+    # {3} is a core under [1, 1, 1] and [1, 1, 2]; 1.5 between them is refused.
+    h = Hypergraph(4, [(0, 3), (1, 3), (0, 1, 2)])
+    assert is_core(h, {3}, [1, 1, 1]) and is_core(h, {3}, [1, 1, 2])
+    with pytest.raises(ValueError, match="not an integer"):
+        is_core(h, {3}, [1, 1, 1.5])
     assert ThresholdMap.default(g).values == (2, 0)
 
 

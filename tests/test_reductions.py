@@ -15,7 +15,6 @@ from hypercore import (
     NotACoreError,
     OracleBudget,
     SetCoverInstance,
-    and_gadget,
     core_to_minrep,
     core_to_setcover,
     is_core,
@@ -32,7 +31,6 @@ from hypercore import (
     threshold_add_per_edge,
     threshold_add_shared,
     triangulate_edge,
-    triangulation_gadget,
 )
 from hypercore import reductions
 from hypercore.reductions import read_cnf, read_minrep, read_setcover
@@ -142,26 +140,29 @@ def test_setcover_l_reduction_small_batch():
 # Triangulation
 
 
+def _tree_gadget(leaves):
+    """``_gadget_edges`` over leaves ``0..leaves-1`` with root ``leaves``."""
+    edges, n = reductions._gadget_edges(list(range(leaves)), leaves, leaves + 1)
+    return Hypergraph(n, edges)
+
+
 def test_triangulation_gadget_shapes():
-    g2 = triangulation_gadget(2)
-    assert (g2.graph.n, g2.graph.m) == (3, 1)
-    g4 = triangulation_gadget(4)
-    assert (g4.graph.n, g4.graph.m) == (7, 3)
-    assert all(len(e) == 3 for e in g4.graph.edges)
-    g1 = triangulation_gadget(1)
-    assert (g1.graph.n, g1.graph.m) == (1, 0)
+    assert reductions._gadget_edges([0, 1], 2, 3) == ([(2, 0, 1)], 3)
+    for leaves in (2, 3, 4, 5, 8):
+        g = _tree_gadget(leaves)
+        assert (g.n, g.m) == (2 * leaves - 1, leaves - 1)
+        assert all(len(e) == 3 for e in g.edges)
     with pytest.raises(ValueError):
-        triangulation_gadget(0)
+        reductions._gadget_edges([0], 1, 2)
 
 
 def test_triangulation_gadget_outer_subsets_are_cores():
     """Dropping any single outer vertex (root or leaf) still activates all."""
     for leaves in (2, 3, 4, 5):
-        gadget = triangulation_gadget(leaves)
-        outer = [gadget.root, *gadget.leaves]
-        for combo in itertools.combinations(outer, len(outer) - 1):
-            assert is_core(gadget.graph, combo)
-        assert oracle_min_core(gadget.graph)[0] == leaves
+        g = _tree_gadget(leaves)
+        for combo in itertools.combinations(range(leaves + 1), leaves):
+            assert is_core(g, combo)
+        assert oracle_min_core(g)[0] == leaves
 
 
 def test_triangulate_edge_examples():
@@ -237,16 +238,13 @@ def test_setcover3_refuses_empty_universe_with_sets():
 
 
 def test_and_gadget_examples():
-    edges, x1, x2 = and_gadget([0, 1], 2, 3)
-    assert edges == [(0, 1, 3), (0, 1, 4), (2, 3, 4)]
-    g = Hypergraph(5, edges)
-    trace = propagate(g, {0, 1})
+    edges, x1, x2 = reductions._and_edges([0, 1], 2, 3)
+    assert (edges, x1, x2) == ([(0, 1, 3), (0, 1, 4), (2, 3, 4)], 3, 4)
+    trace = propagate(Hypergraph(5, edges), {0, 1})
     assert trace.verdict and trace.assimilated_at[2] == 2
 
-    edges1, _, _ = and_gadget([0], 1, 2)
+    edges1, _, _ = reductions._and_edges([0], 1, 2)
     assert sorted(len(e) for e in edges1) == [2, 2, 3]
-    with pytest.raises(ValueError):
-        and_gadget([], 0, 1)
 
 
 def test_minrep_single_super_edge():
