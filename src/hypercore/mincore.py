@@ -20,8 +20,8 @@ stripping only around that edge.  One in-place strip routine serves the
 residual, the kernel and every extension.  Only the deletions that
 succeed touch the whole instance: :func:`peel_nm` peels it without them,
 and the deleted edges are re-inserted (which may add one final layer) to
-score the radius.  The run over all subsets is embarrassingly parallel;
-results are aggregated deterministically.
+score the radius.  A pool splits each level into one strided part per
+worker, and the least of the parts' bests is the serial answer.
 """
 
 from __future__ import annotations
@@ -186,27 +186,12 @@ def _strip(graph: Hypergraph, deg: list[int], alive: bytearray, left: int, seeds
     return left
 
 
-def _stripped(graph: Hypergraph) -> tuple[list[int], bytearray, int]:
-    """``(deg, alive, left)`` of ``graph`` stripped to ``core2``."""
-    deg = graph.degrees()
-    alive = bytearray(b"\x01") * graph.m
-    left = _strip(graph, deg, alive, graph.m, [v for v, d in enumerate(deg) if d == 1])
-    return deg, alive, left
-
-
 def _residual(graph: Hypergraph) -> list[int]:
     """Sorted indices of the edges that degree-one peeling cannot remove."""
-    alive = _stripped(graph)[1]
+    deg = graph.degrees()
+    alive = bytearray(b"\x01") * graph.m
+    _strip(graph, deg, alive, graph.m, [v for v, d in enumerate(deg) if d == 1])
     return [i for i, a in enumerate(alive) if a]
-
-
-def _peeled_core(graph: Hypergraph, deleted: tuple[int, ...]) -> frozenset[int]:
-    """Core of :func:`peel_nm` without ``deleted``, a deletion whose
-    remainder the kernel stripped to nothing."""
-    try:
-        return peel_nm(graph, deleted).core
-    except NoCoreOfSizeNM:
-        raise RuntimeError("a deletion that strips the kernel must peel the instance")
 
 
 class _Kernel:
@@ -217,7 +202,7 @@ class _Kernel:
     its vertices renumbered ascending over ``V(R)``.  ``R`` is sorted, so
     ``combinations(range(|R|), a)`` runs in the order of
     ``combinations(R, a)``.  ``base`` is the strip state of ``local`` with
-    nothing deleted.
+    nothing deleted: by lemma 1 ``R`` has no degree-one vertex to strip.
     """
 
     __slots__ = ("graph", "residual", "local", "base", "thresholds")
@@ -230,7 +215,10 @@ class _Kernel:
         self.local = Hypergraph(
             len(spanned), [[index[v] for v in graph.edges[ei]] for ei in residual]
         )
-        self.base = _stripped(self.local)
+        deg = self.local.degrees()
+        if 1 in deg:
+            raise RuntimeError("the residual must have no degree-one vertex")
+        self.base = (deg, bytearray(b"\x01") * self.local.m, self.local.m)
         self.thresholds = default_thresholds(graph)
 
     def successes(self, combos):
@@ -267,39 +255,48 @@ class _Kernel:
             if not left:
                 yield combo
 
-    def best(self, combos) -> Optional[tuple[int, tuple[int, ...]]]:
-        """Smallest ``(radius, deleted)`` over the successful deletions among
-        ``combos``, local index tuples in ascending order; ``deleted`` holds
-        the edge indices of ``graph``.  None when none succeeds.
+    def best(
+        self, a: int, part: int = 0, parts: int = 1
+    ) -> Optional[tuple[int, tuple[int, ...], frozenset[int]]]:
+        """Smallest ``(radius, deleted, core)`` over the successful deletions
+        among every ``parts``-th of ``combinations(range(|R|), a)`` from
+        index ``part`` on; ``deleted`` holds the edge indices of ``graph``
+        and ``core`` is :func:`peel_nm`'s core without them.  None when none
+        succeeds.
 
         Each deletion is decided on the kernel by :meth:`successes`; a
         success is peeled on ``graph`` and scored by propagating its core
         over all of ``graph``.
         """
         graph, residual = self.graph, self.residual
+        combos = itertools.combinations(range(len(residual)), a)
         best = None
-        for combo in self.successes(combos):
+        for combo in self.successes(itertools.islice(combos, part, None, parts)):
             deleted = tuple([residual[i] for i in combo])
-            radius = _core_radius(graph, _peeled_core(graph, deleted), self.thresholds)
+            try:
+                core = peel_nm(graph, deleted).core
+            except NoCoreOfSizeNM:
+                raise RuntimeError("a deletion that strips the kernel must peel the instance")
+            radius = _core_radius(graph, core, self.thresholds)
             if radius is None:
                 raise RuntimeError("peeled core must stay a core after re-insertion")
             if best is None or radius < best[0]:
-                best = (radius, deleted)
+                best = (radius, deleted, core)
         return best
 
 
 _POOL_KERNEL: Optional[_Kernel] = None
 
 
-def _pool_init(n: int, edges: tuple, residual: list[int]) -> None:
+def _pool_init(kernel: _Kernel) -> None:
     global _POOL_KERNEL
-    _POOL_KERNEL = _Kernel(Hypergraph(n, edges), residual)
+    _POOL_KERNEL = kernel
 
 
-def _pool_run(chunk: list[tuple[int, ...]]) -> Optional[tuple[int, tuple[int, ...]]]:
+def _pool_run(task: tuple[int, int, int]):
     if _POOL_KERNEL is None:
         raise RuntimeError("pool worker ran before _pool_init")
-    return _POOL_KERNEL.best(chunk)
+    return _POOL_KERNEL.best(*task)
 
 
 def _cpu_count() -> int:
@@ -310,24 +307,15 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _chunks(items, size):
-    it = iter(items)
-    while True:
-        block = list(itertools.islice(it, size))
-        if not block:
-            return
-        yield block
-
-
 def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     """Minimum core with minimum radius, parameterized by ``a``.
 
     Tries ``a = 0, 1, ...`` in order; at the first ``a`` with any
     successful edge deletion it returns the minimum radius over all
     successful deletions, breaking radius ties by the lexicographically
-    smallest deleted index tuple.  The output is independent of ``jobs``;
-    ``jobs > 1`` runs the deletions in a process pool of
-    ``min(jobs, CPUs available)`` workers, and ``jobs < 1`` raises
+    smallest deleted index tuple.  The output is independent of ``jobs``.
+    ``min(jobs, CPUs available)`` workers run the deletions, in a process
+    pool when there are two or more, and ``jobs < 1`` raises
     ``ValueError``.
 
     Only deletions inside the residual ``R`` (:func:`_residual`) are tried,
@@ -382,42 +370,38 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     decided on ``R`` alone: it succeeds iff stripping ``R - D`` leaves no
     edge, so a failing deletion never touches ``G``.  By 7 the strip of
     ``R - D`` starts from the strip of the prefix ``D`` shares with the
-    deletion tried before it.  Each pool chunk of 64 deletions starts from
-    ``R`` itself, so ``jobs`` cannot change a verdict.  Each success is
-    scored as before: peel ``G - D``, re-insert, propagate on ``G``.
-    ``combinations(R, a)`` of the sorted ``R`` yields them in the same
-    lexicographic order as ``combinations(range(m), a)``, so the radius
-    tie-break picks the same tuple.
+    deletion tried before it.  Each success is scored as before: peel
+    ``G - D``, re-insert, propagate on ``G``.  ``combinations(R, a)`` of
+    the sorted ``R`` yields them in the same lexicographic order as
+    ``combinations(range(m), a)``, so the radius tie-break picks the same
+    tuple.
+
+    With ``w`` workers, worker ``i`` strips every ``w``-th deletion of a
+    level from index ``i`` on, starting from ``R`` itself, so ``jobs``
+    cannot change a verdict.  No two deletions share a ``deleted`` tuple,
+    so the least ``(radius, deleted)`` over the parts is the serial answer.
     """
     if a_max < 0:
         raise ValueError("a_max must be non-negative")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    residual = _residual(graph)
-    kernel = _Kernel(graph, residual)
+    kernel = _Kernel(graph, _residual(graph))
+    workers = min(jobs, _cpu_count())
     pool = (
-        ProcessPoolExecutor(
-            max_workers=min(jobs, _cpu_count()),
-            initializer=_pool_init,
-            initargs=(graph.n, graph.edges, residual),
-        )
-        if jobs > 1
+        ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(kernel,))
+        if workers > 1
         else nullcontext()
     )
     with pool:
         for a in range(max(0, kernel.local.m - kernel.local.n), a_max + 1):
-            combos = itertools.combinations(range(len(residual)), a)
-            if jobs == 1:
-                best = kernel.best(combos)
+            if workers == 1:
+                best = kernel.best(a)
             else:
-                hits = pool.map(_pool_run, _chunks(combos, 64))
+                hits = pool.map(_pool_run, [(a, w, workers) for w in range(workers)])
                 best = min((hit for hit in hits if hit is not None), default=None)
             if best is not None:
-                radius_full, deleted = best
+                radius, deleted, core = best
                 return MinCoreResult(
-                    core=_peeled_core(graph, deleted),
-                    radius=radius_full,
-                    deleted_edges=deleted,
-                    parameter_a=a,
+                    core=core, radius=radius, deleted_edges=deleted, parameter_a=a
                 )
     raise NotFoundWithin(a_max)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import pickle
 import random
 
 import pytest
@@ -167,8 +168,8 @@ def test_fpt_radius_sandwich():
 
 
 def test_fpt_deterministic_and_parallel_identical():
-    # The last instance's 286 deletions at a = 3 span five pool chunks; the
-    # first chunk's best has radius 4, the second chunk's radius 3.
+    # The last instance's 286 deletions at a = 3 split into two parts whose
+    # bests tie at radius 3; part 1's (1, 3, 9) is the smaller tuple.
     for g in [*seeded_family(6, seed=35, n_hi=7), generate_random(14, 14, 2, 3, 59)]:
         a = mincore_fpt(g, g.n)
         b = mincore_fpt(g, g.n)
@@ -177,14 +178,16 @@ def test_fpt_deterministic_and_parallel_identical():
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool by one that records ``max_workers`` and runs
-    every chunk in this process, so no worker process is ever started."""
-    sizes = []
+def pools(monkeypatch):
+    """Replace the process pool by one that runs every task in this process,
+    so no worker process is ever started.  Each pool records
+    ``(max_workers, tasks)``, with one task list per ``map`` call."""
+    recorded = []
 
     class RecordingPool:
         def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
+            self.tasks = []
+            recorded.append((max_workers, self.tasks))
             initializer(*initargs)
 
         def __enter__(self):
@@ -194,17 +197,31 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            self.tasks.append(items)
             return map(fn, items)
 
     monkeypatch.setattr(mincore, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(mincore, "_POOL_KERNEL", None)
-    return sizes
+    return recorded
 
 
-def test_fpt_pool_chunks_starting_mid_prefix(pool_sizes):
-    """A chunk of 64 deletions can start inside a run of deletions that
-    share a prefix; each chunk strips from the kernel's base state, so the
-    pool returns what the serial search does."""
+def _assert_one_task_per_worker(pools):
+    """Each ``map`` call is one level, consecutive from the first, and holds
+    exactly one task ``(a, part, workers)`` per part."""
+    for workers, maps in pools:
+        assert maps
+        first = maps[0][0][0]
+        for a, tasks in enumerate(maps, start=first):
+            assert tasks == [(a, w, workers) for w in range(workers)]
+
+
+def test_fpt_pool_parts_strided_across_prefixes(pools, monkeypatch):
+    """A strided part takes every ``w``-th deletion, so consecutive
+    deletions of a part share shorter prefixes than in the serial order;
+    each part strips from the kernel's base state, so the pool returns what
+    the serial search does."""
+    monkeypatch.setattr(mincore, "_cpu_count", lambda: 3)
     checked = 0
     for s in range(200):
         g = generate_random(24, 22, 2, 3, s)
@@ -215,11 +232,34 @@ def test_fpt_pool_chunks_starting_mid_prefix(pool_sizes):
         if all(math.comb(len(residual), a) <= 64 for a in range(start, top + 1)):
             continue
         assert _outcome(mincore_fpt, g, 3, jobs=2) == serial
+        assert _outcome(mincore_fpt, g, 3, jobs=3) == serial
         checked += 1
         if checked == 30:
             break
     assert checked == 30
-    assert pool_sizes and set(pool_sizes) == {min(2, mincore._cpu_count())}
+    assert [workers for workers, _ in pools] == [2, 3] * 30
+    _assert_one_task_per_worker(pools)
+
+
+def test_fpt_real_pool_matches_serial(monkeypatch):
+    """Two worker processes, whatever the host's CPU count.  In the first
+    instance part 1's best has the smaller radius; in the second the parts
+    tie on radius and part 0 holds the smaller deleted tuple."""
+    monkeypatch.setattr(mincore, "_cpu_count", lambda: 2)
+    for seed, a, relation in ((27, 1, "beats"), (0, 2, "ties")):
+        g = generate_random(10, 10, 2, 3, seed)
+        kernel = mincore._Kernel(g, _residual(g))
+        part0, part1 = kernel.best(a, 0, 2), kernel.best(a, 1, 2)
+        if relation == "beats":
+            assert part1[0] < part0[0]
+        else:
+            assert part0[0] == part1[0] and part0[1] < part1[1]
+        serial = mincore_fpt(g, 4)
+        assert serial.parameter_a == a
+        assert min(part0, part1) == (serial.radius, serial.deleted_edges, serial.core)
+        assert mincore_fpt(g, 4, jobs=2) == serial
+        # A worker started by spawn or forkserver receives a pickled kernel.
+        assert pickle.loads(pickle.dumps(kernel)).best(a, 1, 2) == part1
 
 
 def test_fpt_rejects_jobs_below_one(path):
@@ -228,19 +268,22 @@ def test_fpt_rejects_jobs_below_one(path):
             mincore_fpt(path, 0, jobs=jobs)
 
 
-def test_fpt_jobs_capped_at_cpu_count(pool_sizes, monkeypatch):
+def test_fpt_jobs_capped_at_cpu_count(pools, monkeypatch):
     g = generate_random(14, 14, 2, 3, 59)
     expected = mincore_fpt(g, g.n)
+    assert pools == []
     cpus = mincore._cpu_count()
     assert 1 <= cpus <= (os.cpu_count() or 1)
+    monkeypatch.setattr(mincore, "_cpu_count", lambda: 3)
     assert mincore_fpt(g, g.n, jobs=10_000) == expected
     assert mincore_fpt(g, g.n, jobs=2) == expected
-    assert pool_sizes == [min(10_000, cpus), min(2, cpus)]
-    # On one CPU, jobs > 1 still takes the pool path, with one worker.
+    assert [workers for workers, _ in pools] == [3, 2]
+    _assert_one_task_per_worker(pools)
+    # On one CPU, jobs > 1 starts no pool: one worker is this process.
     monkeypatch.setattr(mincore, "_cpu_count", lambda: 1)
     assert mincore_fpt(g, g.n, jobs=2) == expected
     assert mincore_fpt(g, g.n, jobs=1) == expected
-    assert pool_sizes[2:] == [1]
+    assert len(pools) == 2
 
 
 def _reference_fpt(g, a_max):
@@ -341,12 +384,12 @@ def test_kernel_verdicts_and_search_match_whole_instance_scan():
 
 
 def _kernel_strips(g, residual, levels):
-    """Strips the kernel makes while trying ``levels``: one for its base
-    state and, per level, one for each deletion prefix whose last edge the
-    shorter prefix leaves alive, as the reference strip decides."""
+    """Strips the kernel makes while trying ``levels``: per level, one for
+    each deletion prefix whose last edge the shorter prefix leaves alive,
+    as the reference strip decides.  The base state is never stripped."""
     local = mincore._Kernel(g, residual).local
     template = local.degrees()
-    count = 1
+    count = 0
     for a in levels:
         for d in range(1, a + 1):
             # the d-edge prefixes of a-edge deletions out of |R|
@@ -357,9 +400,10 @@ def _kernel_strips(g, residual, levels):
 
 def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
     """``peel_nm`` runs once per successful deletion at the levels tried,
-    plus once for the winner.  The only strip of the instance is the one
-    that finds ``R``; the kernel strips each deletion prefix once per level,
-    and only when its last edge is still alive."""
+    and the winner keeps the core it was scored with.  The only strip of
+    the instance is the one that finds ``R``; the kernel strips each
+    deletion prefix once per level, and only when its last edge is still
+    alive."""
     peeled, stripped = [], []
 
     def counting_peel(graph, deleted=()):
@@ -390,7 +434,7 @@ def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
             patch.setattr(mincore, "peel_nm", counting_peel)
             patch.setattr(mincore, "_strip", counting_strip)
             assert _outcome(mincore_fpt, g, a_max) == outcome
-        assert len(peeled) == successes + found
+        assert len(peeled) == successes
         assert stripped.count(True) == 1
         assert stripped.count(False) == expected_strips
 
@@ -476,31 +520,38 @@ def test_fpt_skips_levels_below_residual_excess(monkeypatch):
     with pytest.raises(NotFoundWithin) as err:
         mincore_fpt(k4, 1)
     assert err.value.a_max == 1
-    # only the strip that finds R and the kernel's base state
-    assert stripped == [(True, None), (False, None)]
+    # only the strip that finds R; the kernel's base state needs none
+    assert stripped == [(True, None)]
     assert calls == levels == []
     stripped.clear()
     res = mincore_fpt(k4, 3)
     assert res.parameter_a == 3
     assert levels == [2, 3]
-    assert stripped[:2] == [(True, None), (False, None)]
-    assert {level for on_k4, level in stripped[2:] if not on_k4} == {2, 3}
-    assert all(not on_k4 for on_k4, _ in stripped[2:])
+    assert stripped[:1] == [(True, None)]
+    assert {level for on_k4, level in stripped[1:] if not on_k4} == {2, 3}
+    assert all(not on_k4 for on_k4, _ in stripped[1:])
     # no deletion of two edges peels K4, so only level 3 reaches peel_nm
     assert {len(d) for d in calls} == {3}
 
 
-def test_internal_invariants_raise_runtime_error(monkeypatch, path, triangle):
+def test_internal_invariants_raise_runtime_error(monkeypatch, path):
     with monkeypatch.context() as patch:
         patch.setattr(mincore, "_core_radius", lambda graph, core, t: None)
         with pytest.raises(RuntimeError, match="must stay a core after re-insertion"):
             mincore_fpt(path, 0)
+    # A strip that claims every deletion empties the kernel: deleting two
+    # edges at vertex 0 of K4 leaves the triangle 1, 2, 3, which does not peel.
+    k4 = Hypergraph(4, list(itertools.combinations(range(4), 2)))
     with monkeypatch.context() as patch:
         patch.setattr(mincore, "_strip", lambda graph, deg, alive, left, seeds: 0)
         with pytest.raises(RuntimeError, match="strips the kernel must peel"):
-            mincore_fpt(triangle, 0)
+            mincore_fpt(k4, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(mincore, "_residual", lambda graph: list(range(graph.m)))
+        with pytest.raises(RuntimeError, match="no degree-one vertex"):
+            mincore_fpt(path, 0)
     with pytest.raises(RuntimeError, match="_pool_init"):
-        mincore._pool_run([()])
+        mincore._pool_run((0, 0, 1))
 
 
 def test_verify_optimal_radius_examples(path, star):

@@ -74,7 +74,8 @@ def test_peel_matches_reference_round_loop():
 def test_prefix_shared_verdicts_match_fresh_reference_strip():
     """Every deletion at ``a <= 3`` (every level when ``|R| <= 10``) succeeds
     on the kernel iff a fresh reference strip of ``R - D`` leaves no edge,
-    also when the deletions arrive in chunks that start mid-prefix."""
+    also when the deletions arrive as the strided parts of a pool, each
+    taking every ``k``-th deletion."""
     decided = 0
     for g in _kernel_family():
         residual = mincore._residual(g)
@@ -85,7 +86,10 @@ def test_prefix_shared_verdicts_match_fresh_reference_strip():
             combos = list(itertools.combinations(range(len(residual)), a))
             fresh = [c for c in combos if 1 not in reference_peel._strip(kernel.local, template, c)]
             assert list(kernel.successes(combos)) == fresh
-            chunked = [c for chunk in mincore._chunks(combos, 7) for c in kernel.successes(chunk)]
-            assert chunked == fresh
+            chosen = set(fresh)
+            for k in (2, 3, 7):
+                for w in range(k):
+                    part = kernel.successes(itertools.islice(combos, w, None, k))
+                    assert list(part) == [c for c in combos[w::k] if c in chosen]
             decided += len(combos)
     assert decided >= 10_000

@@ -1,5 +1,6 @@
 """Checks on the repository's tooling that a change to the package can break."""
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -17,3 +18,21 @@ def test_bench_selftest_passes():
     )
     assert res.returncode == 0, res.stdout + res.stderr
     assert res.stdout.splitlines()[-1] == "0 failed"
+
+
+def test_package_imports_only_the_standard_library():
+    """``pyproject.toml`` declares ``dependencies = []``: every import in
+    ``src/hypercore`` is relative or names a standard-library module."""
+    foreign = []
+    for path in sorted((ROOT / "src" / "hypercore").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.partition(".")[0] not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}:{node.lineno}: {name}")
+    assert foreign == []
