@@ -55,11 +55,9 @@ from .oracle import (
 from .propagation import (
     NotACoreError,
     PropagationTrace,
-    ThresholdMap,
     assimilated_closure,
     is_core,
     propagate,
-    radius,
     trace_report,
 )
 from .reductions import (

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .hypergraph import Hypergraph, _bfs_distances, diameter
-from .propagation import NotACoreError, Thresholds, propagate
+from .hypergraph import Hypergraph, Thresholds, _bfs_distances, diameter
+from .propagation import NotACoreError, propagate
 
 #: Slack for comparing an integer radius against a float bound.
 GUARD_BAND = 1e-9

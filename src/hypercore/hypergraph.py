@@ -8,6 +8,11 @@ field written later, the cached default thresholds, is a value derived
 from the edge list and filled on first use: every writer stores an equal
 tuple, and equality, hashing and ``repr`` never read it.
 
+An edge fires once ``t(e)`` of its vertices are active.  The whole
+threshold rule, the default ``|e| - 1`` and the valid range
+``[0, |e| - 1]`` of a custom value, lives in :func:`resolve_thresholds`,
+which every threshold argument of the package goes through.
+
 The text exchange format ("HCE") is line oriented, UTF-8, 1-based:
 
     c <comment>                ignored
@@ -243,7 +248,7 @@ def generate_random(
 
 
 # ---------------------------------------------------------------------------
-# Line-record text formats
+# Activation thresholds
 
 
 def default_thresholds(graph: Hypergraph) -> tuple[int, ...]:
@@ -258,12 +263,22 @@ def default_thresholds(graph: Hypergraph) -> tuple[int, ...]:
     return t
 
 
-def _check_thresholds(graph: Hypergraph, values: Sequence[int]) -> None:
-    """The threshold rule, else ``ValueError``: one value per edge, each an
-    ``int`` (not a ``bool``) in ``[0, |e| - 1]``, as a ``t`` line carries.
-    The engine fires an edge when its count *equals* the threshold, so a
-    fractional value would never fire."""
+Thresholds = Optional[Sequence[int]]
+
+
+def resolve_thresholds(graph: Hypergraph, thresholds: Thresholds) -> tuple[int, ...]:
+    """The activation rule, as a checked tuple of per-edge thresholds.
+
+    ``None``, or the defaults tuple itself, returns the defaults with no
+    per-edge work.  Any other sequence must hold one value per edge, each
+    an ``int`` (not a ``bool``) in ``[0, |e| - 1]``, as a ``t`` line
+    carries, else ``ValueError``.  The engine fires an edge when its count
+    *equals* the threshold, so a fractional value would never fire.
+    """
     defaults = default_thresholds(graph)
+    if thresholds is None or thresholds is defaults:
+        return defaults
+    values = tuple(thresholds)
     if len(values) != len(defaults):
         raise ValueError("threshold count differs from edge count")
     for i, (t, hi) in enumerate(zip(values, defaults)):
@@ -271,6 +286,11 @@ def _check_thresholds(graph: Hypergraph, values: Sequence[int]) -> None:
             raise ValueError(f"threshold {t!r} for edge {i} is not an integer")
         if not 0 <= t <= hi:
             raise ValueError(f"threshold {t} for edge {i} outside [0, {hi}]")
+    return values
+
+
+# ---------------------------------------------------------------------------
+# Line-record text formats
 
 
 def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]] = None):
@@ -405,16 +425,14 @@ def read_instance(text: str):
     return graph, thresholds
 
 
-def write_instance(
-    graph: Hypergraph, thresholds: Optional[Sequence[int]] = None
-) -> str:
+def write_instance(graph: Hypergraph, thresholds: Thresholds = None) -> str:
     """Canonical HCE text; ``read_instance`` of the result round-trips.
 
     A label must be non-empty, hold no line break, and have no leading,
     trailing or repeated whitespace: the reader splits an ``l`` line into
     fields and rejoins them with single spaces, so any other label would
     be rejected or read back changed.  Such a label raises ``ValueError``,
-    and so do thresholds that break the rule of ``_check_thresholds``.
+    and so do thresholds that :func:`resolve_thresholds` refuses.
     """
     for v, label in graph.labels.items():
         if not label or " ".join(label.split()) != label:
@@ -423,9 +441,8 @@ def write_instance(
     for e in graph.edges:
         out.append("e " + " ".join(str(x) for x in (len(e), *(v + 1 for v in e))))
     if thresholds is not None:
-        _check_thresholds(graph, thresholds)
         defaults = default_thresholds(graph)
-        for i, t in enumerate(thresholds):
+        for i, t in enumerate(resolve_thresholds(graph, thresholds)):
             if t != defaults[i]:
                 out.append(f"t {i + 1} {t}")
     for v in sorted(graph.labels):

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .hypergraph import Hypergraph
-from .propagation import Thresholds, _core_radius, is_core, resolve_thresholds
+from .hypergraph import Hypergraph, Thresholds, resolve_thresholds
+from .propagation import _core_radius, is_core
 
 
 class BudgetExceededError(RuntimeError):
@@ -47,11 +47,17 @@ class OracleBudget:
     ``max_vertices`` bounds the vertex count; ``max_subsets`` bounds the
     number of candidate subsets the search may visit (checked one
     cardinality block ahead, so a run never starts a block it cannot
-    finish).
+    finish).  A cap that is not a non-negative integer raises
+    ``ValueError``.
     """
 
     max_vertices: int = 18
     max_subsets: int = 2_000_000
+
+    def __post_init__(self):
+        for cap in (self.max_vertices, self.max_subsets):
+            if not isinstance(cap, int) or cap < 0:
+                raise ValueError(f"oracle budget caps must be non-negative integers: {self}")
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -93,6 +99,13 @@ def _enumeration_guard(n: int, budget: OracleBudget) -> None:
         raise BudgetExceededError(
             f"{n} vertices exceed the oracle budget of {budget.max_vertices}"
         )
+
+
+def _power_guard(k: int, budget: OracleBudget, message: str) -> None:
+    """Refuse ``2**k`` candidates above ``max_subsets`` without building
+    ``2**k``: for a non-negative cap the two tests agree."""
+    if k >= budget.max_subsets.bit_length():
+        raise BudgetExceededError(message)
 
 
 def _block_guard(spent: int, n: int, k: int, budget: OracleBudget) -> int:
@@ -166,8 +179,7 @@ def oracle_setcover(instance, budget: OracleBudget = DEFAULT_BUDGET):
     index tuple.
     """
     k = len(instance.sets)
-    if 2**k > budget.max_subsets:
-        raise BudgetExceededError(f"2^{k} covers exceed the subset budget")
+    _power_guard(k, budget, f"2^{k} covers exceed the subset budget")
     universe = frozenset(range(instance.universe_size))
     for size in range(k + 1):
         for combo in itertools.combinations(range(k), size):
@@ -186,24 +198,12 @@ def oracle_minrep(instance, budget: OracleBudget = DEFAULT_BUDGET):
     ``|A|..|A|+|B|-1`` for the right side.  Returns ``(size, witness)``.
     """
     total = instance.num_a + instance.num_b
-    if 2**total > budget.max_subsets:
-        raise BudgetExceededError(f"2^{total} picks exceed the subset budget")
-    supers = instance.super_edges()
-    pairs_for = {
-        se: [
-            (a, instance.num_a + b)
-            for a, b in instance.edges
-            if (a // instance.m_a, b // instance.m_b) == se
-        ]
-        for se in supers
-    }
+    _power_guard(total, budget, f"2^{total} picks exceed the subset budget")
+    pairs = tuple(instance.covering_pairs().values())
     for size in range(total + 1):
         for combo in itertools.combinations(range(total), size):
             chosen = set(combo)
-            if all(
-                any(a in chosen and b in chosen for a, b in pairs_for[se])
-                for se in supers
-            ):
+            if all(any(a in chosen and b in chosen for a, b in ps) for ps in pairs):
                 return size, frozenset(combo)
     raise RuntimeError("picking every node covers all super-edges")
 
@@ -214,11 +214,9 @@ def oracle_sat(formula, budget: OracleBudget = DEFAULT_BUDGET):
     A witness maps variable index (1-based, as in the clause literals) to
     a boolean.
     """
-    if 2**formula.num_vars > budget.max_subsets:
-        raise BudgetExceededError(
-            f"2^{formula.num_vars} assignments exceed the subset budget"
-        )
-    for bits in itertools.product((False, True), repeat=formula.num_vars):
+    k = formula.num_vars
+    _power_guard(k, budget, f"2^{k} assignments exceed the subset budget")
+    for bits in itertools.product((False, True), repeat=k):
         ok = True
         for clause in formula.clauses:
             if not any(bits[abs(lit) - 1] == (lit > 0) for lit in clause):

@@ -14,64 +14,24 @@ holds every still-uncovered edge whose threshold is met by the vertices
 assimilated before round ``i``.  Because the firing rule is monotone, this
 greedy schedule uses the fewest possible rounds, so the number of layers
 is the radius of the core.  Edges fully inside the core are covered up
-front and belong to no layer.  :func:`is_core`,
-:func:`assimilated_closure` and :func:`radius` read the rounds of that
-loop directly; :func:`propagate` also packs its layers and credits into a
-:class:`PropagationTrace`.
+front and belong to no layer.  :func:`is_core` and
+:func:`assimilated_closure` read the rounds of that loop directly;
+:func:`propagate` also packs its layers and credits into a
+:class:`PropagationTrace`, whose ``radius`` is the layer count.  Each
+public function takes its thresholds through
+:func:`~.hypergraph.resolve_thresholds`, which holds the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .hypergraph import Hypergraph, _check_thresholds, default_thresholds
+from .hypergraph import Hypergraph, Thresholds, resolve_thresholds
 
 
 class NotACoreError(ValueError):
     """Raised when an operation requires a core but the set is not one."""
-
-
-@dataclass(frozen=True)
-class ThresholdMap:
-    """Per-edge activation thresholds, aligned with the edge list.
-
-    Valid values are integers with ``0 <= t(e) <= |e| - 1``; size-1 edges
-    admit only the degenerate threshold 0 (they fire unconditionally).  The
-    default map assigns every edge ``|e| - 1``.
-    """
-
-    values: tuple[int, ...]
-
-    @classmethod
-    def default(cls, graph: Hypergraph) -> "ThresholdMap":
-        return cls(default_thresholds(graph))
-
-    def validate(self, graph: Hypergraph) -> None:
-        """Raise ``ValueError`` unless the values obey ``_check_thresholds``.
-        The defaults skip its per-edge loop; values merely equal to them
-        (``True``, ``2.0``) do not."""
-        values = self.values
-        if values != default_thresholds(graph) or not {*map(type, values)} <= {int}:
-            _check_thresholds(graph, values)
-
-
-Thresholds = Union[ThresholdMap, Sequence[int], None]
-
-
-def resolve_thresholds(graph: Hypergraph, thresholds: Thresholds) -> tuple[int, ...]:
-    """Normalize a threshold argument to a validated value tuple.
-
-    The defaults are built once per instance, so ``None``, or the tuple a
-    previous call resolved ``None`` to, costs no per-edge work.
-    """
-    defaults = default_thresholds(graph)
-    if thresholds is None or thresholds is defaults:
-        return defaults
-    if not isinstance(thresholds, ThresholdMap):
-        thresholds = ThresholdMap(tuple(thresholds))
-    thresholds.validate(graph)
-    return thresholds.values
 
 
 @dataclass
@@ -232,15 +192,6 @@ def propagate(
         assimilator=assimilator,
         uncovered=uncovered,
     )
-
-
-def radius(graph: Hypergraph, core: Iterable[int], thresholds: Thresholds = None) -> int:
-    """Number of propagation layers; requires ``core`` to be a core."""
-    cs = _check_core(graph, core)
-    r = _core_radius(graph, cs, resolve_thresholds(graph, thresholds))
-    if r is None:
-        raise NotACoreError(f"{sorted(cs)} is not a core")
-    return r
 
 
 def trace_report(trace: PropagationTrace) -> str:

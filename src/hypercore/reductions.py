@@ -15,15 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .hypergraph import HceParseError, Hypergraph, _counted, _records
-from .propagation import (
-    NotACoreError,
-    ThresholdMap,
+from .hypergraph import (
+    HceParseError,
+    Hypergraph,
     Thresholds,
-    assimilated_closure,
-    is_core,
+    _counted,
+    _records,
     resolve_thresholds,
 )
+from .propagation import NotACoreError, assimilated_closure, is_core
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +80,15 @@ class MinrepInstance:
     def num_b(self) -> int:
         return self.q_b * self.m_b
 
-    def super_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted({(a // self.m_a, b // self.m_b) for a, b in self.edges}))
+    def covering_pairs(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """Each super-edge, in sorted order, with the sorted node pairs
+        ``(a, num_a + b)`` of its edges: right nodes are numbered after the
+        left ones, as in the compiler and the oracle."""
+        pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for a, b in self.edges:
+            se = (a // self.m_a, b // self.m_b)
+            pairs.setdefault(se, []).append((a, self.num_a + b))
+        return {se: tuple(sorted(pairs[se])) for se in sorted(pairs)}
 
 
 @dataclass(frozen=True)
@@ -145,9 +152,6 @@ class MinrepCertificate(ReductionCertificate):
     copy_vertex: dict[tuple[int, tuple[int, int]], int] = field(default_factory=dict)
     gadgets: tuple[AndGadgetInfo, ...] = ()
     inner_to_gadget: dict[int, int] = field(default_factory=dict)
-    covering_pairs: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(
-        default_factory=dict
-    )
 
     @property
     def node_count(self) -> int:
@@ -346,11 +350,11 @@ def minrep_to_mincore(instance: MinrepInstance) -> MinrepCertificate:
         labels[a] = f"a{a + 1}"
     for b in range(num_b):
         labels[num_a + b] = f"b{b + 1}"
-    supers = instance.super_edges()
+    covering = instance.covering_pairs()
     copy_vertex: dict[tuple[int, tuple[int, int]], int] = {}
     base = num_a + num_b
     for c in (1, 2):
-        for se in supers:
+        for se in covering:
             copy_vertex[(c, se)] = base
             labels[base] = f"link{se[0] + 1}_{se[1] + 1}_{c}"
             base += 1
@@ -368,23 +372,13 @@ def minrep_to_mincore(instance: MinrepInstance) -> MinrepCertificate:
         inner_to_gadget[x1] = inner_to_gadget[x2] = len(gadgets)
         gadgets.append(AndGadgetInfo(tuple(sorted(ins)), output, x1, x2))
 
-    for a, b in sorted(instance.edges):
-        se = (a // instance.m_a, b // instance.m_b)
+    # In edge order: the pairs are (a, num_a + b), so they sort as the edges do.
+    for pair, se in sorted((p, se) for se, ps in covering.items() for p in ps):
         for c in (1, 2):
-            emit([a, num_a + b], copy_vertex[(c, se)])
-    all_copies = [copy_vertex[(c, se)] for c in (1, 2) for se in supers]
+            emit(list(pair), copy_vertex[(c, se)])
+    all_copies = [copy_vertex[(c, se)] for c in (1, 2) for se in covering]
     for v in range(num_a + num_b):
         emit(all_copies, v)
-    covering_pairs = {
-        se: tuple(
-            sorted(
-                (a, num_a + b)
-                for a, b in instance.edges
-                if (a // instance.m_a, b // instance.m_b) == se
-            )
-        )
-        for se in supers
-    }
     graph = Hypergraph(base, edges, labels)
     return MinrepCertificate(
         instance=graph,
@@ -392,7 +386,6 @@ def minrep_to_mincore(instance: MinrepInstance) -> MinrepCertificate:
         copy_vertex=copy_vertex,
         gadgets=tuple(gadgets),
         inner_to_gadget=inner_to_gadget,
-        covering_pairs=covering_pairs,
     )
 
 
@@ -429,12 +422,12 @@ def core_to_minrep(cert: MinrepCertificate, core: Iterable[int]) -> frozenset[in
         if not is_core(graph, candidate):
             raise RuntimeError("relay rewrite must preserve core-ness")
         work = candidate
-    for se in cert.source.super_edges():
+    for se, pairs in cert.source.covering_pairs().items():
         c1 = cert.copy_vertex[(1, se)]
         c2 = cert.copy_vertex[(2, se)]
         present = [c for c in (c1, c2) if c in work]
         if len(present) == 2:
-            a, b = cert.covering_pairs[se][0]
+            a, b = pairs[0]
             work = (work - {c1, c2}) | {a, b}
         elif len(present) == 1:
             work = work - {present[0]}
@@ -523,7 +516,7 @@ def threesat_to_mincore_radius(formula: CnfFormula, k: int) -> SatRadiusCertific
 
 def threshold_add_shared(
     graph: Hypergraph, thresholds: Thresholds = None
-) -> tuple[Hypergraph, ThresholdMap]:
+) -> tuple[Hypergraph, tuple[int, ...]]:
     """Append one shared fresh vertex to every edge, raising each threshold.
 
     The minimum core size grows by exactly one (the fresh vertex must seed).
@@ -533,15 +526,12 @@ def threshold_add_shared(
     labels = dict(graph.labels)
     labels[s] = "shared"
     edges = [(*e, s) for e in graph.edges]
-    return (
-        Hypergraph(graph.n + 1, edges, labels),
-        ThresholdMap(tuple(x + 1 for x in t)),
-    )
+    return Hypergraph(graph.n + 1, edges, labels), tuple([x + 1 for x in t])
 
 
 def threshold_add_per_edge(
     graph: Hypergraph, thresholds: Thresholds = None
-) -> tuple[Hypergraph, ThresholdMap]:
+) -> tuple[Hypergraph, tuple[int, ...]]:
     """Append a distinct fresh vertex to every edge, thresholds unchanged.
 
     The minimum core size is preserved.
@@ -553,7 +543,7 @@ def threshold_add_per_edge(
         tag = graph.n + i
         labels[tag] = f"tag{i + 1}"
         edges.append((*e, tag))
-    return Hypergraph(graph.n + graph.m, edges, labels), ThresholdMap(t)
+    return Hypergraph(graph.n + graph.m, edges, labels), t
 
 
 # ---------------------------------------------------------------------------

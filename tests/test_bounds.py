@@ -12,10 +12,17 @@ from hypercore import (
     diameter_radius_bound,
     layer_distance_check,
     neighbor_radius_bound,
-    radius,
+    propagate,
 )
 from hypercore import bounds
 from hypercore.bounds import GUARD_BAND, max_degree, max_neighbor_count
+
+
+def radius(graph, core):
+    """The radius of ``core``, which must be a core."""
+    trace = propagate(graph, core)
+    assert trace.verdict
+    return trace.radius
 
 
 def test_neighbor_bound_examples(triangle, path):
@@ -75,8 +82,6 @@ def test_layer_distance_examples(triangle, path):
 
 
 def test_layer_distance_matches_trace(path):
-    from hypercore import propagate
-
     trace = propagate(path, {0})
     assert trace.assimilated_at[2] == 2  # two hops from the seed
 

@@ -112,6 +112,14 @@ def test_oracle_command(triangle_file):
     assert res.returncode == 3
 
 
+def test_oracle_negative_budget_exits_2(triangle_file):
+    res = run("oracle", triangle_file, "--budget", "0")
+    assert res.returncode == 3 and res.stdout == ""
+    res = run("oracle", triangle_file, "--budget", "-1")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: oracle budget caps must be non-negative")
+
+
 def test_gen_deterministic_and_parseable(tmp_path):
     a = run("gen", "--n", "6", "--m", "5", "--emin", "2", "--emax", "3", "--seed", "9")
     b = run("gen", "--n", "6", "--m", "5", "--emin", "2", "--emax", "3", "--seed", "9")

@@ -11,7 +11,7 @@ from hypercore import (
     filtration_to_core,
     is_core,
     oracle_min_core,
-    radius,
+    propagate,
     validate_filtration,
 )
 from hypercore import filtration
@@ -119,7 +119,8 @@ def test_radius_preserved_for_minimum_cores():
         if any(set(e) <= witness for e in g.edges):
             continue
         f = core_to_filtration(g, witness)
-        assert filtration_radius(g, f) == radius(g, witness)
+        trace = propagate(g, witness)
+        assert trace.verdict and filtration_radius(g, f) == trace.radius
 
 
 def test_filtration_file_round_trip(triangle):

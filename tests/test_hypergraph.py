@@ -16,10 +16,9 @@ from hypercore import (
     write_instance,
     write_vertex_set,
 )
-from hypercore import ThresholdMap, hypergraph
+from hypercore import hypergraph
 from hypercore.filtration import read_filtration
-from hypercore.hypergraph import default_thresholds
-from hypercore.propagation import resolve_thresholds
+from hypercore.hypergraph import default_thresholds, resolve_thresholds
 from hypercore.reductions import read_cnf, read_minrep, read_setcover
 from conftest import messy_instance, seeded_family
 from test_acceptance import _peelable_instance
@@ -59,7 +58,7 @@ def test_default_thresholds_are_built_once_and_stay_invisible():
         assert t == tuple(max(len(e) - 1, 0) for e in g.edges)
         assert default_thresholds(g) is t
         assert resolve_thresholds(g, None) is t
-        assert ThresholdMap.default(g).values is t
+        assert resolve_thresholds(g, t) is t
         # twin never filled its cache; g did
         assert g == twin and twin == g
         assert (hash(g), repr(g)) == before == (hash(twin), repr(twin))

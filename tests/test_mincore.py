@@ -12,7 +12,6 @@ from hypercore import (
     Hypergraph,
     NoCoreOfSizeNM,
     NotFoundWithin,
-    ThresholdMap,
     generate_random,
     is_core,
     mincore_fpt,
@@ -23,6 +22,7 @@ from hypercore import (
     propagate,
 )
 from hypercore import mincore
+from hypercore.hypergraph import default_thresholds
 from hypercore.mincore import PEEL_FAILURE_MESSAGE, MinCoreResult, _residual
 import reference_peel
 from conftest import messy_instance, seeded_family
@@ -88,7 +88,7 @@ def test_peel_layers_are_a_valid_minimal_layering():
         trace = propagate(g, res.core)
         assert trace.verdict
         assert trace.radius == res.radius == len(res.layers)
-        t = ThresholdMap.default(g).values
+        t = default_thresholds(g)
         reached = set(res.core)
         for layer in res.layers:
             for e_idx in layer:

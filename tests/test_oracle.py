@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -14,7 +15,6 @@ from hypercore import (
     MinrepInstance,
     OracleBudget,
     SetCoverInstance,
-    ThresholdMap,
     oracle_best_radius_at_size,
     oracle_min_core,
     oracle_min_radius_over_min_cores,
@@ -86,6 +86,34 @@ def test_budget_of_compiled_sources_carries_no_block(search, source):
     assert (info.value.spent, info.value.block) == (None, None)
 
 
+@pytest.mark.parametrize(
+    "search, source, k",
+    [
+        (oracle_setcover, SetCoverInstance(1, (frozenset({0}),) * 3), 3),
+        (oracle_minrep, MinrepInstance(1, 1, 1, 2, ((0, 0),)), 3),
+        (oracle_sat, CnfFormula(3, ((1, 2, 3),)), 3),
+    ],
+)
+def test_budget_of_compiled_sources_at_the_edge(search, source, k):
+    search(source, budget=OracleBudget(max_subsets=2**k))
+    with pytest.raises(BudgetExceededError, match=f"^2\\^{k} "):
+        search(source, budget=OracleBudget(max_subsets=2**k - 1))
+
+
+def test_budget_refuses_a_huge_source_without_building_it():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="^2\\^1000000000 assignments"):
+        oracle_sat(CnfFormula(10**9, ()))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_negative_budget_is_an_input_error():
+    for caps in ({"max_vertices": -1}, {"max_subsets": -1}, {"max_subsets": 1e6}):
+        with pytest.raises(ValueError, match="must be non-negative integers"):
+            OracleBudget(**caps)
+    assert OracleBudget(0, 0) == OracleBudget(max_vertices=0, max_subsets=0)
+
+
 def test_setcover_example():
     inst = SetCoverInstance(3, (frozenset({0}), frozenset({0, 1}), frozenset({2})))
     assert oracle_setcover(inst) == (2, (1, 2))
@@ -147,14 +175,14 @@ def _best_radius_reference(graph, size, thresholds=None):
 
 def _threshold_cases(count_messy, count_family, seed):
     """Each instance under default thresholds and under a random valid
-    custom map, given alternately as a list and as a ``ThresholdMap``."""
+    custom map, given alternately as a list and as a tuple."""
     rng = random.Random(seed)
     graphs = [messy_instance(rng) for _ in range(count_messy)]
     graphs += seeded_family(count_family, seed, n_hi=10, m_cap=14, size_lo=1)
     cases = []
     for i, g in enumerate(graphs):
         custom = [rng.randint(0, hi) for hi in default_thresholds(g)]
-        cases += [(g, None), (g, ThresholdMap(tuple(custom)) if i % 2 else custom)]
+        cases += [(g, None), (g, tuple(custom) if i % 2 else custom)]
     return cases
 
 
@@ -176,7 +204,7 @@ def test_radius_pass_matches_propagate_reference():
                 propagate(g, c, t) for c in itertools.combinations(range(g.n), size)
             )
         ) > 1
-        custom += t is not None and tuple(getattr(t, "values", t)) != default_thresholds(g)
+        custom += t is not None and tuple(t) != default_thresholds(g)
     # several minimum cores share the best radius, so the witness order is pinned
     assert ties >= 100, ties
     assert custom >= 200

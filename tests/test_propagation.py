@@ -1,5 +1,6 @@
 """Activation semantics: verdicts, layers, radius, threshold generalization."""
 
+import itertools
 import random
 import re
 
@@ -7,17 +8,15 @@ import pytest
 
 from hypercore import (
     Hypergraph,
-    NotACoreError,
-    ThresholdMap,
     assimilated_closure,
     is_core,
     PropagationTrace,
     propagate,
-    radius,
     reference_is_core,
     trace_report,
 )
-from hypercore.propagation import _check_core, resolve_thresholds
+from hypercore.hypergraph import default_thresholds, resolve_thresholds
+from hypercore.propagation import _check_core
 from conftest import all_subsets, messy_instance, seeded_family
 
 
@@ -62,11 +61,12 @@ def test_propagate_full_core_zero_layers(triangle):
 
 
 def test_radius_examples(triangle, path):
-    assert radius(triangle, {0}) == 2
-    assert radius(path, {0}) == 2
-    assert radius(Hypergraph(0, []), set()) == 0
-    with pytest.raises(NotACoreError):
-        radius(triangle, set())
+    cases = ((triangle, {0}, 2), (path, {0}, 2), (Hypergraph(0, []), set(), 0))
+    for g, core, r in cases:
+        trace = propagate(g, core)
+        assert trace.verdict and trace.radius == r
+    trace = propagate(triangle, set())
+    assert not trace.verdict and trace.radius == 0
 
 
 def test_threshold_one_assimilates_whole_edge():
@@ -77,29 +77,34 @@ def test_threshold_one_assimilates_whole_edge():
     assert trace.assimilator == {0: (1, 2)}
 
 
-def test_threshold_map_validation():
+def test_threshold_rule_validation():
     g = Hypergraph(3, [(0, 1, 2), (0,)])
-    ThresholdMap((2, 0)).validate(g)  # also caches the defaults
-    ThresholdMap((1, 0)).validate(g)
-    with pytest.raises(ValueError):
-        ThresholdMap((3, 0)).validate(g)
-    with pytest.raises(ValueError):
-        ThresholdMap((1, 1)).validate(g)
-    with pytest.raises(ValueError):
-        ThresholdMap((1,)).validate(g)
-    for bad in ((3, 0), [1, 1], (-1, 0)):
-        with pytest.raises(ValueError, match="outside"):
-            is_core(g, {0}, bad)
-    # Only ints count: equal to the defaults or not, a float or bool is refused.
-    for bad in ((1.5, 0), (2.0, 0), (True, 0), (2, False)):
-        with pytest.raises(ValueError, match="not an integer"):
-            is_core(g, {0}, bad)
+    assert resolve_thresholds(g, (2, 0)) == (2, 0)  # also caches the defaults
+    # A list or any other sequence resolves to a tuple.
+    assert resolve_thresholds(g, (1, 0)) == resolve_thresholds(g, [1, 0]) == (1, 0)
+    assert resolve_thresholds(g, None) == (2, 0)
+    # A list of pairs, not a dict: (2.0, 0) == (2, False) as keys.
+    refused = [
+        ((3, 0), "threshold 3 for edge 0 outside [0, 2]"),
+        ((1, 1), "threshold 1 for edge 1 outside [0, 0]"),
+        ((-1, 0), "threshold -1 for edge 0 outside [0, 2]"),
+        ((1,), "threshold count differs from edge count"),
+        # Only ints count: equal to the defaults or not, a float or bool is refused.
+        ((1.5, 0), "threshold 1.5 for edge 0 is not an integer"),
+        ((2.0, 0), "threshold 2.0 for edge 0 is not an integer"),
+        ((True, 0), "threshold True for edge 0 is not an integer"),
+        ((2, False), "threshold False for edge 1 is not an integer"),
+    ]
+    checks = (lambda t: resolve_thresholds(g, t), lambda t: is_core(g, {0}, t))
+    for bad, message in refused:
+        for given, check in itertools.product((bad, list(bad)), checks):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check(given)
     # {3} is a core under [1, 1, 1] and [1, 1, 2]; 1.5 between them is refused.
     h = Hypergraph(4, [(0, 3), (1, 3), (0, 1, 2)])
     assert is_core(h, {3}, [1, 1, 1]) and is_core(h, {3}, [1, 1, 2])
     with pytest.raises(ValueError, match="not an integer"):
         is_core(h, {3}, [1, 1, 1.5])
-    assert ThresholdMap.default(g).values == (2, 0)
 
 
 def test_extending_tiebreak_prefers_smaller_index():
@@ -128,7 +133,7 @@ def test_core_soundness_and_layer_validity():
             if not trace.verdict:
                 continue
             assert set(trace.assimilated_at) == set(range(g.n))
-            t = ThresholdMap.default(g).values
+            t = default_thresholds(g)
             reached = set(core)
             for depth, layer in enumerate(trace.layers, start=1):
                 for e_idx in layer:
@@ -340,11 +345,5 @@ def test_single_engine_matches_both_replaced_engines():
         assert trace == _reference_propagate(g, core, t)
         assert is_core(g, core, t) == _reference_is_core(g, core, t) == trace.verdict
         assert assimilated_closure(g, core, t) == _reference_closure(g, core, t)
-        if trace.verdict:
-            assert radius(g, core, t) == trace.radius
-        else:
-            message = re.escape(f"{sorted(core)} is not a core")
-            with pytest.raises(NotACoreError, match=f"^{message}$"):
-                radius(g, core, t)
         verdicts.add(trace.verdict)
     assert verdicts == {True, False}

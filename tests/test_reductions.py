@@ -266,6 +266,25 @@ def test_minrep_no_edges():
     assert oracle_min_core(cert.instance, budget=WIDE)[0] == oracle_minrep(inst)[0] == 0
 
 
+def test_minrep_covering_pairs_group_every_edge_once():
+    # m_a = m_b = 2; (1, 0) is listed twice and its super-edge sorts first
+    inst = MinrepInstance(2, 2, 2, 2, ((0, 2), (1, 0), (3, 3), (1, 0), (0, 1)))
+    assert inst.covering_pairs() == {
+        (0, 0): ((0, 5), (1, 4), (1, 4)),
+        (0, 1): ((0, 6),),
+        (1, 1): ((3, 7),),
+    }
+    assert list(inst.covering_pairs()) == sorted(inst.covering_pairs())
+    assert MinrepInstance(1, 2, 1, 2, ()).covering_pairs() == {}
+    # The compiler emits the relay gadgets in edge order, not super-edge
+    # order: edge (0, 2) comes before (1, 0), its super-edge (0, 1) after (0, 0).
+    cert = minrep_to_mincore(inst)
+    firsts = [info.inputs for info in cert.gadgets[::2]][:4]
+    assert firsts == [(0, 5), (0, 6), (1, 4), (1, 4)]
+    assert cert.gadgets[0].output == cert.copy_vertex[(1, (0, 0))]
+    assert cert.gadgets[2].output == cert.copy_vertex[(1, (0, 1))]
+
+
 def test_minrep_canonicalization():
     inst = MinrepInstance(2, 1, 1, 1, ((0, 0), (1, 0)))
     cert = minrep_to_mincore(inst)
@@ -396,7 +415,7 @@ def test_threesat_unsatisfiable_slot_cores_all_shift():
 def test_threshold_add_shared_examples():
     single = Hypergraph(2, [(0, 1)])
     g, t = threshold_add_shared(single, [1])
-    assert g.edges == ((0, 1, 2),) and t.values == (2,)
+    assert g.edges == ((0, 1, 2),) and t == (2,)
     assert oracle_min_core(single, [1])[0] + 1 == oracle_min_core(g, t)[0]
 
     tri = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -411,7 +430,7 @@ def test_threshold_add_shared_examples():
 def test_threshold_add_per_edge_examples():
     single = Hypergraph(2, [(0, 1)])
     g, t = threshold_add_per_edge(single, [1])
-    assert g.edges == ((0, 1, 2),) and t.values == (1,)
+    assert g.edges == ((0, 1, 2),) and t == (1,)
     assert oracle_min_core(g, t)[0] == oracle_min_core(single, [1])[0] == 1
 
     empty = Hypergraph(3, [])

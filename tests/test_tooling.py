@@ -36,3 +36,59 @@ def test_package_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}:{node.lineno}: {name}")
     assert foreign == []
+
+
+def _imported_names(tree, modules):
+    """Names ``tree`` imports from a package module, or reads as an
+    attribute of a package module alias (``from . import bounds as b``)."""
+    aliases = set()
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None and alias.name in modules:
+                    aliases.add(alias.asname or alias.name)
+                else:
+                    names.add(alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_caller():
+    """Each name ``hypercore/__init__.py`` re-exports is imported or read
+    through a module alias by another package module, read in its own
+    module, or imported by the acceptance tests: no public API that
+    nothing uses."""
+    package = ROOT / "src" / "hypercore"
+    trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
+    exports = {
+        alias.asname or alias.name: node.module
+        for node in trees.pop("__init__").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    callers = {
+        alias.name
+        for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hypercore")
+        for alias in node.names
+    }
+    for name, tree in trees.items():
+        callers |= _imported_names(tree, trees)
+    read_at_home = {
+        name: {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for name, tree in trees.items()
+    }
+    unused = sorted(
+        name
+        for name, home in exports.items()
+        if name not in callers and name not in read_at_home[home]
+    )
+    assert unused == []
