@@ -1,15 +1,19 @@
 """Exponential-time ground truth for small instances.
 
-The searches are deliberately naive: exhaustive subset enumeration in
-(cardinality, lexicographic) order, with no pruning.  They cross-certify
-the fast algorithms and the gadget compilers, but they are not independent
-of them: every verdict and radius here comes from the same propagation
-engine (``propagation._spread``, through :func:`~.propagation.is_core`
-and ``_core_radius``) that :func:`~.mincore.mincore_fpt` scores with.  The
-independent check of that engine is :func:`reference_is_core`, a
-one-edge-at-a-time activation rescan sharing no code with it, which
-acceptance criterion 1 compares with ``is_core`` on every subset of 200
-random instances.
+The searches are exhaustive: they decide every subset, in (cardinality,
+lexicographic) order, with no pruning.  They cross-certify the fast
+algorithms and the gadget compilers.  Each subset's closure is extended
+from the closure of its lexicographic prefix (``propagation._absorb``;
+propagation is a closure operator, so ``cl(A | B) = cl(cl(A) | B)``), and
+a subset is a core when its closure is everything.  The rounds of
+``propagation._spread``, which :func:`~.mincore.mincore_fpt` scores cores
+with, confirm each verdict the searches return: :func:`oracle_min_core`
+checks its witness with :func:`~.propagation.is_core`, and the radius
+pass scores each core with ``_core_radius``; a disagreement raises
+``RuntimeError``.  The independent check of the round engine is
+:func:`reference_is_core`, a one-edge-at-a-time activation rescan sharing
+no code with it, which acceptance criterion 1 compares with ``is_core``
+on every subset of 200 random instances.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .hypergraph import Hypergraph, Thresholds, resolve_thresholds
-from .propagation import _core_radius, is_core
+from .propagation import _absorb, _base_state, _core_radius, is_core
 
 
 class BudgetExceededError(RuntimeError):
@@ -120,6 +124,37 @@ def _block_guard(spent: int, n: int, k: int, budget: OracleBudget) -> int:
     return spent + block
 
 
+def _cores(graph: Hypergraph, k: int, t: Sequence[int]):
+    """Yield the ``k``-subsets of ``[0, n)`` that are cores under ``t``, in
+    lexicographic order.
+
+    ``states[d]`` is the closure state (:func:`~.propagation._absorb`) of
+    the first ``d`` vertices of the current subset, and each subset reuses
+    the states of the prefix it shares with the one before.  A vertex
+    already in the prefix's closure leaves the state as it is; any other
+    extends a copy, so the prefix's state stays intact for the subsets
+    after it.
+    """
+    states = [_base_state(graph, t)]
+    prev: tuple[int, ...] = ()
+    for combo in itertools.combinations(range(graph.n), k):
+        shared = 0
+        for x, y in zip(prev, combo):
+            if x != y:
+                break
+            shared += 1
+        del states[shared + 1 :]
+        active, count, fired, left = states[-1]
+        for v in combo[shared:]:
+            if not active[v]:
+                active, count, fired = active[:], count[:], fired[:]
+                left = _absorb(graph, t, active, count, fired, left, (v,))
+            states.append((active, count, fired, left))
+        prev = combo
+        if not left:
+            yield combo
+
+
 def oracle_min_core(
     graph: Hypergraph,
     thresholds: Thresholds = None,
@@ -131,9 +166,10 @@ def oracle_min_core(
     spent = 0
     for k in range(graph.n + 1):
         spent = _block_guard(spent, graph.n, k, budget)
-        for combo in itertools.combinations(range(graph.n), k):
-            if is_core(graph, combo, t):
-                return k, frozenset(combo)
+        for combo in _cores(graph, k, t):
+            if not is_core(graph, combo, t):
+                raise RuntimeError("closure and rounds disagree")
+            return k, frozenset(combo)
     raise RuntimeError("the full vertex set is always a core")
 
 
@@ -165,9 +201,11 @@ def oracle_best_radius_at_size(
     t = resolve_thresholds(graph, thresholds)
     _block_guard(0, graph.n, size, budget)
     best: Optional[tuple[int, frozenset[int]]] = None
-    for combo in itertools.combinations(range(graph.n), size):
+    for combo in _cores(graph, size, t):
         r = _core_radius(graph, combo, t)
-        if r is not None and (best is None or r < best[0]):
+        if r is None:
+            raise RuntimeError("closure and rounds disagree")
+        if best is None or r < best[0]:
             best = (r, frozenset(combo))
     return best
 

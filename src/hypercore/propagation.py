@@ -9,17 +9,26 @@ process covers every edge and leaves no vertex inactive; vertices in no
 edge can only become active by being seeds, so they must belong to the
 core itself.
 
-One frontier loop runs the process in synchronous rounds: layer ``L_i``
-holds every still-uncovered edge whose threshold is met by the vertices
-assimilated before round ``i``.  Because the firing rule is monotone, this
-greedy schedule uses the fewest possible rounds, so the number of layers
-is the radius of the core.  Edges fully inside the core are covered up
-front and belong to no layer.  :func:`is_core` and
+Two loops run the process.  ``_spread`` runs it in synchronous rounds:
+layer ``L_i`` holds every still-uncovered edge whose threshold is met by
+the vertices assimilated before round ``i``.  Because the firing rule is
+monotone, this greedy schedule uses the fewest possible rounds, so the
+number of layers is the radius of the core.  Edges fully inside the core
+are covered up front and belong to no layer.  :func:`is_core` and
 :func:`assimilated_closure` read the rounds of that loop directly;
 :func:`propagate` also packs its layers and credits into a
 :class:`PropagationTrace`, whose ``radius`` is the layer count.  Each
 public function takes its thresholds through
 :func:`~.hypergraph.resolve_thresholds`, which holds the rule.
+
+``_absorb`` computes only the closure, the set of vertices active at the
+end, firing edges one at a time in stack order.  Rounds do not extend
+across seed sets: a seed added later can change the round of every
+vertex.  Closures do: propagation is a closure operator, so
+``cl(A | B) = cl(cl(A) | B)``, and the closure of a set can be built by
+extending the closure of any subset of it.  The oracle extends each
+subset's closure from its lexicographic prefix that way, and keeps the
+rounds for the radius and for confirming its witness.
 """
 
 from __future__ import annotations
@@ -118,6 +127,62 @@ def _spread(graph: Hypergraph, core: Iterable[int], t: Sequence[int]):
                 if count[j] == t[j] and not fired[j]:
                     frontier.append(j)
     return depth, credit, layers, inside, fired
+
+
+def _base_state(graph: Hypergraph, t: Sequence[int]):
+    """The closure state of the empty seed set under thresholds ``t``, as
+    ``(active, count, fired, left)`` for :func:`_absorb`: every edge with
+    ``t[j] == 0`` fires before any vertex is active."""
+    active = bytearray(graph.n)
+    count = [0] * graph.m
+    fired = bytearray(graph.m)
+    left = graph.n + graph.m
+    seeds = []
+    for j, tj in enumerate(t):
+        if not tj:
+            fired[j] = 1
+            left -= 1
+            seeds += graph.edges[j]
+    left = _absorb(graph, t, active, count, fired, left, seeds)
+    return active, count, fired, left
+
+
+def _absorb(
+    graph: Hypergraph, t: Sequence[int], active, count, fired, left: int, seeds
+) -> int:
+    """Extend a closure state by ``seeds`` in place; return the new ``left``.
+
+    ``active`` marks the active vertices, ``count[j]`` counts those in edge
+    ``j``, ``fired`` marks the fired edges and ``left`` counts the vertices
+    not yet active plus the edges not yet fired; all four describe one
+    closed state, such as :func:`_base_state`, which the call updates.  A
+    seed already active changes nothing.  Activations go one at a time, in
+    stack order: the closure does not depend on the order.  ``left`` ends
+    at 0 exactly when every vertex is active, that is, for a core.
+    """
+    edges, incidence = graph.edges, graph._incidence
+    stack = []
+    for v in seeds:
+        if not active[v]:
+            active[v] = 1
+            left -= 1
+            stack.append(v)
+    while stack:
+        for j in incidence[stack.pop()]:
+            c = count[j] + 1
+            count[j] = c
+            # counts grow by one from a closed state, so an edge meets its
+            # threshold once; an edge with a zero threshold fired in the
+            # base state
+            if c == t[j]:
+                fired[j] = 1
+                left -= 1
+                for u in edges[j]:
+                    if not active[u]:
+                        active[u] = 1
+                        left -= 1
+                        stack.append(u)
+    return left
 
 
 def _core_radius(

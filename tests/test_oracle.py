@@ -15,6 +15,7 @@ from hypercore import (
     MinrepInstance,
     OracleBudget,
     SetCoverInstance,
+    generate_random,
     oracle_best_radius_at_size,
     oracle_min_core,
     oracle_min_radius_over_min_cores,
@@ -27,6 +28,7 @@ from hypercore import (
 from hypercore import oracle, propagation
 from hypercore.hypergraph import default_thresholds
 from conftest import messy_instance, seeded_family
+import reference_oracle
 
 
 def test_min_core_examples(triangle):
@@ -157,9 +159,21 @@ def test_min_radius_invariant_raises_runtime_error(monkeypatch, path):
 
 
 def test_min_core_invariant_raises_runtime_error(monkeypatch, path):
-    monkeypatch.setattr(oracle, "is_core", lambda *args: False)
+    monkeypatch.setattr(oracle, "_cores", lambda *args: iter(()))
     with pytest.raises(RuntimeError, match="always a core"):
         oracle_min_core(path)
+
+
+def test_min_core_witness_disagreement_raises_runtime_error(monkeypatch, path):
+    monkeypatch.setattr(oracle, "is_core", lambda *args: False)
+    with pytest.raises(RuntimeError, match="^closure and rounds disagree$"):
+        oracle_min_core(path)
+
+
+def test_radius_pass_disagreement_raises_runtime_error(monkeypatch, path):
+    monkeypatch.setattr(oracle, "_core_radius", lambda *args: None)
+    with pytest.raises(RuntimeError, match="^closure and rounds disagree$"):
+        oracle_best_radius_at_size(path, 1)
 
 
 def _best_radius_reference(graph, size, thresholds=None):
@@ -210,6 +224,71 @@ def test_radius_pass_matches_propagate_reference():
     assert custom >= 200
 
 
+def test_min_core_matches_per_subset_reference():
+    cases = _threshold_cases(250, 150, 8500)
+    for g, t in cases:
+        assert oracle_min_core(g, t) == reference_oracle.oracle_min_core(g, t), (g.edges, t)
+        # the budget refuses the same block, having spent the same subsets
+        tight = OracleBudget(max_subsets=2 ** g.n // 3)
+        outcomes = []
+        for search in (oracle_min_core, reference_oracle.oracle_min_core):
+            try:
+                outcomes.append(search(g, t, tight))
+            except BudgetExceededError as refusal:
+                outcomes.append((str(refusal), refusal.spent, refusal.block))
+        assert outcomes[0] == outcomes[1], (g.edges, t)
+    assert sum(t is not None for _, t in cases) == 400
+    assert sum(isinstance(t, tuple) for _, t in cases) == 200
+
+
+def test_cores_match_reference_check_on_criterion_1_instances():
+    """The instances of acceptance criterion 1: for every size ``k``, the
+    subsets ``_cores`` yields are exactly the ``k``-subsets that the
+    one-edge-at-a-time rescan accepts, in lexicographic order."""
+    yielded = 0
+    for s in range(200):
+        rng = random.Random(8100 + s)
+        n = rng.randint(1, 8)
+        m = rng.randint(0, 10)
+        g = generate_random(n, m, 1, min(4, n), seed=8500 + s)
+        t = default_thresholds(g)
+        for k in range(n + 1):
+            cores = list(oracle._cores(g, k, t))
+            combos = itertools.combinations(range(n), k)
+            assert cores == [c for c in combos if reference_is_core(g, c)], (s, k)
+            yielded += len(cores)
+    assert yielded > 1000, yielded
+
+
+def test_custom_thresholds_are_checked_once_per_search(monkeypatch):
+    """Only the search itself and the witness check resolve a non-default
+    threshold tuple, however many subsets the search decides."""
+    calls = []
+
+    def counted(graph, thresholds):
+        if thresholds is not None and thresholds is not default_thresholds(graph):
+            calls.append(thresholds)
+        return resolve(graph, thresholds)
+
+    resolve = oracle.resolve_thresholds
+    monkeypatch.setattr(oracle, "resolve_thresholds", counted)
+    monkeypatch.setattr(propagation, "resolve_thresholds", counted)
+    g = generate_random(16, 7, 2, 4, seed=1415)
+    custom = list(default_thresholds(g))
+    custom[0] -= 1
+    counts = set()
+    for t in (custom, tuple(custom)):
+        calls.clear()
+        size, _ = oracle_min_core(g, t)
+        counts.add(len(calls))
+        calls.clear()
+        oracle_best_radius_at_size(g, size, t, OracleBudget())
+        assert len(calls) == 1
+    # the search decides thousands of subsets before its witness
+    assert sum(math.comb(g.n, k) for k in range(size)) > 10_000
+    assert counts == {2}
+
+
 def test_oracle_work_counts(monkeypatch):
     calls = collections.Counter()
 
@@ -220,6 +299,7 @@ def test_oracle_work_counts(monkeypatch):
 
         return wrapper
 
+    per_subset = propagation.propagate
     monkeypatch.setattr(oracle, "is_core", counted("is_core", oracle.is_core))
     monkeypatch.setattr(oracle, "_core_radius", counted("_core_radius", oracle._core_radius))
     trace = counted("propagate", propagation.propagate)
@@ -228,13 +308,14 @@ def test_oracle_work_counts(monkeypatch):
     monkeypatch.setattr(oracle, "propagate", trace, raising=False)
     for g, t in _threshold_cases(60, 60, 8400):
         calls.clear()
-        size, witness = oracle_min_core(g, t)
-        rank = list(itertools.combinations(range(g.n), size)).index(tuple(sorted(witness)))
-        visited = sum(math.comb(g.n, j) for j in range(size)) + rank + 1
-        assert calls == {"is_core": visited}
+        size, _ = oracle_min_core(g, t)
+        assert calls == {"is_core": 1}
+        cores = sum(
+            per_subset(g, c, t).verdict for c in itertools.combinations(range(g.n), size)
+        )
         calls.clear()
         oracle_best_radius_at_size(g, size, t)
-        assert calls == {"_core_radius": math.comb(g.n, size)}
+        assert calls == {"_core_radius": cores}
         calls.clear()
         oracle_min_radius_over_min_cores(g, t)
-        assert calls == {"is_core": visited, "_core_radius": math.comb(g.n, size)}
+        assert calls == {"is_core": 1, "_core_radius": cores}
