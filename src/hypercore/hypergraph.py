@@ -375,13 +375,22 @@ def _counted(line_no: int, nums: list[int], hi: Optional[int] = None) -> tuple[i
     return tuple([x - 1 for x in xs])
 
 
+# The most vertices plus edges an instance header may declare.  Building
+# the incidence costs about 64 bytes per declared vertex before any record
+# is read, so a header at the cap commits about 640 MB; the largest
+# instances in the tests and the benchmark have n + m = 8 * 10**4.
+_MAX_DECLARED = 10_000_000
+
+
 def read_instance(text: str):
     """Parse HCE text into ``(Hypergraph, thresholds_or_None)``.
 
     ``thresholds`` is a list aligned with the edge list when the file has
     any ``t`` line, else ``None``.  Raises :class:`HceParseError` with the
-    offending line number (the header's for the edge count).  The graph is
-    built from the records' checked tuples, not through ``Hypergraph()``.
+    offending line number (the header's for the edge count, and for a
+    header declaring more than ``_MAX_DECLARED`` vertices plus edges).  The
+    graph is built from the records' checked tuples, not through
+    ``Hypergraph()``.
     """
     edges: list[tuple[int, ...]] = []
     labels: dict[int, str] = {}
@@ -394,6 +403,10 @@ def read_instance(text: str):
             edges.append(vs)
         elif kind == "p":
             head, (n, m) = line_no, nums
+            if n + m > _MAX_DECLARED:
+                raise HceParseError(
+                    line_no, f"header declares {n + m} vertices and edges, over {_MAX_DECLARED}"
+                )
         elif kind == "t":
             if len(nums) != 2:
                 raise HceParseError(line_no, "threshold line needs index and value")

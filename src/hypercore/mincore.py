@@ -16,7 +16,9 @@ leaves a peelable instance depends only on ``R - D`` (lemma 3 of
 kernel alone.  Consecutive deletions in lexicographic order share a
 prefix, and stripping commutes with taking more edges out (lemma 7), so
 the kernel strips each deletion prefix once and extends it by one edge,
-stripping only around that edge.  One in-place strip routine serves the
+stripping only around that edge; the prefix walker it shares with the
+oracle, ``propagation._walk``, makes the deletions in that order.  One
+in-place strip routine serves the
 residual, the kernel and every extension.  Only the deletions that
 succeed touch the whole instance: :func:`peel_nm` peels it without them,
 and the deleted edges are re-inserted (which may add one final layer) to
@@ -26,7 +28,6 @@ worker, and the least of the parts' bests is the serial answer.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .hypergraph import Hypergraph, default_thresholds
-from .propagation import _core_radius
+from .propagation import _core_radius, _walk
 
 PEEL_FAILURE_MESSAGE = "no core of size n-m possible"
 
@@ -200,8 +201,8 @@ class _Kernel:
 
     Local edge ``i`` of ``local`` is edge ``residual[i]`` of ``graph`` with
     its vertices renumbered ascending over ``V(R)``.  ``R`` is sorted, so
-    ``combinations(range(|R|), a)`` runs in the order of
-    ``combinations(R, a)``.  ``base`` is the strip state of ``local`` with
+    the lexicographic order of the subsets of local edges is the order of
+    the subsets of ``R``.  ``base`` is the strip state of ``local`` with
     nothing deleted: by lemma 1 ``R`` has no degree-one vertex to strip.
     """
 
@@ -221,46 +222,39 @@ class _Kernel:
         self.base = (deg, bytearray(b"\x01") * self.local.m, self.local.m)
         self.thresholds = default_thresholds(graph)
 
-    def successes(self, combos):
-        """Yield the combinations among ``combos`` whose deletion strips the
-        kernel to nothing, in the order given.
+    def successes(self, a: int, part: int = 0, parts: int = 1):
+        """Yield the ``a``-subsets of local edges whose deletion strips the
+        kernel to nothing, in lexicographic order, among the deletions whose
+        index in that order is ``part`` mod ``parts``.
 
-        By lemma 7 of :func:`mincore_fpt`, ``states[d]`` is the strip state
-        after deleting the first ``d`` edges of the current combination, and
-        each combination reuses the states of the prefix it shares with the
-        one before; a call starts from ``base``.
+        By lemma 7 of :func:`mincore_fpt`, the walker ``_walk`` extends the
+        strip of each deletion prefix by one edge (:meth:`_delete`), and
+        every deletion under that prefix starts from it; a call starts from
+        ``base``.  No subtree is skipped.
         """
+        return _walk(self.local.m, a, self.base, self._delete, part, parts)
+
+    def _delete(self, state, ei: int):
+        """The strip state ``state`` with local edge ``ei`` also deleted, in
+        a copy, or None when ``ei`` is already stripped."""
+        deg, alive, left = state
+        if not alive[ei]:
+            return None
         local = self.local
-        edges = local.edges
-        states = [self.base]
-        prev: tuple[int, ...] = ()
-        for combo in combos:
-            shared = 0
-            for x, y in zip(prev, combo):
-                if x != y:
-                    break
-                shared += 1
-            del states[shared + 1 :]
-            deg, alive, left = states[-1]
-            for ei in combo[shared:]:
-                if alive[ei]:
-                    deg = deg[:]
-                    alive = alive[:]
-                    alive[ei] = 0
-                    for u in edges[ei]:
-                        deg[u] -= 1
-                    left = _strip(local, deg, alive, left - 1, edges[ei])
-                states.append((deg, alive, left))
-            prev = combo
-            if not left:
-                yield combo
+        edge = local.edges[ei]
+        deg = deg[:]
+        alive = alive[:]
+        alive[ei] = 0
+        for u in edge:
+            deg[u] -= 1
+        return deg, alive, _strip(local, deg, alive, left - 1, edge)
 
     def best(
         self, a: int, part: int = 0, parts: int = 1
     ) -> Optional[tuple[int, tuple[int, ...], frozenset[int]]]:
         """Smallest ``(radius, deleted, core)`` over the successful deletions
-        among every ``parts``-th of ``combinations(range(|R|), a)`` from
-        index ``part`` on; ``deleted`` holds the edge indices of ``graph``
+        of ``a`` local edges whose lexicographic index is ``part`` mod
+        ``parts``; ``deleted`` holds the edge indices of ``graph``
         and ``core`` is :func:`peel_nm`'s core without them.  None when none
         succeeds.
 
@@ -269,9 +263,8 @@ class _Kernel:
         over all of ``graph``.
         """
         graph, residual = self.graph, self.residual
-        combos = itertools.combinations(range(len(residual)), a)
         best = None
-        for combo in self.successes(itertools.islice(combos, part, None, parts)):
+        for combo in self.successes(a, part, parts):
             deleted = tuple([residual[i] for i in combo])
             try:
                 core = peel_nm(graph, deleted).core
@@ -308,12 +301,17 @@ def _cpu_count() -> int:
 
 
 def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
-    """Minimum core with minimum radius, parameterized by ``a``.
+    """Minimum core, parameterized by ``a``, with the best radius when
+    ``a = 0`` and within one round of the best radius when ``a > 0``.
 
     Tries ``a = 0, 1, ...`` in order; at the first ``a`` with any
-    successful edge deletion it returns the minimum radius over all
-    successful deletions, breaking radius ties by the lexicographically
-    smallest deleted index tuple.  The output is independent of ``jobs``.
+    successful edge deletion ``D`` it returns the least radius, over all
+    successful deletions, of the core :func:`peel_nm` finds without ``D``,
+    breaking radius ties by the lexicographically smallest deleted index
+    tuple.  Another core of the same size can have a radius one round
+    smaller: on ``generate_random(12, 11, 2, 4, 324)`` the search returns
+    radius 4 at ``a = 2``, and the oracle finds a size-3 core of radius 3.
+    The output is independent of ``jobs``.
     ``min(jobs, CPUs available)`` workers run the deletions, in a process
     pool when there are two or more, and ``jobs < 1`` raises
     ``ValueError``.
@@ -371,15 +369,16 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     edge, so a failing deletion never touches ``G``.  By 7 the strip of
     ``R - D`` starts from the strip of the prefix ``D`` shares with the
     deletion tried before it.  Each success is scored as before: peel
-    ``G - D``, re-insert, propagate on ``G``.  ``combinations(R, a)`` of
-    the sorted ``R`` yields them in the same lexicographic order as
-    ``combinations(range(m), a)``, so the radius tie-break picks the same
-    tuple.
+    ``G - D``, re-insert, propagate on ``G``.  The walker
+    (``propagation._walk``) makes the ``a``-subsets of the sorted ``R`` in
+    lexicographic order, the order they have among all ``a``-subsets of
+    ``range(m)``, so the radius tie-break picks the same tuple.
 
-    With ``w`` workers, worker ``i`` strips every ``w``-th deletion of a
-    level from index ``i`` on, starting from ``R`` itself, so ``jobs``
-    cannot change a verdict.  No two deletions share a ``deleted`` tuple,
-    so the least ``(radius, deleted)`` over the parts is the serial answer.
+    With ``w`` workers, worker ``i`` strips the deletions of a level whose
+    lexicographic index is ``i`` mod ``w``, starting from ``R`` itself, so
+    ``jobs`` cannot change a verdict.  No two deletions share a ``deleted``
+    tuple, so the least ``(radius, deleted)`` over the parts is the serial
+    answer.
     """
     if a_max < 0:
         raise ValueError("a_max must be non-negative")

@@ -1,19 +1,50 @@
 """Exponential-time ground truth for small instances.
 
-The searches are exhaustive: they decide every subset, in (cardinality,
-lexicographic) order, with no pruning.  They cross-certify the fast
-algorithms and the gadget compilers.  Each subset's closure is extended
-from the closure of its lexicographic prefix (``propagation._absorb``;
-propagation is a closure operator, so ``cl(A | B) = cl(cl(A) | B)``), and
-a subset is a core when its closure is everything.  The rounds of
-``propagation._spread``, which :func:`~.mincore.mincore_fpt` scores cores
-with, confirm each verdict the searches return: :func:`oracle_min_core`
-checks its witness with :func:`~.propagation.is_core`, and the radius
-pass scores each core with ``_core_radius``; a disagreement raises
-``RuntimeError``.  The independent check of the round engine is
-:func:`reference_is_core`, a one-edge-at-a-time activation rescan sharing
-no code with it, which acceptance criterion 1 compares with ``is_core``
-on every subset of 200 random instances.
+The searches cross-certify the fast algorithms and the gadget compilers.
+They go through the vertex subsets in (cardinality, lexicographic) order
+and return what deciding every subset would: the first core of the least
+size, or the best radius at a size with the first core that reaches it.
+Budgets, ``spent`` and ``block`` count whole blocks of ``comb(n, k)``
+subsets, as if every subset were decided.
+
+Each subset's closure is extended from the closure of its lexicographic
+prefix by the walker ``propagation._walk`` and ``propagation._absorb``:
+propagation is a closure operator, so ``cl(A | B) = cl(cl(A) | B)``.  A
+subset is a core when its closure is everything.  Two skips leave
+subsets undecided, and neither can leave out a core:
+
+1. **Vertices in no edge.**  No edge can activate a vertex in no edge, so
+   every core holds the set ``F`` of them.  The search of block ``k``
+   absorbs ``F`` into the state of the empty prefix and walks the
+   ``(k - |F|)``-subsets of the other vertices; no ``k``-subset is a core
+   when ``k < |F|``.  The order is the same: for two sorted sets of equal
+   size, the first position where they differ holds the smallest element
+   of their symmetric difference, which lies in the set that comes
+   first, and adding ``F``, disjoint from both, leaves that difference
+   unchanged.  So the cores come in the same order, with the same
+   witnesses.  This holds at every size, so every search uses it.
+2. **Minimum blocks.**  Suppose no ``(k - 1)``-subset is a core.  Let a
+   ``k``-subset ``S`` hold a vertex ``v`` in the closure of ``F`` and the
+   vertices of ``S`` before ``v``, all of them in ``S - v``.  Then ``S``
+   lies inside ``cl(S - v)``, so ``cl(S) = cl(S - v)``, which is not
+   everything because ``S - v`` has ``k - 1`` vertices.  So ``S`` is not
+   a core, and the walker passes over every subset that extends a prefix
+   by a vertex its closure already holds.  No ``(k - 1)``-core exists in
+   a block :func:`oracle_min_core` reaches, since it stops at the first
+   block with a core, nor at the minimum size that the radius pass of
+   :func:`oracle_min_radius_over_min_cores` scores.
+   :func:`oracle_best_radius_at_size` accepts any size, so on its own it
+   does not skip.
+
+The rounds of ``propagation._spread``, which :func:`~.mincore.mincore_fpt`
+scores cores with, confirm each verdict the searches return:
+:func:`oracle_min_core` checks its witness with
+:func:`~.propagation.is_core`, and the radius pass scores each core with
+``_core_radius``; a disagreement raises ``RuntimeError``.  The
+independent check of the round engine is :func:`reference_is_core`, a
+one-edge-at-a-time activation rescan sharing no code with it, which
+acceptance criterion 1 compares with ``is_core`` on every subset of 200
+random instances.
 """
 
 from __future__ import annotations
@@ -24,7 +55,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .hypergraph import Hypergraph, Thresholds, resolve_thresholds
-from .propagation import _absorb, _base_state, _core_radius, is_core
+from .propagation import _absorb, _base_state, _core_radius, _walk, is_core
 
 
 class BudgetExceededError(RuntimeError):
@@ -124,35 +155,35 @@ def _block_guard(spent: int, n: int, k: int, budget: OracleBudget) -> int:
     return spent + block
 
 
-def _cores(graph: Hypergraph, k: int, t: Sequence[int]):
+def _cores(graph: Hypergraph, k: int, t: Sequence[int], minimal: bool = False):
     """Yield the ``k``-subsets of ``[0, n)`` that are cores under ``t``, in
     lexicographic order.
 
-    ``states[d]`` is the closure state (:func:`~.propagation._absorb`) of
-    the first ``d`` vertices of the current subset, and each subset reuses
-    the states of the prefix it shares with the one before.  A vertex
-    already in the prefix's closure leaves the state as it is; any other
-    extends a copy, so the prefix's state stays intact for the subsets
-    after it.
+    The vertices in no edge are in every core: they are absorbed into the
+    base state, and the walk picks the rest of each subset from the other
+    vertices, none when ``k`` is below their count (skip 1 of the module
+    docstring).  A vertex already in its prefix's closure changes nothing;
+    any other extends a copy of the prefix's state.  With ``minimal``,
+    which needs no ``(k - 1)``-core to exist, a vertex already in the
+    closure passes over every subset extending the prefix by it (skip 2).
     """
-    states = [_base_state(graph, t)]
-    prev: tuple[int, ...] = ()
-    for combo in itertools.combinations(range(graph.n), k):
-        shared = 0
-        for x, y in zip(prev, combo):
-            if x != y:
-                break
-            shared += 1
-        del states[shared + 1 :]
-        active, count, fired, left = states[-1]
-        for v in combo[shared:]:
-            if not active[v]:
-                active, count, fired = active[:], count[:], fired[:]
-                left = _absorb(graph, t, active, count, fired, left, (v,))
-            states.append((active, count, fired, left))
-        prev = combo
-        if not left:
-            yield combo
+    incidence = graph._incidence
+    free = [v for v in range(graph.n) if not incidence[v]]
+    rest = [v for v in range(graph.n) if incidence[v]]
+    active, count, fired, left = _base_state(graph, t)
+    left = _absorb(graph, t, active, count, fired, left, free)
+
+    def extend(state, i):
+        active, count, fired, left = state
+        v = rest[i]
+        if active[v]:
+            return None
+        active, count, fired = active[:], count[:], fired[:]
+        return active, count, fired, _absorb(graph, t, active, count, fired, left, (v,))
+
+    base = (active, count, fired, left)
+    for combo in _walk(len(rest), k - len(free), base, extend, skip=minimal):
+        yield tuple(sorted(free + [rest[i] for i in combo]))
 
 
 def oracle_min_core(
@@ -166,7 +197,8 @@ def oracle_min_core(
     spent = 0
     for k in range(graph.n + 1):
         spent = _block_guard(spent, graph.n, k, budget)
-        for combo in _cores(graph, k, t):
+        # no smaller block held a core, so skip 2 holds
+        for combo in _cores(graph, k, t, True):
             if not is_core(graph, combo, t):
                 raise RuntimeError("closure and rounds disagree")
             return k, frozenset(combo)
@@ -184,7 +216,8 @@ def oracle_min_radius_over_min_cores(
     the lexicographically first minimum core achieving the radius.
     """
     size, _ = oracle_min_core(graph, thresholds, budget)
-    best = oracle_best_radius_at_size(graph, size, thresholds, budget)
+    # no core is smaller than size, so the radius pass may skip (skip 2)
+    best = oracle_best_radius_at_size(graph, size, thresholds, budget, True)
     if best is None:
         raise RuntimeError("a minimum core size always has a core")
     return size, best[0], best[1]
@@ -195,13 +228,18 @@ def oracle_best_radius_at_size(
     size: int,
     thresholds: Thresholds = None,
     budget: OracleBudget = DEFAULT_RADIUS_BUDGET,
+    _minimal: bool = False,
 ) -> Optional[tuple[int, frozenset[int]]]:
-    """Minimum radius over all cores of exactly ``size`` vertices, if any."""
+    """Minimum radius over all cores of exactly ``size`` vertices, if any.
+
+    ``_minimal`` is private: a caller that knows no core has fewer than
+    ``size`` vertices sets it to skip subsets that cannot be cores.
+    """
     _enumeration_guard(graph.n, budget)
     t = resolve_thresholds(graph, thresholds)
     _block_guard(0, graph.n, size, budget)
     best: Optional[tuple[int, frozenset[int]]] = None
-    for combo in _cores(graph, size, t):
+    for combo in _cores(graph, size, t, _minimal):
         r = _core_radius(graph, combo, t)
         if r is None:
             raise RuntimeError("closure and rounds disagree")

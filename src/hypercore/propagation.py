@@ -29,11 +29,18 @@ vertex.  Closures do: propagation is a closure operator, so
 extending the closure of any subset of it.  The oracle extends each
 subset's closure from its lexicographic prefix that way, and keeps the
 rounds for the radius and for confirming its witness.
+
+``_walk`` is the one prefix walker behind both exhaustive enumerations:
+the oracle's closures and the kernel strips of
+:func:`~.mincore.mincore_fpt`.  It makes the ``k``-combinations of
+``range(n)`` in lexicographic order, without recursion, and extends one
+state per prefix depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .hypergraph import Hypergraph, Thresholds, resolve_thresholds
@@ -183,6 +190,67 @@ def _absorb(
                         left -= 1
                         stack.append(u)
     return left
+
+
+def _walk(n: int, k: int, base, extend, part: int = 0, parts: int = 1, skip: bool = False):
+    """Yield, in lexicographic order, the ``k``-combinations of ``range(n)``
+    whose state has ``left == 0``.
+
+    A state is a tuple whose last field is ``left``; ``base`` is the state
+    of the empty prefix.  ``extend(state, x)`` returns the state of the
+    prefix extended by item ``x``, or None when ``x`` changes nothing.  The
+    walker keeps one state per prefix depth, so each prefix is extended
+    once and every combination under it starts from its state.  On None
+    the prefix's state carries over to ``x``; with ``skip``, every
+    combination that extends the prefix by ``x`` is passed over instead.
+
+    Only the leaves whose index in the full lexicographic sequence is
+    ``part`` mod ``parts`` are decided, as in ``islice(combinations(range(n),
+    k), part, None, parts)``, and no prefix is extended unless its subtree
+    holds such a leaf.  A subtree left out moves the leaf index on by its
+    size: the prefix ending in ``x`` at depth ``d`` has ``comb(n - 1 - x,
+    k - 1 - d)`` leaves.  The loop is iterative, so ``k`` is not bounded by
+    the recursion limit.
+    """
+    if not 0 <= k <= n:
+        return
+    if not k:
+        if not part and not base[-1]:
+            yield ()
+        return
+    last = k - 1
+    combo = [0] * k
+    states = [base] * k
+    index = 0  # the lexicographic index of the first leaf under item x
+    d = x = 0
+    while True:
+        if x > n - k + d:  # too few items left after x to finish the combination
+            if not d:
+                return
+            d -= 1
+            x = combo[d] + 1
+            continue
+        size = comb(n - 1 - x, last - d) if d < last else 1
+        if parts > 1 and (part - index) % parts >= size:
+            index += size
+            x += 1
+            continue
+        state = extend(states[d], x)
+        if state is None:
+            if skip:
+                index += size
+                x += 1
+                continue
+            state = states[d]
+        combo[d] = x
+        x += 1
+        if d < last:
+            d += 1
+            states[d] = state
+        else:
+            index += 1
+            if not state[-1]:
+                yield tuple(combo)
 
 
 def _core_radius(

@@ -4,14 +4,17 @@ import ast
 import os
 import pathlib
 import re
+import resource
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 
 import hypercore
 from hypercore import Hypergraph, generate_random, write_instance
+from hypercore.hypergraph import HceParseError, read_instance
 from hypercore.cli import build_parser, main
 from test_hypergraph import MALFORMED
 
@@ -141,6 +144,34 @@ def test_parse_error_exit_2(tmp_path):
     res = run("peel", str(bad))
     assert res.returncode == 2
     assert "line 2" in res.stderr
+
+
+def _address_space_cap():
+    """Cap this child process at 1 GB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_huge_header_exits_2_before_allocating(tmp_path):
+    """A 20-byte file declaring 10^11 vertices is an input error on its
+    header's line, found before the reader builds anything: under a 1 GB
+    address-space cap on the child alone, ``peel`` exits 2 at once."""
+    huge = tmp_path / "huge.hce"
+    huge.write_text("p hce 99999999999 0\n")
+    assert huge.stat().st_size == 20
+    start = time.perf_counter()
+    res = subprocess.run(
+        [sys.executable, "-m", "hypercore", "peel", str(huge)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_address_space_cap,
+        timeout=60,
+    )
+    assert res.returncode == 2, res.stderr
+    assert "line 1: header declares 99999999999 vertices and edges" in res.stderr
+    assert time.perf_counter() - start < 5
+    with pytest.raises(HceParseError, match="^line 2: header declares 10000001 ") as err:
+        read_instance("c\np hce 5000000 5000001\n")
+    assert err.value.line == 2
 
 
 @pytest.mark.parametrize("reader, text, line", MALFORMED)

@@ -167,6 +167,19 @@ def test_fpt_radius_sandwich():
         assert replay.radius <= res.radius <= replay.radius + 1
 
 
+def test_fpt_radius_can_be_one_round_above_the_best():
+    """At ``a > 0`` the search is within one round of the best radius, not
+    always at it.  The instance of ``gen --n 12 --m 11 --emin 2 --emax 4
+    --seed 324`` has the size-3 core {1, 2, 5} (1-based) of radius 3; the
+    search deletes edges 1 and 6 and returns the peel core {5, 10, 12}, of
+    radius 4."""
+    g = generate_random(12, 11, 2, 4, 324)
+    res = mincore_fpt(g, 12)
+    assert (res.parameter_a, res.radius, res.deleted_edges) == (2, 4, (0, 5))
+    assert res.core == frozenset({4, 9, 11})
+    assert oracle_min_radius_over_min_cores(g) == (3, 3, frozenset({0, 1, 4}))
+
+
 def test_fpt_deterministic_and_parallel_identical():
     # The last instance's 286 deletions at a = 3 split into two parts whose
     # bests tie at radius 3; part 1's (1, 3, 9) is the smaller tuple.
@@ -379,7 +392,7 @@ def test_kernel_verdicts_and_search_match_whole_instance_scan():
         for a in range(top + 1):
             combos = list(itertools.combinations(range(len(residual)), a))
             peeling = [c for c in combos if _peels(g, [residual[i] for i in c])]
-            assert list(kernel.successes(combos)) == peeling
+            assert list(kernel.successes(a)) == peeling
         assert _outcome(mincore_fpt, g, g.n) == _outcome(_scan_reference, g, g.n)
 
 
@@ -508,10 +521,9 @@ def test_fpt_skips_levels_below_residual_excess(monkeypatch):
         stripped.append((graph is k4, levels[-1] if levels else None))
         return strip(graph, deg, alive, left, seeds)
 
-    def levelled_successes(self, combos):
-        combos = list(combos)
-        levels.append(len(combos[0]))
-        return successes(self, combos)
+    def levelled_successes(self, a, part=0, parts=1):
+        levels.append(a)
+        return successes(self, a, part, parts)
 
     strip, successes = mincore._strip, mincore._Kernel.successes
     monkeypatch.setattr(mincore, "peel_nm", counting_peel)

@@ -26,7 +26,7 @@ from hypercore import (
     reference_is_core,
 )
 from hypercore import oracle, propagation
-from hypercore.hypergraph import default_thresholds
+from hypercore.hypergraph import default_thresholds, resolve_thresholds
 from conftest import messy_instance, seeded_family
 import reference_oracle
 
@@ -239,6 +239,55 @@ def test_min_core_matches_per_subset_reference():
         assert outcomes[0] == outcomes[1], (g.edges, t)
     assert sum(t is not None for _, t in cases) == 400
     assert sum(isinstance(t, tuple) for _, t in cases) == 200
+
+
+def _outcome(search, *args):
+    """A search's result, or the message, ``spent`` and ``block`` of its
+    refusal."""
+    try:
+        return search(*args)
+    except BudgetExceededError as refusal:
+        return str(refusal), refusal.spent, refusal.block
+
+
+def test_skipping_searches_match_exhaustive_reference():
+    """Both public searches, and the radius pass at every size, return what
+    the exhaustive searches of ``reference_oracle.py`` return, under default
+    and custom thresholds, also on graphs with vertices in no edge,
+    zero-threshold edges and size-1 edges; a budget that refuses a block
+    refuses the same one.  At the minimum size the skipping core walk
+    yields every core the exhaustive one does."""
+    cases = _threshold_cases(200, 100, 8700)
+    cases += [
+        (Hypergraph(6, [(0, 1), (1, 2)]), None),  # 3, 4 and 5 are in no edge
+        (Hypergraph(6, [(0, 1), (1, 2)]), [0, 1]),
+        (Hypergraph(5, [(0,), (1, 2, 3), (3,)]), (0, 0, 0)),
+        (Hypergraph(8, []), None),
+    ]
+    free = zero = single = refused = 0
+    for g, t in cases:
+        tight = OracleBudget(max_subsets=2**g.n // 3)
+        for budget in (oracle.DEFAULT_RADIUS_BUDGET, tight):
+            for search, reference in (
+                (oracle_min_core, reference_oracle.oracle_min_core),
+                (oracle_min_radius_over_min_cores, reference_oracle.oracle_min_radius_over_min_cores),
+            ):
+                got = _outcome(search, g, t, budget)
+                assert got == _outcome(reference, g, t, budget), (g.edges, t, budget)
+                refused += isinstance(got[0], str)
+            for k in range(g.n + 2):
+                got = _outcome(oracle_best_radius_at_size, g, k, t, budget)
+                ref = _outcome(reference_oracle.oracle_best_radius_at_size, g, k, t, budget)
+                assert got == ref, (g.edges, t, k, budget)
+        resolved = resolve_thresholds(g, t)
+        size, _ = oracle_min_core(g, t, oracle.DEFAULT_RADIUS_BUDGET)
+        cores = list(reference_oracle._cores(g, size, resolved))
+        assert list(oracle._cores(g, size, resolved, True)) == cores
+        free += any(not ix for ix in g._incidence)
+        zero += any(tj == 0 < len(e) - 1 for tj, e in zip(resolved, g.edges))
+        single += any(len(e) == 1 for e in g.edges)
+    assert free >= 300 and zero >= 100 and single >= 300, (free, zero, single)
+    assert refused >= 500, refused
 
 
 def test_cores_match_reference_check_on_criterion_1_instances():

@@ -1,8 +1,10 @@
 """Activation semantics: verdicts, layers, radius, threshold generalization."""
 
+import collections
 import itertools
 import random
 import re
+import sys
 
 import pytest
 
@@ -16,7 +18,7 @@ from hypercore import (
     trace_report,
 )
 from hypercore.hypergraph import default_thresholds, resolve_thresholds
-from hypercore.propagation import _absorb, _base_state, _check_core
+from hypercore.propagation import _absorb, _base_state, _check_core, _walk
 from conftest import all_subsets, messy_instance, seeded_family
 
 
@@ -388,3 +390,85 @@ def test_absorb_matches_rounds_and_stack_closure():
             assert left == active.count(0) + fired.count(0)
         closed += not states[0][3]
     assert 50 <= closed <= 350, closed
+
+
+# ---------------------------------------------------------------------------
+# The prefix walker
+
+
+def _refusals(seed):
+    """A fixed random rule: whether extending a state that has kept the
+    items ``kept`` by item ``x`` changes nothing."""
+
+    def refuses(kept, x):
+        return random.Random(f"{seed} {kept} {x}").random() < 0.3
+
+    return refuses
+
+
+def _walked(n, k, part, parts, refuses, skip):
+    """What ``_walk`` yields and which extensions it makes, with states
+    ``(kept, left)`` whose ``left`` is the parity of the items kept."""
+    calls = collections.Counter()
+
+    def extend(state, x):
+        calls[state[0], x] += 1
+        if refuses(state[0], x):
+            return None
+        kept = state[0] + (x,)
+        return kept, len(kept) % 2
+
+    return list(_walk(n, k, ((), 0), extend, part, parts, skip)), calls
+
+
+def _walked_reference(n, k, part, parts, refuses, skip):
+    """The same from the strided leaves of ``combinations``: each prefix of
+    a leaf on the way to it is extended once, a refused item keeps its
+    prefix's state, and with ``skip`` it cuts the leaf off instead."""
+    yielded = []
+    prefixes = {}
+    for combo in itertools.islice(itertools.combinations(range(n), k), part, None, parts):
+        kept = ()
+        for i, x in enumerate(combo):
+            prefixes[combo[: i + 1]] = (kept, x)
+            if not refuses(kept, x):
+                kept += (x,)
+            elif skip:
+                break
+        else:
+            if not len(kept) % 2:
+                yielded.append(combo)
+    return yielded, collections.Counter(prefixes.values())
+
+
+def test_walk_matches_strided_combinations():
+    """Every ``n <= 9``, every ``k`` up to ``n + 2`` and 1-4 strided parts,
+    with no refusals, with refusals that keep the prefix's state, and with
+    refusals that skip their subtree."""
+    refused = skipped = 0
+    for n in range(10):
+        for k in range(n + 3):
+            for parts in range(1, 5):
+                for part in range(parts):
+                    leaves = list(
+                        itertools.islice(itertools.combinations(range(n), k), part, None, parts)
+                    )
+                    got = list(_walk(n, k, (0,), lambda state, x: state, part, parts))
+                    assert got == leaves, (n, k, part, parts)
+                    for skip in (False, True):
+                        rule = _refusals(n * 1000 + k * 10 + part)
+                        walked = _walked(n, k, part, parts, rule, skip)
+                        assert walked == _walked_reference(n, k, part, parts, rule, skip)
+                        refused += len(walked[0]) < len(leaves)
+                        skipped += skip and walked != _walked(n, k, part, parts, rule, False)
+                    assert _walked(n, k, part, parts, lambda kept, x: False, True)[0] == [
+                        c for c in leaves if not len(c) % 2
+                    ]
+    assert refused >= 100 and skipped >= 100, (refused, skipped)
+
+
+def test_walk_needs_no_recursion_depth():
+    k = sys.getrecursionlimit() + 1
+    combos = list(_walk(k + 1, k, (0,), lambda state, x: state))
+    assert combos == list(itertools.combinations(range(k + 1), k))
+

@@ -92,3 +92,34 @@ def test_every_export_has_a_caller():
         if name not in callers and name not in read_at_home[home]
     )
     assert unused == []
+
+
+def test_no_function_calls_itself():
+    """No result depends on recursion depth: no function in ``src/hypercore``
+    calls itself by name, as a plain call or as an attribute call such as
+    ``self.f``.  ``super().__init__`` is another class's method.  The one
+    exception is ``reductions._subtree``, a balanced tree whose depth is
+    log2 of its leaf count."""
+    found = []
+    for path in sorted((ROOT / "src" / "hypercore").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if isinstance(f, ast.Name):
+                    name = f.id
+                elif isinstance(f, ast.Attribute) and not (
+                    isinstance(f.value, ast.Call)
+                    and isinstance(f.value.func, ast.Name)
+                    and f.value.func.id == "super"
+                ):
+                    name = f.attr
+                else:
+                    continue
+                if name == fn.name:
+                    found.append(f"{path.stem}.{fn.name}:{node.lineno}")
+    assert sorted({entry.partition(":")[0] for entry in found}) == ["reductions._subtree"], found
