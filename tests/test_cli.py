@@ -13,8 +13,7 @@ import time
 import pytest
 
 import hypercore
-from hypercore import Hypergraph, generate_random, write_instance
-from hypercore.hypergraph import HceParseError, read_instance
+from hypercore import HceParseError, Hypergraph, generate_random, read_instance, write_instance
 from hypercore.cli import build_parser, main
 from test_hypergraph import MALFORMED
 
