@@ -89,10 +89,8 @@ def layer_distance_check(
     if not trace.verdict:
         raise NotACoreError(f"{sorted(trace.core)} is not a core")
     dist = _bfs_distances(graph, sorted(trace.core))
-    for v, layer in trace.assimilated_at.items():
-        if layer == 0:
-            continue
-        if dist[v] < 0 or layer < dist[v]:
+    for v, layer in enumerate(trace.depth):
+        if layer and (dist[v] < 0 or layer < dist[v]):
             return False
     return True
 

@@ -137,17 +137,17 @@ def core_to_filtration(graph: Hypergraph, core: Iterable[int]) -> Filtration:
             "condition 2: core contains whole edges "
             + str([graph.edges[i] for i in trace.initially_covered])
         )
+    added: list[Optional[int]] = [None] * graph.m
+    for v, j in enumerate(trace.credit):
+        if j >= 0:
+            if added[j] is not None:
+                raise RuntimeError("default-threshold layers add at most one vertex")
+            added[j] = v
     order = [e for layer in trace.layers for e in layer]
-    added: list[Optional[int]] = []
-    for edge_index in order:
-        new = trace.assimilator.get(edge_index, ())
-        if len(new) > 1:
-            raise RuntimeError("default-threshold layers add at most one vertex")
-        added.append(new[0] if new else None)
     return Filtration(
         foundation=frozenset(trace.core),
         edge_order=tuple(order),
-        added_vertex=tuple(added),
+        added_vertex=tuple([added[j] for j in order]),
     )
 
 

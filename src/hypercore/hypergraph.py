@@ -233,12 +233,15 @@ def generate_random(
     """Deterministic random instance; identical parameters give identical bytes.
 
     Every edge draws a uniform size in ``[edge_size_min, edge_size_max]`` and
-    a uniform vertex subset of that size (without replacement).
+    a uniform vertex subset of that size (without replacement).  ``n + m``
+    above ``_MAX_DECLARED`` raises ``ValueError`` before anything is built.
     """
     if not (1 <= edge_size_min <= edge_size_max <= n) and m > 0:
         raise ValueError("need 1 <= edge_size_min <= edge_size_max <= n")
     if n < 0 or m < 0:
         raise ValueError("counts must be non-negative")
+    if n + m > _MAX_DECLARED:
+        raise ValueError(f"n + m = {n + m} is over {_MAX_DECLARED}")
     rng = random.Random(f"hce:{n}:{m}:{edge_size_min}:{edge_size_max}:{seed}")
     edges = []
     for _ in range(m):
@@ -375,10 +378,11 @@ def _counted(line_no: int, nums: list[int], hi: Optional[int] = None) -> tuple[i
     return tuple([x - 1 for x in xs])
 
 
-# The most vertices plus edges an instance header may declare.  Building
-# the incidence costs about 64 bytes per declared vertex before any record
-# is read, so a header at the cap commits about 640 MB; the largest
-# instances in the tests and the benchmark have n + m = 8 * 10**4.
+# The most vertices plus edges an instance header, or ``generate_random``,
+# may declare; a MinRep header is held to the same cap on its node count.
+# Building the incidence costs about 64 bytes per declared vertex before
+# any record is read, so a header at the cap commits about 640 MB; the
+# largest instances in the tests and the benchmark have n + m = 8 * 10**4.
 _MAX_DECLARED = 10_000_000
 
 

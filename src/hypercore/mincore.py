@@ -29,7 +29,6 @@ worker, and the least of the parts' bests is the serial answer.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -236,10 +235,10 @@ class _Kernel:
 
     def _delete(self, state, ei: int):
         """The strip state ``state`` with local edge ``ei`` also deleted, in
-        a copy, or None when ``ei`` is already stripped."""
+        a copy, or ``state`` itself when ``ei`` is already stripped."""
         deg, alive, left = state
         if not alive[ei]:
-            return None
+            return state
         local = self.local
         edge = local.edges[ei]
         deg = deg[:]
@@ -386,11 +385,14 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
         raise ValueError("jobs must be at least 1")
     kernel = _Kernel(graph, _residual(graph))
     workers = min(jobs, _cpu_count())
-    pool = (
-        ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(kernel,))
-        if workers > 1
-        else nullcontext()
-    )
+    if workers > 1:  # imported only here: a run with no pool never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_pool_init, initargs=(kernel,)
+        )
+    else:
+        pool = nullcontext()
     with pool:
         for a in range(max(0, kernel.local.m - kernel.local.n), a_max + 1):
             if workers == 1:

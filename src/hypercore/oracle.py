@@ -177,12 +177,12 @@ def _cores(graph: Hypergraph, k: int, t: Sequence[int], minimal: bool = False):
         active, count, fired, left = state
         v = rest[i]
         if active[v]:
-            return None
+            return None if minimal else state
         active, count, fired = active[:], count[:], fired[:]
         return active, count, fired, _absorb(graph, t, active, count, fired, left, (v,))
 
     base = (active, count, fired, left)
-    for combo in _walk(len(rest), k - len(free), base, extend, skip=minimal):
+    for combo in _walk(len(rest), k - len(free), base, extend):
         yield tuple(sorted(free + [rest[i] for i in combo]))
 
 

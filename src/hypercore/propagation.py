@@ -16,10 +16,11 @@ monotone, this greedy schedule uses the fewest possible rounds, so the
 number of layers is the radius of the core.  Edges fully inside the core
 are covered up front and belong to no layer.  :func:`is_core` and
 :func:`assimilated_closure` read the rounds of that loop directly;
-:func:`propagate` also packs its layers and credits into a
-:class:`PropagationTrace`, whose ``radius`` is the layer count.  Each
-public function takes its thresholds through
-:func:`~.hypergraph.resolve_thresholds`, which holds the rule.
+:func:`propagate` returns its layers and its per-vertex ``depth`` and
+``credit`` lists, as they are, in a :class:`PropagationTrace`, whose
+``radius`` is the layer count.  Each public function takes its
+thresholds through :func:`~.hypergraph.resolve_thresholds`, which holds
+the rule.
 
 ``_absorb`` computes only the closure, the set of vertices active at the
 end, firing edges one at a time in stack order.  Rounds do not extend
@@ -39,7 +40,7 @@ state per prefix depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -56,19 +57,19 @@ class PropagationTrace:
 
     ``layers`` partitions the edges covered during the rounds;
     ``initially_covered`` lists edges that were subsets of the core and
-    never entered a layer.  ``assimilated_at`` maps each active vertex to
-    its layer (0 for core members).  ``assimilator`` maps each edge whose
-    covering activated new vertices to the vertices it is credited with.
-    When two same-layer edges could both activate a vertex, the smallest
-    edge index gets the credit.
+    never entered a layer.  ``depth[v]`` is the layer that assimilated
+    vertex ``v``: 0 for core members, -1 for a vertex never assimilated.
+    ``credit[v]`` is the edge credited with ``v``, -1 for core members and
+    inactive vertices.  When two same-layer edges could both activate a
+    vertex, the smallest edge index gets the credit.
     """
 
     verdict: bool
     core: frozenset[int]
     layers: list[tuple[int, ...]]
     initially_covered: tuple[int, ...]
-    assimilated_at: dict[int, int]
-    assimilator: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    depth: list[int]
+    credit: list[int]
     uncovered: tuple[int, ...] = ()
 
     @property
@@ -192,17 +193,17 @@ def _absorb(
     return left
 
 
-def _walk(n: int, k: int, base, extend, part: int = 0, parts: int = 1, skip: bool = False):
+def _walk(n: int, k: int, base, extend, part: int = 0, parts: int = 1):
     """Yield, in lexicographic order, the ``k``-combinations of ``range(n)``
     whose state has ``left == 0``.
 
     A state is a tuple whose last field is ``left``; ``base`` is the state
     of the empty prefix.  ``extend(state, x)`` returns the state of the
-    prefix extended by item ``x``, or None when ``x`` changes nothing.  The
-    walker keeps one state per prefix depth, so each prefix is extended
-    once and every combination under it starts from its state.  On None
-    the prefix's state carries over to ``x``; with ``skip``, every
-    combination that extends the prefix by ``x`` is passed over instead.
+    prefix extended by item ``x``: ``state`` itself when ``x`` changes
+    nothing, or None to pass over every combination that extends the
+    prefix by ``x``.  The walker keeps one state per prefix depth, so each
+    prefix is extended once and every combination under it starts from its
+    state.
 
     Only the leaves whose index in the full lexicographic sequence is
     ``part`` mod ``parts`` are decided, as in ``islice(combinations(range(n),
@@ -237,11 +238,9 @@ def _walk(n: int, k: int, base, extend, part: int = 0, parts: int = 1, skip: boo
             continue
         state = extend(states[d], x)
         if state is None:
-            if skip:
-                index += size
-                x += 1
-                continue
-            state = states[d]
+            index += size
+            x += 1
+            continue
         combo[d] = x
         x += 1
         if d < last:
@@ -295,35 +294,15 @@ def propagate(
     cs = _check_core(graph, core)
     t = resolve_thresholds(graph, thresholds)
     depth, credit, layers, inside, fired = _spread(graph, cs, t)
-    verdict = -1 not in depth
-    # Most edges are credited with one vertex: it is stored as a 1-tuple,
-    # and only an edge credited with a second vertex grows a list.
-    assimilator: dict[int, tuple[int, ...]] = {}
-    grown: dict[int, list[int]] = {}
-    for v, j in enumerate(credit):
-        if j >= 0:
-            if j in grown:
-                grown[j].append(v)
-            elif j in assimilator:
-                grown[j] = [*assimilator[j], v]
-            else:
-                assimilator[j] = (v,)
-    for j, vs in grown.items():
-        assimilator[j] = tuple(vs)
-    if verdict:  # every vertex is active and every edge fired
-        assimilated_at = dict(enumerate(depth))
-        uncovered: tuple[int, ...] = ()
-    else:
-        assimilated_at = {v: d for v, d in enumerate(depth) if d >= 0}
-        uncovered = tuple(j for j, f in enumerate(fired) if not f)
+    verdict = -1 not in depth  # then every edge fired, too
     return PropagationTrace(
         verdict=verdict,
         core=cs,
         layers=layers,
         initially_covered=tuple(inside),
-        assimilated_at=assimilated_at,
-        assimilator=assimilator,
-        uncovered=uncovered,
+        depth=depth,
+        credit=credit,
+        uncovered=() if verdict else tuple(j for j, f in enumerate(fired) if not f),
     )
 
 
@@ -338,10 +317,11 @@ def trace_report(trace: PropagationTrace) -> str:
         out.append(
             "contained " + " ".join(str(i + 1) for i in trace.initially_covered)
         )
-    for depth, layer in enumerate(trace.layers, start=1):
-        out.append(f"layer {depth}: " + " ".join(str(i + 1) for i in layer))
-    for v in sorted(trace.assimilated_at):
-        out.append(f"vertex {v + 1} layer {trace.assimilated_at[v]}")
+    for r, layer in enumerate(trace.layers, start=1):
+        out.append(f"layer {r}: " + " ".join(str(i + 1) for i in layer))
+    for v, d in enumerate(trace.depth):
+        if d >= 0:
+            out.append(f"vertex {v + 1} layer {d}")
     if trace.uncovered:
         out.append("uncovered " + " ".join(str(i + 1) for i in trace.uncovered))
     return "\n".join(out) + "\n"

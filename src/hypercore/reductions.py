@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .hypergraph import (
+    _MAX_DECLARED,
     HceParseError,
     Hypergraph,
     Thresholds,
@@ -265,29 +266,34 @@ def core_to_setcover(cert: SetCoverCertificate, core: Iterable[int]) -> list[int
 # Triangulation gadget
 
 
-def _subtree(leaves: Sequence[int], alloc: list[int]) -> tuple[int, list[tuple[int, int, int]]]:
-    """Balanced full binary tree over ``leaves``; fresh ids pop from ``alloc``."""
-    if len(leaves) == 1:
-        return leaves[0], []
-    mid = (len(leaves) + 1) // 2
-    left, left_edges = _subtree(leaves[:mid], alloc)
-    right, right_edges = _subtree(leaves[mid:], alloc)
-    me = alloc[0]
-    alloc[0] += 1
-    return me, left_edges + right_edges + [(me, left, right)]
-
-
 def _gadget_edges(
     leaves: Sequence[int], root: int, first_fresh: int
 ) -> tuple[list[tuple[int, int, int]], int]:
-    """Tree edges with a designated root vertex; returns (edges, next fresh id)."""
-    if len(leaves) < 2:
+    """Balanced full binary tree of size-3 edges over ``leaves`` (the left
+    half takes the middle leaf), topped by ``root``; returns (edges, next
+    fresh id).  Edges are listed in post-order, children before their
+    parent, and the internal vertices below ``root`` get fresh ids from
+    ``first_fresh`` in that order."""
+    n = len(leaves)
+    if n < 2:
         raise ValueError("a rooted gadget needs at least two leaves")
-    alloc = [first_fresh]
-    mid = (len(leaves) + 1) // 2
-    left, left_edges = _subtree(leaves[:mid], alloc)
-    right, right_edges = _subtree(leaves[mid:], alloc)
-    return left_edges + right_edges + [(root, left, right)], alloc[0]
+    splits = []  # (lo, mid, hi) of each internal vertex, in pre-order, right first
+    stack = [(0, n)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo > 1:
+            mid = (lo + hi + 1) // 2
+            splits.append((lo, mid, hi))
+            stack += [(lo, mid), (mid, hi)]
+    edges: list[tuple[int, int, int]] = []
+    tops = []  # the internal vertices whose parent has no edge yet
+    for lo, mid, hi in reversed(splits):  # left, right, parent: post-order
+        right = leaves[mid] if hi - mid == 1 else tops.pop()
+        left = leaves[lo] if mid - lo == 1 else tops.pop()
+        top = first_fresh + len(edges) if hi - lo < n else root
+        edges.append((top, left, right))
+        tops.append(top)
+    return edges, first_fresh + len(edges) - 1
 
 
 def triangulate_edge(graph: Hypergraph, edge_index: int) -> Hypergraph:
@@ -567,13 +573,20 @@ def read_setcover(text: str) -> SetCoverInstance:
 
 
 def read_minrep(text: str) -> MinrepInstance:
-    """Parse ``p minrep <qA> <mA> <qB> <mB>`` plus 1-based ``e <a> <b>`` lines."""
+    """Parse ``p minrep <qA> <mA> <qB> <mB>`` plus 1-based ``e <a> <b>`` lines.
+
+    A header declaring more than ``_MAX_DECLARED`` nodes, ``qA*mA + qB*mB``,
+    is an error on its line."""
     edges: list[tuple[int, int]] = []
     for line_no, kind, nums in _records(text, ("e",), ("minrep", 4)):
         if kind == "p":
             if min(nums) < 1:
                 raise HceParseError(line_no, "group counts and sizes must be positive")
             header, num_a, num_b = nums, nums[0] * nums[1], nums[2] * nums[3]
+            if num_a + num_b > _MAX_DECLARED:
+                raise HceParseError(
+                    line_no, f"header declares {num_a + num_b} nodes, over {_MAX_DECLARED}"
+                )
         elif len(nums) != 2 or not (1 <= nums[0] <= num_a and 1 <= nums[1] <= num_b):
             raise HceParseError(
                 line_no, f"edge needs endpoints in [1, {num_a}] and [1, {num_b}]"

@@ -83,7 +83,7 @@ def test_layer_distance_examples(triangle, path):
 
 def test_layer_distance_matches_trace(path):
     trace = propagate(path, {0})
-    assert trace.assimilated_at[2] == 2  # two hops from the seed
+    assert trace.depth[2] == 2  # two hops from the seed
 
 
 def test_bound_report_fields(path):

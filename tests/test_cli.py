@@ -15,6 +15,7 @@ import pytest
 import hypercore
 from hypercore import HceParseError, Hypergraph, generate_random, read_instance, write_instance
 from hypercore.cli import build_parser, main
+from hypercore.reductions import read_minrep
 from test_hypergraph import MALFORMED
 
 PATH_TEXT = "p hce 3 2\ne 2 1 2\ne 2 2 3\n"
@@ -171,6 +172,70 @@ def test_huge_header_exits_2_before_allocating(tmp_path):
     with pytest.raises(HceParseError, match="^line 2: header declares 10000001 ") as err:
         read_instance("c\np hce 5000000 5000001\n")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (
+            ["gen", "--n", "99999999999", "--m", "0", "--emin", "1", "--emax", "1", "--seed", "0"],
+            None,
+            "error: n + m = 99999999999 is over 10000000",
+        ),
+        (
+            ["reduce", "minrep", "{file}", "-o", "{out}"],
+            "p minrep 100000 100000 100000 100000\n",
+            "error: line 1: header declares 20000000000 nodes, over 10000000",
+        ),
+    ],
+    ids=["gen", "reduce-minrep"],
+)
+def test_huge_declared_sizes_exit_2_before_allocating(tmp_path, argv, text, message):
+    """``gen`` sizes and a MinRep header over the instance reader's cap are
+    input errors, found before anything is built: under a 1 GB
+    address-space cap on the child alone, each command exits 2 at once."""
+    src = tmp_path / "huge.txt"
+    if text is not None:
+        src.write_text(text)
+    argv = [a.format(file=src, out=tmp_path / "out.hce") for a in argv]
+    start = time.perf_counter()
+    res = subprocess.run(
+        [sys.executable, "-m", "hypercore", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=_address_space_cap,
+        timeout=60,
+    )
+    assert (res.returncode, res.stdout) == (2, ""), res.stderr
+    assert res.stderr.strip() == message
+    assert time.perf_counter() - start < 5
+    assert not (tmp_path / "out.hce").exists()
+
+
+def test_huge_declared_sizes_refused_at_the_cap():
+    with pytest.raises(ValueError, match="^n \\+ m = 10000001 is over 10000000$"):
+        generate_random(10**7 + 1, 0, 1, 1, 0)
+    with pytest.raises(ValueError, match="^n \\+ m = 10000001 is over"):
+        generate_random(5 * 10**6, 5 * 10**6 + 1, 1, 1, 0)
+    at_cap = read_minrep("p minrep 1 5000000 2 2500000\ne 1 1\n")
+    assert (at_cap.num_a, at_cap.num_b, at_cap.edges) == (5 * 10**6, 5 * 10**6, ((0, 0),))
+    with pytest.raises(HceParseError, match="^line 2: header declares 10000001 nodes") as err:
+        read_minrep("c\np minrep 1 5000000 1 5000001\n")
+    assert err.value.line == 2
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    """Only ``mincore`` with two or more workers starts a process pool, and
+    only then imports it: importing the CLI loads neither the pool module
+    nor ``multiprocessing``."""
+    code = (
+        "import sys, hypercore.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (res.returncode, res.stdout) == (0, "[]\n"), res.stderr
 
 
 @pytest.mark.parametrize("reader, text, line", MALFORMED)

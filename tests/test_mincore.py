@@ -1,5 +1,6 @@
 """Degree-one peeling and the parameterized minimum-core search."""
 
+import concurrent.futures
 import itertools
 import math
 import os
@@ -214,7 +215,7 @@ def pools(monkeypatch):
             self.tasks.append(items)
             return map(fn, items)
 
-    monkeypatch.setattr(mincore, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(mincore, "_POOL_KERNEL", None)
     return recorded
 

@@ -43,9 +43,9 @@ def test_propagate_triangle(triangle):
     assert trace.verdict
     assert trace.layers == [(0, 2), (1,)]
     assert trace.radius == 2
-    assert sorted(trace.assimilator) == [0, 2]  # edge 1 activates nothing new
-    assert trace.assimilator == {0: (1,), 2: (2,)}
-    assert trace.assimilated_at == {0: 0, 1: 1, 2: 1}
+    assert sorted(set(trace.credit) - {-1}) == [0, 2]  # edge 1 activates nothing new
+    assert trace.credit == [-1, 0, 2]
+    assert trace.depth == [0, 1, 1]
 
 
 def test_propagate_path_center(path):
@@ -75,8 +75,8 @@ def test_threshold_one_assimilates_whole_edge():
     g = Hypergraph(3, [(0, 1, 2)])
     trace = propagate(g, {0}, [1])
     assert trace.verdict and trace.radius == 1
-    assert trace.assimilated_at == {0: 0, 1: 1, 2: 1}
-    assert trace.assimilator == {0: (1, 2)}
+    assert trace.depth == [0, 1, 1]
+    assert trace.credit == [-1, 0, 0]
 
 
 def test_threshold_rule_validation():
@@ -113,8 +113,8 @@ def test_extending_tiebreak_prefers_smaller_index():
     g = Hypergraph(2, [(0, 1), (0, 1)])
     trace = propagate(g, {0})
     assert trace.layers == [(0, 1)]
-    assert 1 not in trace.assimilator
-    assert trace.assimilator == {0: (1,)}
+    assert 1 not in trace.credit
+    assert trace.credit == [-1, 0]
 
 
 def test_monotonicity_property():
@@ -134,16 +134,14 @@ def test_core_soundness_and_layer_validity():
             trace = propagate(g, core)
             if not trace.verdict:
                 continue
-            assert set(trace.assimilated_at) == set(range(g.n))
+            assert -1 not in trace.depth and len(trace.depth) == g.n
             t = default_thresholds(g)
             reached = set(core)
             for depth, layer in enumerate(trace.layers, start=1):
                 for e_idx in layer:
                     e = set(g.edges[e_idx])
                     assert len(e & reached) >= t[e_idx]
-                reached |= {
-                    v for v, d in trace.assimilated_at.items() if d == depth
-                }
+                reached |= {v for v, d in enumerate(trace.depth) if d == depth}
             # layers are minimal: each edge misses its threshold one round earlier
             reached = set(core)
             earlier: list[set] = []
@@ -163,12 +161,14 @@ def test_extending_edges_credit_one_vertex_each():
     for g in seeded_family(40, seed=23, n_hi=8, size_lo=1):
         core = next(c for c in all_subsets(g.n) if is_core(g, c))
         trace = propagate(g, core)
-        assert all(len(vs) == 1 for vs in trace.assimilator.values())
-        assert sum(len(vs) for vs in trace.assimilator.values()) == g.n - len(core)
+        credited = [j for j in trace.credit if j >= 0]
+        assert len(set(credited)) == len(credited)
+        assert len(credited) == g.n - len(core)
         # a credited vertex enters in the layer of the edge credited with it
         layer_of = {e: d for d, layer in enumerate(trace.layers, 1) for e in layer}
-        for e, vs in trace.assimilator.items():
-            assert all(trace.assimilated_at[v] == layer_of[e] for v in vs)
+        for v, e in enumerate(trace.credit):
+            if e >= 0:
+                assert trace.depth[v] == layer_of[e]
 
 
 def test_radius_zero_iff_all_edges_inside():
@@ -206,10 +206,23 @@ def test_trace_report_shape(triangle):
     assert "not-a-core" in bad and "uncovered" in bad
 
 
+def test_trace_report_lists_active_vertices_in_order():
+    g = Hypergraph(5, [(3, 4), (0, 1)])
+    trace = propagate(g, {3})
+    assert trace.depth == [-1, -1, -1, 0, 1]
+    assert trace_report(trace) == (
+        "verdict not-a-core\n"
+        "layer 1: 1\n"
+        "vertex 4 layer 0\n"
+        "vertex 5 layer 1\n"
+        "uncovered 2\n"
+    )
+
+
 # The two engines the single round loop replaced, kept as references: a
 # stack closure behind ``is_core``/``assimilated_closure`` and a separate
 # round-based ``propagate``.  The old trace also carried an ``extending``
-# flag list, dropped here because it equals ``j in trace.assimilator``.
+# flag list, dropped here because it equals ``j in trace.credit``.
 
 
 def _isolated_outside(graph, core):
@@ -283,27 +296,26 @@ def _reference_propagate(graph, core, thresholds=None):
         elif count[i] >= t[i]:
             pending.append(i)
 
-    assimilated_at = {v: 0 for v in cs}
+    depth = [-1] * graph.n
+    for v in cs:
+        depth[v] = 0
+    credit = [-1] * graph.n
     layers = []
-    assimilator = {}
 
     while pending:
         layer = tuple(sorted(pending))
         layers.append(layer)
-        depth = len(layers)
+        r = len(layers)
         credited = {}  # new vertex -> smallest same-layer edge
         for e_idx in layer:
             covered[e_idx] = True
             for u in edges[e_idx]:
                 if not assim[u] and u not in credited:
                     credited[u] = e_idx
-        by_edge = {}
         for u, e_idx in credited.items():
             assim[u] = 1
-            assimilated_at[u] = depth
-            by_edge.setdefault(e_idx, []).append(u)
-        for e_idx, vs in by_edge.items():
-            assimilator[e_idx] = tuple(sorted(vs))
+            depth[u] = r
+            credit[u] = e_idx
         nxt = set()
         for u in credited:
             for j in graph._incidence[u]:
@@ -319,8 +331,8 @@ def _reference_propagate(graph, core, thresholds=None):
         core=cs,
         layers=layers,
         initially_covered=tuple(initially),
-        assimilated_at=assimilated_at,
-        assimilator=assimilator,
+        depth=depth,
+        credit=credit,
         uncovered=uncovered,
     )
 
@@ -408,17 +420,18 @@ def _refusals(seed):
 
 def _walked(n, k, part, parts, refuses, skip):
     """What ``_walk`` yields and which extensions it makes, with states
-    ``(kept, left)`` whose ``left`` is the parity of the items kept."""
+    ``(kept, left)`` whose ``left`` is the parity of the items kept.  A
+    refused item returns the prefix's state, or None with ``skip``."""
     calls = collections.Counter()
 
     def extend(state, x):
         calls[state[0], x] += 1
         if refuses(state[0], x):
-            return None
+            return None if skip else state
         kept = state[0] + (x,)
         return kept, len(kept) % 2
 
-    return list(_walk(n, k, ((), 0), extend, part, parts, skip)), calls
+    return list(_walk(n, k, ((), 0), extend, part, parts)), calls
 
 
 def _walked_reference(n, k, part, parts, refuses, skip):

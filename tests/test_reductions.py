@@ -241,7 +241,7 @@ def test_and_gadget_examples():
     edges, x1, x2 = reductions._and_edges([0, 1], 2, 3)
     assert (edges, x1, x2) == ([(0, 1, 3), (0, 1, 4), (2, 3, 4)], 3, 4)
     trace = propagate(Hypergraph(5, edges), {0, 1})
-    assert trace.verdict and trace.assimilated_at[2] == 2
+    assert trace.verdict and trace.depth[2] == 2
 
     edges1, _, _ = reductions._and_edges([0], 1, 2)
     assert sorted(len(e) for e in edges1) == [2, 2, 3]

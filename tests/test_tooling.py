@@ -97,9 +97,7 @@ def test_every_export_has_a_caller():
 def test_no_function_calls_itself():
     """No result depends on recursion depth: no function in ``src/hypercore``
     calls itself by name, as a plain call or as an attribute call such as
-    ``self.f``.  ``super().__init__`` is another class's method.  The one
-    exception is ``reductions._subtree``, a balanced tree whose depth is
-    log2 of its leaf count."""
+    ``self.f``.  ``super().__init__`` is another class's method."""
     found = []
     for path in sorted((ROOT / "src" / "hypercore").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -122,4 +120,4 @@ def test_no_function_calls_itself():
                     continue
                 if name == fn.name:
                     found.append(f"{path.stem}.{fn.name}:{node.lineno}")
-    assert sorted({entry.partition(":")[0] for entry in found}) == ["reductions._subtree"], found
+    assert found == []
