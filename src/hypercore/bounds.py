@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .hypergraph import Hypergraph, Thresholds, _bfs_distances, diameter
+from .hypergraph import Hypergraph, _bfs_distances, diameter
 from .propagation import NotACoreError, propagate
 
 #: Slack for comparing an integer radius against a float bound.
@@ -80,12 +80,10 @@ def _diameter_bound(diam: float, core_size: int) -> float:
     return math.inf if math.isinf(diam) else float(int(diam) // (2 * core_size))
 
 
-def layer_distance_check(
-    graph: Hypergraph, core: Iterable[int], thresholds: Thresholds = None
-) -> bool:
+def layer_distance_check(graph: Hypergraph, core: Iterable[int]) -> bool:
     """True iff every activated vertex's layer is at least its hop distance
-    to the nearest core vertex."""
-    trace = propagate(graph, core, thresholds)
+    to the nearest core vertex, under default thresholds."""
+    trace = propagate(graph, core)
     if not trace.verdict:
         raise NotACoreError(f"{sorted(trace.core)} is not a core")
     dist = _bfs_distances(graph, sorted(trace.core))

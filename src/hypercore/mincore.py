@@ -59,14 +59,12 @@ class PeelResult:
     """Core of size ``n - m`` plus the layer structure the peeling certifies.
 
     ``layers[i]`` lists the edges of layer ``i + 1``: the edges deleted in
-    round ``r - i`` of the peeling.  ``assimilator[e]`` is the vertex that
-    was removed from the core when ``e`` was processed; it is the vertex
-    ``e`` activates when the core propagates.
+    round ``r - i`` of the peeling.  Edge ``e`` activates the vertex whose
+    ``credit`` is ``e`` in the core's :func:`~.propagation.propagate` trace.
     """
 
     core: frozenset[int]
     layers: list[tuple[int, ...]]
-    assimilator: dict[int, int]
 
     @property
     def radius(self) -> int:
@@ -138,8 +136,8 @@ def peel_nm(graph: Hypergraph, deleted: Sequence[int] = ()) -> PeelResult:
 
     ``deleted`` lists edge indices to leave out.  The peel then runs on
     ``graph`` without those edges and finds the core a rebuilt subgraph
-    would give, of size ``n`` minus the edges kept; ``layers`` and
-    ``assimilator`` keep the edge indices of ``graph``.
+    would give, of size ``n`` minus the edges kept; ``layers`` keeps the
+    edge indices of ``graph``.
 
     Raises :class:`NoCoreOfSizeNM` when no such core exists.  Runs in time
     linear in the total incidence size.
@@ -155,7 +153,7 @@ def peel_nm(graph: Hypergraph, deleted: Sequence[int] = ()) -> PeelResult:
         raise NoCoreOfSizeNM()
     rounds.reverse()
     core = frozenset(range(n)).difference(victims.values())
-    return PeelResult(core=core, layers=rounds, assimilator=victims)
+    return PeelResult(core=core, layers=rounds)
 
 
 def _strip(graph: Hypergraph, deg: list[int], alive: bytearray, left: int, seeds) -> int:

@@ -33,8 +33,7 @@ subsets undecided, and neither can leave out a core:
    a block :func:`oracle_min_core` reaches, since it stops at the first
    block with a core, nor at the minimum size that the radius pass of
    :func:`oracle_min_radius_over_min_cores` scores.
-   :func:`oracle_best_radius_at_size` accepts any size, so on its own it
-   does not skip.
+   :func:`oracle_best_radius_at_size` accepts any size and does not skip.
 
 The rounds of ``propagation._spread``, which :func:`~.mincore.mincore_fpt`
 scores cores with, confirm each verdict the searches return:
@@ -216,8 +215,9 @@ def oracle_min_radius_over_min_cores(
     the lexicographically first minimum core achieving the radius.
     """
     size, _ = oracle_min_core(graph, thresholds, budget)
-    # no core is smaller than size, so the radius pass may skip (skip 2)
-    best = oracle_best_radius_at_size(graph, size, thresholds, budget, True)
+    t = resolve_thresholds(graph, thresholds)
+    # oracle_min_core admitted this block and found no smaller core (skip 2)
+    best = _least_radius(graph, _cores(graph, size, t, True), t)
     if best is None:
         raise RuntimeError("a minimum core size always has a core")
     return size, best[0], best[1]
@@ -228,18 +228,18 @@ def oracle_best_radius_at_size(
     size: int,
     thresholds: Thresholds = None,
     budget: OracleBudget = DEFAULT_RADIUS_BUDGET,
-    _minimal: bool = False,
 ) -> Optional[tuple[int, frozenset[int]]]:
-    """Minimum radius over all cores of exactly ``size`` vertices, if any.
-
-    ``_minimal`` is private: a caller that knows no core has fewer than
-    ``size`` vertices sets it to skip subsets that cannot be cores.
-    """
+    """Minimum radius over all cores of exactly ``size`` vertices, if any."""
     _enumeration_guard(graph.n, budget)
     t = resolve_thresholds(graph, thresholds)
     _block_guard(0, graph.n, size, budget)
-    best: Optional[tuple[int, frozenset[int]]] = None
-    for combo in _cores(graph, size, t, _minimal):
+    return _least_radius(graph, _cores(graph, size, t), t)
+
+
+def _least_radius(graph: Hypergraph, cores, t: Sequence[int]):
+    """The least radius over ``cores`` with the first core reaching it."""
+    best = None
+    for combo in cores:
         r = _core_radius(graph, combo, t)
         if r is None:
             raise RuntimeError("closure and rounds disagree")

@@ -398,10 +398,10 @@ def minrep_to_mincore(instance: MinrepInstance) -> MinrepCertificate:
 def core_to_minrep(cert: MinrepCertificate, core: Iterable[int]) -> frozenset[int]:
     """Rewrite a core into an equal-or-smaller one using only graph nodes.
 
-    Relay vertices are swapped out one at a time (re-deriving what their
-    removal leaves unreachable), then super-edge copies are replaced by a
-    covering endpoint pair or dropped.  The result is a node pick covering
-    every super-edge.
+    Relays go one at a time: one whose partner the rest still activates
+    becomes its gadget's output, any other the one input left inactive.
+    Both copies of a super-edge become its first endpoint pair, and a lone
+    copy is dropped.  The result is a node pick covering every super-edge.
     """
     graph = cert.instance
     work = set(core)
@@ -416,10 +416,10 @@ def core_to_minrep(cert: MinrepCertificate, core: Iterable[int]) -> frozenset[in
         partner = info.x2 if x == info.x1 else info.x1
         base_set = work - {x}
         closure = assimilated_closure(graph, base_set)
+        # x1, x2 lie in no other edge: the inputs or x in the closure put the
+        # partner there (both relays fire, or x came from (x1, x2, output))
         if partner in closure:
             candidate = base_set | {info.output}
-        elif set(info.inputs) <= closure or x in closure:
-            candidate = base_set
         else:
             missing = [u for u in info.inputs if u not in closure]
             if len(missing) != 1:

@@ -63,6 +63,8 @@ def test_diameter_bound_examples(triangle, path):
     assert radius(triangle, {0}) > 0
     assert diameter_radius_bound(triangle, 2) == 0.0
     assert math.isinf(diameter_radius_bound(Hypergraph(3, [(0, 1)]), 1))
+    with pytest.raises(ValueError, match="^core size must be at least 1$"):
+        diameter_radius_bound(path, 0)
 
 
 def test_diameter_bound_strict_for_end_seed():
@@ -77,6 +79,8 @@ def test_layer_distance_examples(triangle, path):
     assert layer_distance_check(path, {0})
     assert layer_distance_check(triangle, {0})
     assert layer_distance_check(triangle, {0, 1, 2})
+    # a size-1 edge activates vertex 1 in layer 1, though no seed reaches it
+    assert not layer_distance_check(Hypergraph(2, [(1,)]), {0})
     with pytest.raises(NotACoreError):
         layer_distance_check(triangle, set())
 

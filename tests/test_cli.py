@@ -3,6 +3,7 @@
 import ast
 import os
 import pathlib
+import random
 import re
 import resource
 import stat
@@ -59,7 +60,7 @@ def test_peel_triangle_failure_message(triangle_file):
     assert res.stdout.strip() == "no core of size n-m possible"
 
 
-def test_check_core_yes_no(tmp_path, triangle_file):
+def test_check_core_yes_no(tmp_path, capsys, path_file, triangle_file):
     core = tmp_path / "core.txt"
     core.write_text("s 1 1\n")
     res = run("check-core", triangle_file, str(core))
@@ -70,6 +71,13 @@ def test_check_core_yes_no(tmp_path, triangle_file):
     res = run("check-core", triangle_file, str(empty))
     assert res.returncode == 1
     assert "not-a-core" in res.stdout
+    inside = tmp_path / "inside.txt"
+    inside.write_text("s 2 1 2\n")
+    assert main(["check-core", path_file, str(inside)]) == 0
+    assert capsys.readouterr().out == (
+        "verdict core\ncontained 1\nlayer 1: 2\n"
+        "vertex 1 layer 0\nvertex 2 layer 0\nvertex 3 layer 1\n"
+    )
 
 
 def test_check_core_thresholds_flag(tmp_path):
@@ -187,13 +195,19 @@ def test_huge_header_exits_2_before_allocating(tmp_path):
             "p minrep 100000 100000 100000 100000\n",
             "error: line 1: header declares 20000000000 nodes, over 10000000",
         ),
+        (
+            ["gen", "--n", "3", "--m", "-1", "--emin", "1", "--emax", "2", "--seed", "0"],
+            None,
+            "error: counts must be non-negative",
+        ),
     ],
-    ids=["gen", "reduce-minrep"],
+    ids=["gen", "reduce-minrep", "gen-negative"],
 )
 def test_huge_declared_sizes_exit_2_before_allocating(tmp_path, argv, text, message):
-    """``gen`` sizes and a MinRep header over the instance reader's cap are
-    input errors, found before anything is built: under a 1 GB
-    address-space cap on the child alone, each command exits 2 at once."""
+    """``gen`` sizes and a MinRep header over the instance reader's cap,
+    and a negative ``gen`` count, are input errors, found before anything
+    is built: under a 1 GB address-space cap on the child alone, each
+    command exits 2 at once."""
     src = tmp_path / "huge.txt"
     if text is not None:
         src.write_text(text)
@@ -285,6 +299,111 @@ def test_out_of_range_index_exits_2_with_line(tmp_path, capsys, path_file, comma
     assert f"line {line}:" in captured.err
 
 
+# One valid file of each line-record format, with the commands that read it
+# as ``{file}``; ``{instance}``, ``{core}`` and ``{filtration}`` name valid
+# files of the other formats.
+CONTRACT_FILES = {
+    "instance": (
+        "p hce 4 3\nc example\nl 1 a\ne 2 1 2\ne 3 2 3 4\ne 2 1 4\nt 2 1\n",
+        [
+            ["peel", "{file}"],
+            ["mincore", "{file}", "--max-a", "2"],
+            ["oracle", "{file}", "--budget", "10", "--min-radius", "--thresholds"],
+            ["bounds", "{file}", "--core-size", "1"],
+            ["check-core", "{file}", "{core}", "--thresholds"],
+            ["radius", "{file}", "{core}"],
+            ["convert", "core-to-filtration", "{file}", "{core}", "-o", "{out}"],
+            ["convert", "filtration-to-core", "{file}", "{filtration}"],
+        ],
+    ),
+    "core": (
+        "c core\ns 1 1\n",
+        [
+            ["check-core", "{instance}", "{file}"],
+            ["radius", "{instance}", "{file}", "--thresholds"],
+            ["convert", "core-to-filtration", "{instance}", "{file}"],
+        ],
+    ),
+    "filtration": (
+        "f 1 1\no 1 2\no 3 4\no 2 3\n",
+        [["convert", "filtration-to-core", "{instance}", "{file}", "-o", "{out}"]],
+    ),
+    "setcover": (
+        "p sc 3 3\ns 2 1 2\ns 2 2 3\ns 1 3\n",
+        [
+            ["reduce", "setcover", "{file}", "-o", "{out}"],
+            ["reduce", "setcover3", "{file}", "-o", "{out}"],
+        ],
+    ),
+    "minrep": ("p minrep 1 2 1 1\ne 1 1\ne 2 1\n", [["reduce", "minrep", "{file}", "-o", "{out}"]]),
+    "cnf": ("p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n", [["reduce", "3sat", "{file}", "-k", "4", "-o", "{out}"]]),
+}
+
+
+def _mutate(text, rng):
+    """``text`` with one seeded change: a field dropped, a line duplicated,
+    two lines swapped, the header dropped, or a number replaced by 0, -1,
+    one above the file's largest number, or a non-integer.  No count grows
+    beyond that, so every mutant stays small."""
+    lines = text.splitlines() or [""]
+    i = rng.randrange(len(lines))
+    numbers = [
+        (r, c, int(f))
+        for r, line in enumerate(lines)
+        for c, f in enumerate(line.split())
+        if f.lstrip("-").isdigit()
+    ]
+    change = rng.randrange(5 if numbers else 4)
+    if change == 0:
+        fields = lines[i].split()
+        if fields:
+            del fields[rng.randrange(len(fields))]
+        lines[i] = " ".join(fields)
+    elif change == 1:
+        lines.insert(i, lines[i])
+    elif change == 2:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif change == 3:
+        lines = [line for line in lines if not line.startswith("p ")]
+    else:
+        r, c, _ = rng.choice(numbers)
+        top = max(abs(x) for _, _, x in numbers)
+        fields = lines[r].split()
+        fields[c] = rng.choice(["0", "-1", str(top + 1), "1.5", "x"])
+        lines[r] = " ".join(fields)
+    return "".join(line + "\n" for line in lines)
+
+
+def test_exit_codes_stay_0_to_3_on_mutated_files(tmp_path, capsys):
+    """The CLI's exit-code contract: on one or two seeded mutations of a
+    valid file of every line-record format, ``cli.main`` returns 0-3 and
+    never raises, and every exit 2 or 3 prints an ``error:`` line.  The
+    oracle's budget and ``--max-a`` keep each command small."""
+    names = {"out": tmp_path / "out.txt"}
+    for kind, (text, _) in CONTRACT_FILES.items():
+        names[kind] = tmp_path / f"{kind}.txt"
+        names[kind].write_text(text)
+    rng = random.Random(19)
+    codes = set()
+    for kind, (text, commands) in CONTRACT_FILES.items():
+        for trial in range(101):
+            mutated = text
+            for _ in range(trial and rng.randint(1, 2)):
+                mutated = _mutate(mutated, rng)
+            mutant = tmp_path / "mutant.txt"
+            mutant.write_text(mutated)
+            for command in commands:
+                argv = [a.format(file=mutant, **names) for a in command]
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2, 3), (argv, mutated)
+                assert trial or code in (0, 1), (argv, err)
+                assert code < 2 or err.startswith("error: "), (argv, err)
+                codes.add(code)
+    assert {0, 2} <= codes
+
+
 def test_repeated_in_process_calls_share_one_parser(tmp_path, capsys, path_file, triangle_file):
     core = tmp_path / "core.txt"
     core.write_text("s 1 2\n")
@@ -307,12 +426,14 @@ def test_repeated_in_process_calls_share_one_parser(tmp_path, capsys, path_file,
     assert build_parser() is build_parser()
 
 
-def test_reduce_3sat_k_guard(tmp_path):
+def test_reduce_3sat_k_guard(tmp_path, capsys):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n")
     out = tmp_path / "out.hce"
     res = run("reduce", "3sat", str(cnf), "-k", "3", "-o", str(out))
     assert res.returncode == 2
+    assert main(["reduce", "3sat", str(cnf), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: reduce 3sat needs -k\n"
     res = run("reduce", "3sat", str(cnf), "-k", "4", "-o", str(out))
     assert res.returncode == 0
     assert out.exists()

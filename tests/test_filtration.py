@@ -39,6 +39,8 @@ def test_validate_malformed_raises(path):
         validate_filtration(path, Filtration(frozenset({0}), (0, 0), (1, 2)))
     with pytest.raises(ValueError):
         validate_filtration(path, Filtration(frozenset({9}), (0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="^added_vertex length differs from edge count$"):
+        validate_filtration(path, Filtration(frozenset({0}), (0, 1), (1,)))
 
 
 def test_validate_declared_vertex_mismatch(path):

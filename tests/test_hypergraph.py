@@ -240,6 +240,7 @@ def test_generate_random_contract():
 def test_read_instance_example():
     g, thresholds = read_instance("p hce 3 2\ne 2 1 2\ne 2 2 3\n")
     assert g == Hypergraph(3, [(0, 1), (1, 2)])
+    assert g != g.edges  # no equality with a non-hypergraph
     assert thresholds is None
 
 
@@ -368,6 +369,7 @@ MALFORMED = [
     pytest.param(read_instance, "p hce 2 1\ne 2 1 2\nt 1 0\nt 1 1\n", 4, id="hce-second-threshold"),
     pytest.param(read_instance, "p hce 2 1\ne 2 1 2\nt 1 7\n", 3, id="hce-threshold-above-edge"),
     pytest.param(read_instance, "t 1 0\np hce 2 1\ne 2 1 2\n", 1, id="hce-threshold-before-header"),
+    pytest.param(read_instance, "p hce 2 1\ne 2 1 2\nt 1\n", 3, id="hce-threshold-one-field"),
     pytest.param(read_instance, "p hce 2 1\ncorrupt e 1 1\ne 2 1 2\n", 2, id="hce-c-prefixed-word"),
     pytest.param(read_filtration, "f 1 0\n", 1, id="filtration-vertex-zero"),
     pytest.param(read_filtration, "f 0\no 0\n", 2, id="filtration-edge-zero"),

@@ -34,7 +34,7 @@ def test_peel_path(path):
     assert res.core == frozenset({1})
     assert res.radius == 1
     assert res.layers == [(0, 1)]
-    assert res.assimilator == {0: 0, 1: 2}
+    assert mincore._peel(path, set())[1] == {0: 0, 1: 2}
 
 
 def test_peel_triangle_fails(triangle):
@@ -96,10 +96,32 @@ def test_peel_layers_are_a_valid_minimal_layering():
                 assert len(set(g.edges[e_idx]) & reached) >= t[e_idx]
             reached |= {v for e in layer for v in g.edges[e]}
         assert reached == set(range(g.n))
-        victims = set(res.assimilator.values())
-        assert victims == set(range(g.n)) - res.core
-        assert len(victims) == g.m
-        assert all(res.assimilator[e] in g.edges[e] for e in res.assimilator)
+        victims = mincore._peel(g, set())[1]
+        assert set(victims.values()) == set(range(g.n)) - res.core
+        assert len(set(victims.values())) == g.m
+        assert all(victims[e] in g.edges[e] for e in victims)
+
+
+def test_peel_victims_are_the_propagation_credits():
+    """Each edge the peel removes a vertex for is the edge ``propagate``
+    credits that vertex to.  The family has duplicate edges, which no peel
+    gets past, and size-1 edges, which it does."""
+    rng = random.Random(33)
+    graphs = [messy_instance(rng) for _ in range(300)]
+    graphs += seeded_family(200, seed=33, n_hi=10, size_lo=1)
+    assert sum(len(set(g.edges)) < g.m for g in graphs) >= 10
+    peeled = singletons = 0
+    for g in graphs:
+        try:
+            core = peel_nm(g).core
+        except NoCoreOfSizeNM:
+            continue
+        peeled += 1
+        singletons += any(len(e) == 1 for e in g.edges)
+        credit = propagate(g, core).credit
+        inverse = {j: v for v, j in enumerate(credit) if j >= 0}
+        assert mincore._peel(g, set())[1] == inverse, g.edges
+    assert peeled >= 100 and singletons >= 10
 
 
 def test_peel_succeeds_iff_min_core_size_is_nm():
@@ -457,9 +479,9 @@ def test_peel_with_deleted_edges_matches_rebuilt_subgraph(triangle):
     res = peel_nm(triangle, deleted=(1,))
     rebuilt = peel_nm(Hypergraph(3, [(0, 1), (0, 2)]))
     assert res.core == rebuilt.core == frozenset({0})
-    # layers and assimilator keep the indices of the full instance
+    # layers and the victims keep the indices of the full instance
     assert res.layers == [(0, 2)]
-    assert res.assimilator == {0: 1, 2: 2}
+    assert mincore._peel(triangle, {1})[1] == {0: 1, 2: 2}
     with pytest.raises(ValueError):
         peel_nm(triangle, deleted=(3,))
     with pytest.raises(ValueError):

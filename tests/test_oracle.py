@@ -153,7 +153,7 @@ def test_reference_check_examples(triangle):
 
 
 def test_min_radius_invariant_raises_runtime_error(monkeypatch, path):
-    monkeypatch.setattr(oracle, "oracle_best_radius_at_size", lambda *args: None)
+    monkeypatch.setattr(oracle, "_least_radius", lambda *args: None)
     with pytest.raises(RuntimeError, match="always has a core"):
         oracle_min_radius_over_min_cores(path)
 

@@ -34,6 +34,8 @@ def test_vertices_outside_every_edge_must_seed():
     g = Hypergraph(3, [(0, 1)])
     assert not is_core(g, {0})
     assert is_core(g, {0, 2})
+    with pytest.raises(ValueError, match=r"^core vertex 3 outside \[0, 3\)$"):
+        is_core(g, {3})
     assert not is_core(Hypergraph(3, []), {0, 1})
     assert is_core(Hypergraph(3, []), {0, 1, 2})
 

@@ -46,6 +46,8 @@ def test_source_instance_validation():
         SetCoverInstance(1, (frozenset({3}),))
     with pytest.raises(ValueError):
         MinrepInstance(1, 1, 1, 1, ((1, 0),))
+    with pytest.raises(ValueError, match="^right node 1 out of range$"):
+        MinrepInstance(1, 1, 1, 1, ((0, 1),))
     with pytest.raises(ValueError):
         MinrepInstance(0, 1, 1, 1, ())
     with pytest.raises(ValueError):
@@ -307,6 +309,14 @@ def test_minrep_canonicalization():
         assert is_core(g, out) and len(out) <= len(crafted)
     with pytest.raises(NotACoreError):
         core_to_minrep(cert, set())
+
+
+def test_core_to_minrep_drops_a_lone_super_edge_copy():
+    cert = minrep_to_mincore(MinrepInstance(1, 1, 1, 1, ((0, 0),)))
+    lone = cert.copy_vertex[(1, (0, 0))]
+    core = {1, 2, 4, 5, 7}
+    assert lone in core and cert.copy_vertex[(2, (0, 0))] not in core
+    assert core_to_minrep(cert, core) == frozenset({0, 1})
 
 
 def test_core_to_minrep_invariants_raise_runtime_error(monkeypatch):

@@ -38,6 +38,21 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
+def _package_trees():
+    package = ROOT / "src" / "hypercore"
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+
+
+def _exports(init):
+    """Each name the package's ``__init__`` re-exports, with its module."""
+    return {
+        alias.asname or alias.name: node.module
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
 def _imported_names(tree, modules):
     """Names ``tree`` imports from a package module, or reads as an
     attribute of a package module alias (``from . import bounds as b``)."""
@@ -65,14 +80,8 @@ def test_every_export_has_a_caller():
     through a module alias by another package module, read in its own
     module, or imported by the acceptance tests: no public API that
     nothing uses."""
-    package = ROOT / "src" / "hypercore"
-    trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
-    exports = {
-        alias.asname or alias.name: node.module
-        for node in trees.pop("__init__").body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    trees = _package_trees()
+    exports = _exports(trees.pop("__init__"))
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
     callers = {
         alias.name
@@ -92,6 +101,66 @@ def test_every_export_has_a_caller():
         if name not in callers and name not in read_at_home[home]
     )
     assert unused == []
+
+
+def test_no_public_function_takes_a_private_parameter():
+    """No public function or method in ``src/hypercore`` has a parameter
+    whose name starts with ``_``: a switch only the package may set is a
+    private function's argument, not a public one's."""
+    found = []
+    for name, tree in _package_trees().items():
+        scopes = [(name, tree.body)]
+        scopes += [
+            (f"{name}.{node.name}", node.body)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        ]
+        for scope, body in scopes:
+            for fn in body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if fn.name.startswith("_") and not fn.name.endswith("__"):
+                    continue
+                args = fn.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                found += [f"{scope}.{fn.name}({a.arg})" for a in params if a.arg.startswith("_")]
+    assert found == []
+
+
+def _is_dataclass(node):
+    """Whether a class is decorated ``@dataclass`` or ``@dataclass(...)``."""
+    for deco in node.decorator_list:
+        fn = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(fn, ast.Name) and fn.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_exported_dataclass_field_is_read():
+    """Each field of a dataclass ``hypercore/__init__.py`` re-exports is
+    read as an attribute by a package module or by the acceptance tests:
+    no result field that only unit tests read."""
+    trees = _package_trees()
+    exports = _exports(trees["__init__"])
+    trees["test_acceptance"] = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{node.name}.{field.target.id}"
+        for module in set(exports.values())
+        for node in trees[module].body
+        if isinstance(node, ast.ClassDef) and node.name in exports and _is_dataclass(node)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign)
+        and isinstance(field.target, ast.Name)
+        and field.target.id not in read
+    ]
+    assert unread == []
 
 
 def test_no_function_calls_itself():
