@@ -7,23 +7,25 @@ whose radius equals the number of rounds, and that radius is optimal among
 all cores of that size; when some residual has no degree-one vertex, no
 core of size ``n - m`` exists at all.
 
-:func:`mincore_fpt` lifts this to cores of size ``n - m + a``.  It strips
+:func:`mincore_fpt` lifts this to cores of size ``n - m + a``.  It peels
 the whole instance once to its residual edges ``R``, the ones degree-one
-peeling cannot remove, and re-indexes ``R`` once as a small hypergraph of
-its own, the kernel.  Whether deleting an ``a``-subset ``D`` of ``R``
+peeling cannot remove.  Whether deleting an ``a``-subset ``D`` of ``R``
 leaves a peelable instance depends only on ``R - D`` (lemma 3 of
-:func:`mincore_fpt`), so every deletion is decided by stripping the
-kernel alone.  Consecutive deletions in lexicographic order share a
-prefix, and stripping commutes with taking more edges out (lemma 7), so
-the kernel strips each deletion prefix once and extends it by one edge,
-stripping only around that edge; the prefix walker it shares with the
-oracle, ``propagation._walk``, makes the deletions in that order.  One
-in-place strip routine serves the
-residual, the kernel and every extension.  Only the deletions that
-succeed touch the whole instance: :func:`peel_nm` peels it without them,
-and the deleted edges are re-inserted (which may add one final layer) to
-score the radius.  A pool splits each level into one strided part per
-worker, and the least of the parts' bests is the serial answer.
+:func:`mincore_fpt`), and ``R - D`` strips to nothing exactly when ``D``
+is a core of ``R``'s dual ``R*`` (lemma 8): one vertex per residual edge
+and one edge per vertex of ``R``, holding the residual edges at it, under
+default thresholds.  Stripping the one edge left at a degree-one vertex
+is firing that vertex's dual edge.  So the kernel, built once per search,
+is ``R*``, and every deletion is decided on it by the oracle's closure
+loop, ``propagation._absorb``.  The prefix walker the oracle also uses,
+``propagation._walk``, makes the deletions in lexicographic order and
+extends the closure of each deletion prefix by one edge; a deletion that
+extends a prefix by an edge its closure already holds is passed over, as
+in the oracle's minimum blocks.  Only the deletions that succeed touch
+the whole instance: :func:`peel_nm` peels it without them, and the
+deleted edges are re-inserted (which may add one final layer) to score
+the radius.  A pool splits each level into one strided part per worker,
+and the least of the parts' bests is the serial answer.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .hypergraph import Hypergraph, default_thresholds
-from .propagation import _core_radius, _walk
+from .propagation import _absorb, _base_state, _core_radius, _walk
 
 PEEL_FAILURE_MESSAGE = "no core of size n-m possible"
 
@@ -156,108 +158,76 @@ def peel_nm(graph: Hypergraph, deleted: Sequence[int] = ()) -> PeelResult:
     return PeelResult(core=core, layers=rounds)
 
 
-def _strip(graph: Hypergraph, deg: list[int], alive: bytearray, left: int, seeds) -> int:
-    """Strip degree-one vertices from ``graph`` in place; return the number
-    of edges left alive.
-
-    ``alive`` masks the edges still present, ``left`` counts them and
-    ``deg[v]`` counts those at ``v``; all three describe one state, which
-    the strip updates.  Every degree-one vertex of that state must be among
-    ``seeds``.  Edges go one at a time, in stack order: by lemma 1 of
-    :func:`mincore_fpt` every order leaves the same edges, ``core2``.
-    """
-    edges, incidence = graph.edges, graph._incidence
-    stack = list(seeds)
-    while stack:
-        v = stack.pop()
-        if deg[v] != 1:
-            continue
-        for ei in incidence[v]:
-            if alive[ei]:
-                break
-        alive[ei] = 0
-        left -= 1
-        for u in edges[ei]:
-            deg[u] -= 1
-            if deg[u] == 1:
-                stack.append(u)
-    return left
-
-
 def _residual(graph: Hypergraph) -> list[int]:
     """Sorted indices of the edges that degree-one peeling cannot remove."""
-    deg = graph.degrees()
-    alive = bytearray(b"\x01") * graph.m
-    _strip(graph, deg, alive, graph.m, [v for v, d in enumerate(deg) if d == 1])
-    return [i for i, a in enumerate(alive) if a]
+    return [i for i, a in enumerate(_peel(graph, set())[2]) if a]
 
 
 class _Kernel:
-    """The residual ``R`` of ``graph`` as its own hypergraph, built once per
+    """The dual ``R*`` of the residual ``R`` of ``graph``, built once per
     search.
 
-    Local edge ``i`` of ``local`` is edge ``residual[i]`` of ``graph`` with
-    its vertices renumbered ascending over ``V(R)``.  ``R`` is sorted, so
-    the lexicographic order of the subsets of local edges is the order of
-    the subsets of ``R``.  ``base`` is the strip state of ``local`` with
-    nothing deleted: by lemma 1 ``R`` has no degree-one vertex to strip.
+    Vertex ``i`` of ``dual`` is edge ``residual[i]`` of ``graph``, and each
+    vertex ``v`` of ``V(R)`` gives ``dual`` one edge: the ``i`` for which
+    ``residual[i]`` holds ``v``.  ``R`` is sorted, so the lexicographic order of the
+    subsets of ``dual``'s vertices is the order of the subsets of ``R``.
+    ``base`` is the closure state of the empty set in ``dual`` under
+    default thresholds: by lemma 1 ``R`` has no degree-one vertex, so no
+    dual edge fires in it.
     """
 
-    __slots__ = ("graph", "residual", "local", "base", "thresholds")
+    __slots__ = ("graph", "residual", "dual", "base", "thresholds")
 
     def __init__(self, graph: Hypergraph, residual: list[int]):
-        spanned = sorted({v for ei in residual for v in graph.edges[ei]})
-        index = {v: i for i, v in enumerate(spanned)}
+        at: dict[int, list[int]] = {}
+        for i, ei in enumerate(residual):
+            for v in graph.edges[ei]:
+                at.setdefault(v, []).append(i)
         self.graph = graph
         self.residual = residual
-        self.local = Hypergraph(
-            len(spanned), [[index[v] for v in graph.edges[ei]] for ei in residual]
-        )
-        deg = self.local.degrees()
-        if 1 in deg:
+        self.dual = Hypergraph(len(residual), at.values())
+        t = default_thresholds(self.dual)
+        if 0 in t:
             raise RuntimeError("the residual must have no degree-one vertex")
-        self.base = (deg, bytearray(b"\x01") * self.local.m, self.local.m)
+        self.base = _base_state(self.dual, t)
         self.thresholds = default_thresholds(graph)
 
     def successes(self, a: int, part: int = 0, parts: int = 1):
-        """Yield the ``a``-subsets of local edges whose deletion strips the
-        kernel to nothing, in lexicographic order, among the deletions whose
-        index in that order is ``part`` mod ``parts``.
+        """Yield the ``a``-subsets of ``range(len(residual))`` whose deletion
+        strips ``R`` to nothing, that is, the ``a``-cores of ``dual``
+        (lemma 8 of :func:`mincore_fpt`), in lexicographic order, among the
+        deletions whose index in that order is ``part`` mod ``parts``.
 
-        By lemma 7 of :func:`mincore_fpt`, the walker ``_walk`` extends the
-        strip of each deletion prefix by one edge (:meth:`_delete`), and
-        every deletion under that prefix starts from it; a call starts from
-        ``base``.  No subtree is skipped.
+        The walker ``_walk`` extends the closure of each deletion prefix by
+        one edge (:meth:`_delete`), and every deletion under that prefix
+        starts from it; a call starts from ``base``.  A deletion that
+        extends a prefix by an edge its closure already holds is passed
+        over; it cannot succeed unless a deletion of ``a - 1`` edges does,
+        so the yield is complete when level ``a - 1`` has no success.
         """
-        return _walk(self.local.m, a, self.base, self._delete, part, parts)
+        return _walk(self.dual.n, a, self.base, self._delete, part, parts)
 
-    def _delete(self, state, ei: int):
-        """The strip state ``state`` with local edge ``ei`` also deleted, in
-        a copy, or ``state`` itself when ``ei`` is already stripped."""
-        deg, alive, left = state
-        if not alive[ei]:
-            return state
-        local = self.local
-        edge = local.edges[ei]
-        deg = deg[:]
-        alive = alive[:]
-        alive[ei] = 0
-        for u in edge:
-            deg[u] -= 1
-        return deg, alive, _strip(local, deg, alive, left - 1, edge)
+    def _delete(self, state, x: int):
+        """The closure state ``state`` extended by edge ``x``, in a copy, or
+        None when ``x`` is already in the closure."""
+        active, need, left = state
+        if active[x]:
+            return None
+        active, need = active[:], need[:]
+        return active, need, _absorb(self.dual, active, need, left, (x,))
 
     def best(
         self, a: int, part: int = 0, parts: int = 1
     ) -> Optional[tuple[int, tuple[int, ...], frozenset[int]]]:
         """Smallest ``(radius, deleted, core)`` over the successful deletions
-        of ``a`` local edges whose lexicographic index is ``part`` mod
+        of ``a`` residual edges whose lexicographic index is ``part`` mod
         ``parts``; ``deleted`` holds the edge indices of ``graph``
         and ``core`` is :func:`peel_nm`'s core without them.  None when none
         succeeds.
 
-        Each deletion is decided on the kernel by :meth:`successes`; a
-        success is peeled on ``graph`` and scored by propagating its core
-        over all of ``graph``.
+        Each deletion is decided on the kernel by :meth:`successes`, which
+        needs no success at level ``a - 1``; a success is peeled on
+        ``graph`` and scored by propagating its core over all of ``graph``.
         """
         graph, residual = self.graph, self.residual
         best = None
@@ -355,27 +325,54 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
        ``core2(R - D) = core2(core2(R - D') - (D - D'))``: this is 3
        applied to the instance ``R - D'``, whose ``core2`` is
        ``core2(R - D')``, and the deletion ``D - D'``.  So the strip of a
-       deletion prefix can be extended edge by edge; an edge the prefix
-       already stripped changes nothing, and stripping after deleting an
-       edge ``e`` starts from the vertices of ``e``, the only ones whose
-       degree changed.
+       deletion prefix can be extended edge by edge, and an edge the
+       prefix already stripped changes nothing.
+    8. ``R - D`` strips to nothing iff ``D`` is a core of ``R*``, the dual
+       of ``R``: vertex ``i`` of ``R*`` is the ``i``-th edge of the sorted
+       ``R``, and each vertex ``v`` of ``V(R)`` gives ``R*`` one edge
+       ``E(v)``, the edges of ``R`` at ``v``, which fires under default
+       thresholds once at most one of its members is inactive.  A set
+       ``C`` of edges of ``R`` holds ``D`` and is closed under firing (no
+       ``E(v)`` has exactly one member outside ``C``) iff its complement
+       ``Y`` lies inside ``R - D`` and has no degree-one vertex: the
+       members of ``E(v)`` outside ``C`` are the edges of ``Y`` at ``v``.
+       The closure of ``D`` is the least such ``C``, so its complement is
+       the largest such ``Y``, ``core2(R - D)``.  Every edge of ``R`` has
+       a vertex, so every vertex of ``R*`` lies in an edge of ``R*``, and
+       ``D`` is a core iff its closure is everything, that is, iff
+       ``core2(R - D)`` is empty.  Stripping the one edge ``e`` left at a
+       degree-one vertex ``v`` is the firing of ``E(v)``, which activates
+       ``e``: the strip and the closure loop are one computation, and 7
+       is the closure property ``cl(D) = cl(cl(D') | D)``.  ``R*`` has
+       ``|R|`` vertices and ``|V(R)|`` edges, so the start level of 6 is
+       ``max(0, n - m)`` taken on ``R*``.
 
     So the levels skipped and the deletions left out hold no success, and
-    the successful deletions at ``a*`` are the same.  By 3 each deletion is
-    decided on ``R`` alone: it succeeds iff stripping ``R - D`` leaves no
-    edge, so a failing deletion never touches ``G``.  By 7 the strip of
-    ``R - D`` starts from the strip of the prefix ``D`` shares with the
+    the successful deletions at ``a*`` are the same.  By 3 and 8 each
+    deletion is decided on ``R*`` alone: it succeeds iff it is a core of
+    ``R*``, so a failing deletion never touches ``G``.  By 7 the closure of
+    ``D`` starts from the closure of the prefix ``D`` shares with the
     deletion tried before it.  Each success is scored as before: peel
     ``G - D``, re-insert, propagate on ``G``.  The walker
     (``propagation._walk``) makes the ``a``-subsets of the sorted ``R`` in
     lexicographic order, the order they have among all ``a``-subsets of
     ``range(m)``, so the radius tie-break picks the same tuple.
 
-    With ``w`` workers, worker ``i`` strips the deletions of a level whose
-    lexicographic index is ``i`` mod ``w``, starting from ``R`` itself, so
-    ``jobs`` cannot change a verdict.  No two deletions share a ``deleted``
-    tuple, so the least ``(radius, deleted)`` over the parts is the serial
-    answer.
+    The walker passes over every deletion ``D`` that extends a prefix
+    ``P`` by an edge ``x`` already in the closure of ``P``, that is,
+    stripped by ``R - P``.  Then ``D`` lies inside ``cl(D - x)``, which
+    holds ``P`` and so ``x``, hence ``cl(D) = cl(D - x)``: if ``D``
+    succeeds, so does ``D - x``, at level ``a - 1``.  The search runs
+    level ``a`` only when level ``a - 1`` holds no success: below the
+    start level 6 rules every success out, and above it level ``a - 1``
+    ran and found none.  So the skip, the oracle's skip 2 on ``R*``, leaves
+    out no success at any level the search runs.
+
+    With ``w`` workers, worker ``i`` decides the deletions of a level whose
+    lexicographic index is ``i`` mod ``w``, starting from the closure of
+    the empty set, so ``jobs`` cannot change a verdict.  No two deletions
+    share a ``deleted`` tuple, so the least ``(radius, deleted)`` over the
+    parts is the serial answer.
     """
     if a_max < 0:
         raise ValueError("a_max must be non-negative")
@@ -392,7 +389,7 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     else:
         pool = nullcontext()
     with pool:
-        for a in range(max(0, kernel.local.m - kernel.local.n), a_max + 1):
+        for a in range(max(0, kernel.dual.n - kernel.dual.m), a_max + 1):
             if workers == 1:
                 best = kernel.best(a)
             else:

@@ -169,18 +169,18 @@ def _cores(graph: Hypergraph, k: int, t: Sequence[int], minimal: bool = False):
     incidence = graph._incidence
     free = [v for v in range(graph.n) if not incidence[v]]
     rest = [v for v in range(graph.n) if incidence[v]]
-    active, count, fired, left = _base_state(graph, t)
-    left = _absorb(graph, t, active, count, fired, left, free)
+    active, need, left = _base_state(graph, t)
+    left = _absorb(graph, active, need, left, free)
 
     def extend(state, i):
-        active, count, fired, left = state
+        active, need, left = state
         v = rest[i]
         if active[v]:
             return None if minimal else state
-        active, count, fired = active[:], count[:], fired[:]
-        return active, count, fired, _absorb(graph, t, active, count, fired, left, (v,))
+        active, need = active[:], need[:]
+        return active, need, _absorb(graph, active, need, left, (v,))
 
-    base = (active, count, fired, left)
+    base = (active, need, left)
     for combo in _walk(len(rest), k - len(free), base, extend):
         yield tuple(sorted(free + [rest[i] for i in combo]))
 

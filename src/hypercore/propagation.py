@@ -27,15 +27,16 @@ end, firing edges one at a time in stack order.  Rounds do not extend
 across seed sets: a seed added later can change the round of every
 vertex.  Closures do: propagation is a closure operator, so
 ``cl(A | B) = cl(cl(A) | B)``, and the closure of a set can be built by
-extending the closure of any subset of it.  The oracle extends each
-subset's closure from its lexicographic prefix that way, and keeps the
-rounds for the radius and for confirming its witness.
+extending the closure of any subset of it.
 
-``_walk`` is the one prefix walker behind both exhaustive enumerations:
-the oracle's closures and the kernel strips of
-:func:`~.mincore.mincore_fpt`.  It makes the ``k``-combinations of
+One closure loop serves both exhaustive enumerations, and ``_walk`` is
+the one prefix walker behind them.  It makes the ``k``-combinations of
 ``range(n)`` in lexicographic order, without recursion, and extends one
-state per prefix depth.
+closure state per prefix depth.  The oracle extends each vertex subset's
+closure from its lexicographic prefix, and keeps the rounds for the
+radius and for confirming its witness.  :func:`~.mincore.mincore_fpt`
+decides each deletion of residual edges as a core of the residual's dual
+(lemma 8 there), extended the same way from its prefix's closure.
 """
 
 from __future__ import annotations
@@ -139,34 +140,25 @@ def _spread(graph: Hypergraph, core: Iterable[int], t: Sequence[int]):
 
 def _base_state(graph: Hypergraph, t: Sequence[int]):
     """The closure state of the empty seed set under thresholds ``t``, as
-    ``(active, count, fired, left)`` for :func:`_absorb`: every edge with
+    ``(active, need, left)`` for :func:`_absorb`: every edge with
     ``t[j] == 0`` fires before any vertex is active."""
     active = bytearray(graph.n)
-    count = [0] * graph.m
-    fired = bytearray(graph.m)
-    left = graph.n + graph.m
-    seeds = []
-    for j, tj in enumerate(t):
-        if not tj:
-            fired[j] = 1
-            left -= 1
-            seeds += graph.edges[j]
-    left = _absorb(graph, t, active, count, fired, left, seeds)
-    return active, count, fired, left
+    need = list(t)
+    seeds = [v for j, tj in enumerate(t) if not tj for v in graph.edges[j]]
+    return active, need, _absorb(graph, active, need, graph.n, seeds)
 
 
-def _absorb(
-    graph: Hypergraph, t: Sequence[int], active, count, fired, left: int, seeds
-) -> int:
+def _absorb(graph: Hypergraph, active, need, left: int, seeds) -> int:
     """Extend a closure state by ``seeds`` in place; return the new ``left``.
 
-    ``active`` marks the active vertices, ``count[j]`` counts those in edge
-    ``j``, ``fired`` marks the fired edges and ``left`` counts the vertices
-    not yet active plus the edges not yet fired; all four describe one
-    closed state, such as :func:`_base_state`, which the call updates.  A
-    seed already active changes nothing.  Activations go one at a time, in
-    stack order: the closure does not depend on the order.  ``left`` ends
-    at 0 exactly when every vertex is active, that is, for a core.
+    ``active`` marks the active vertices, ``need[j]`` is edge ``j``'s
+    threshold minus its active vertices and ``left`` counts the vertices
+    not yet active; all three describe one closed state, such as
+    :func:`_base_state`, which the call updates.  An edge fires when its
+    ``need`` reaches 0.  A seed already active changes nothing.
+    Activations go one at a time, in stack order: the closure does not
+    depend on the order.  ``left`` ends at 0 exactly when every vertex is
+    active, that is, for a core; every edge has then fired.
     """
     edges, incidence = graph.edges, graph._incidence
     stack = []
@@ -177,14 +169,11 @@ def _absorb(
             stack.append(v)
     while stack:
         for j in incidence[stack.pop()]:
-            c = count[j] + 1
-            count[j] = c
-            # counts grow by one from a closed state, so an edge meets its
-            # threshold once; an edge with a zero threshold fired in the
-            # base state
-            if c == t[j]:
-                fired[j] = 1
-                left -= 1
+            c = need[j] - 1
+            need[j] = c
+            # needs fall by one from a closed state, so an edge reaches 0
+            # once; an edge with a zero threshold fired in the base state
+            if not c:
                 for u in edges[j]:
                     if not active[u]:
                         active[u] = 1

@@ -7,7 +7,10 @@ decided every subset with its own call of the public ``is_core``, in
 ``oracle_min_radius_over_min_cores`` and ``oracle_best_radius_at_size``
 are kept verbatim from before the walker and its two skips: the radius
 pass decided every subset of its block, each closure extended from its
-prefix's.  ``test_oracle.py`` compares the package's searches with these.
+prefix's.  Since then one call changed: ``_cores`` holds the closure
+state as ``(active, need, left)`` and calls ``_absorb`` without the
+thresholds, where it held ``(active, count, fired, left)`` before.
+``test_oracle.py`` compares the package's searches with these.
 """
 
 import itertools
@@ -61,12 +64,12 @@ def _cores(graph: Hypergraph, k: int, t: Sequence[int]):
                 break
             shared += 1
         del states[shared + 1 :]
-        active, count, fired, left = states[-1]
+        active, need, left = states[-1]
         for v in combo[shared:]:
             if not active[v]:
-                active, count, fired = active[:], count[:], fired[:]
-                left = _absorb(graph, t, active, count, fired, left, (v,))
-            states.append((active, count, fired, left))
+                active, need = active[:], need[:]
+                left = _absorb(graph, active, need, left, (v,))
+            states.append((active, need, left))
         prev = combo
         if not left:
             yield combo

@@ -1,6 +1,7 @@
 """Degree-one peeling and the parameterized minimum-core search."""
 
 import concurrent.futures
+import functools
 import itertools
 import math
 import os
@@ -21,6 +22,7 @@ from hypercore import (
     oracle_min_radius_over_min_cores,
     peel_nm,
     propagate,
+    reference_is_core,
 )
 from hypercore import mincore
 from hypercore.hypergraph import default_thresholds
@@ -400,57 +402,124 @@ def _kernel_family():
     return graphs
 
 
+def _local(g, residual):
+    """``R`` as its own hypergraph: edge ``i`` is edge ``residual[i]`` of
+    ``g`` with its vertices renumbered ascending over ``V(R)``."""
+    spanned = sorted({v for ei in residual for v in g.edges[ei]})
+    index = {v: i for i, v in enumerate(spanned)}
+    return Hypergraph(len(spanned), [[index[v] for v in g.edges[ei]] for ei in residual])
+
+
+def _reference_strips(g, residual):
+    """``strip(deleted)``, the mask of the edges of ``R`` that a fresh
+    reference strip of ``R - deleted`` leaves alive, with ``deleted`` a
+    tuple of positions in ``residual``; each mask is computed once."""
+    local = _local(g, residual)
+    template = local.degrees()
+    return functools.lru_cache(maxsize=None)(
+        lambda deleted: reference_peel._strip(local, template, deleted)
+    )
+
+
+def _passed_over(strip, combo):
+    """Whether the kernel passes over the deletion ``combo``: some edge of
+    it is already stripped by ``R`` without the edges before it."""
+    return any(not strip(combo[:i])[x] for i, x in enumerate(combo))
+
+
 def test_kernel_verdicts_and_search_match_whole_instance_scan():
     """Stripping ``R - D`` decides every deletion as peeling ``G - D`` does
-    (lemma 3), and the search returns what the whole-instance scan does."""
+    (lemma 3), the kernel yields those deletions less the ones it passes
+    over, which hold none at a level up to the first success, and the
+    search returns what the whole-instance scan does."""
     graphs = _kernel_family()
     assert sum(len(set(g.edges)) < g.m for g in graphs) >= 40  # duplicate edges
     assert sum(any(len(e) == 1 for e in g.edges) for g in graphs) >= 40
     assert sum(min(g.degrees(), default=1) == 0 for g in graphs) >= 40  # isolated
     assert sum(g.m > g.n for g in graphs) >= 40
+    dropped = 0
     for g in graphs:
         residual = _residual(g)
         kernel = mincore._Kernel(g, residual)
+        strip = _reference_strips(g, residual)
         top = len(residual) if len(residual) <= 10 else 3
+        found = False
         for a in range(top + 1):
             combos = list(itertools.combinations(range(len(residual)), a))
             peeling = [c for c in combos if _peels(g, [residual[i] for i in c])]
-            assert list(kernel.successes(a)) == peeling
+            assert peeling == [c for c in combos if 1 not in strip(c)]
+            kept = [c for c in peeling if not _passed_over(strip, c)]
+            if not found:  # no level below this one has a success
+                assert kept == peeling
+            found = found or bool(peeling)
+            dropped += len(peeling) - len(kept)
+            assert list(kernel.successes(a)) == kept
         assert _outcome(mincore_fpt, g, g.n) == _outcome(_scan_reference, g, g.n)
+    assert dropped >= 1_000  # the skip passes over successes above the first level
 
 
-def _kernel_strips(g, residual, levels):
-    """Strips the kernel makes while trying ``levels``: per level, one for
-    each deletion prefix whose last edge the shorter prefix leaves alive,
-    as the reference strip decides.  The base state is never stripped."""
-    local = mincore._Kernel(g, residual).local
-    template = local.degrees()
+def test_dual_cores_are_the_deletions_that_strip_the_residual():
+    """Lemma 8 of ``mincore_fpt``, checked with no code of ``_absorb``: the
+    kernel's dual has one edge per vertex of ``R``, holding the edges of
+    ``R`` at it, and a fresh reference strip of ``R - D`` leaves no edge
+    iff ``reference_is_core`` accepts ``D`` on the dual, for every ``D``
+    with ``|D| <= 3`` (every ``D`` when ``|R| <= 10``)."""
+    decided = cores = 0
+    for g in _kernel_family():
+        residual = _residual(g)
+        dual = mincore._Kernel(g, residual).dual
+        spanned = sorted({v for ei in residual for v in g.edges[ei]})
+        at = [tuple(i for i, ei in enumerate(residual) if v in g.edges[ei]) for v in spanned]
+        assert (dual.n, sorted(dual.edges)) == (len(residual), sorted(at))
+        local = _local(g, residual)
+        template = local.degrees()
+        top = len(residual) if len(residual) <= 10 else 3
+        for a in range(top + 1):
+            for combo in itertools.combinations(range(len(residual)), a):
+                stripped = 1 not in reference_peel._strip(local, template, combo)
+                assert stripped == reference_is_core(dual, combo), (g.edges, combo)
+                decided += 1
+                cores += stripped
+    assert decided >= 10_000
+    assert 1_000 <= cores <= decided - 1_000
+
+
+def _kernel_extensions(strip, size, levels):
+    """Closure extensions the kernel makes while trying ``levels`` over
+    ``size`` residual edges: per level, one for each deletion prefix whose
+    edges the reference strip finds alive, each in ``R`` without the edges
+    before it.  The base state is never extended."""
     count = 0
     for a in levels:
         for d in range(1, a + 1):
             # the d-edge prefixes of a-edge deletions out of |R|
-            for prefix in itertools.combinations(range(len(residual) - (a - d)), d):
-                count += reference_peel._strip(local, template, prefix[:-1])[prefix[-1]]
+            for prefix in itertools.combinations(range(size - (a - d)), d):
+                count += not _passed_over(strip, prefix)
     return count
 
 
 def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
     """``peel_nm`` runs once per successful deletion at the levels tried,
-    and the winner keeps the core it was scored with.  The only strip of
-    the instance is the one that finds ``R``; the kernel strips each
-    deletion prefix once per level, and only when its last edge is still
-    alive."""
-    peeled, stripped = [], []
+    and the winner keeps the core it was scored with.  The only other peel
+    of the instance is the one that finds ``R``; the kernel extends the
+    closure of each deletion prefix it reaches once per level, and only
+    when its last edge is not already in the shorter prefix's closure."""
+    peeled, looped, absorbed = [], [], []
 
     def counting_peel(graph, deleted=()):
         peeled.append(tuple(deleted))
         return peel_nm(graph, deleted)
 
-    def counting_strip(graph, deg, alive, left, seeds):
-        stripped.append(graph is g)
-        return strip(graph, deg, alive, left, seeds)
+    def counting_loop(graph, dead):
+        looped.append(graph is g)
+        return loop(graph, dead)
 
-    strip = mincore._strip
+    def counting_absorb(graph, active, need, left, seeds):
+        absorbed.append(graph is g)
+        return absorb(graph, active, need, left, seeds)
+
+    loop, absorb = mincore._peel, mincore._absorb
+    extended = 0
     for s in range(120):
         rng = random.Random(9_300_007 + s)
         g = messy_instance(rng)
@@ -463,16 +532,20 @@ def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
         successes = sum(
             _peels(g, deleted) for a in levels for deleted in itertools.combinations(residual, a)
         )
-        expected_strips = _kernel_strips(g, residual, levels)
+        expected = _kernel_extensions(_reference_strips(g, residual), len(residual), levels)
         peeled.clear()
-        stripped.clear()
+        looped.clear()
+        absorbed.clear()
         with monkeypatch.context() as patch:
             patch.setattr(mincore, "peel_nm", counting_peel)
-            patch.setattr(mincore, "_strip", counting_strip)
+            patch.setattr(mincore, "_peel", counting_loop)
+            patch.setattr(mincore, "_absorb", counting_absorb)
             assert _outcome(mincore_fpt, g, a_max) == outcome
         assert len(peeled) == successes
-        assert stripped.count(True) == 1
-        assert stripped.count(False) == expected_strips
+        assert looped == [True] * (1 + successes)
+        assert absorbed == [False] * expected
+        extended += expected
+    assert extended >= 200
 
 
 def test_peel_with_deleted_edges_matches_rebuilt_subgraph(triangle):
@@ -499,7 +572,7 @@ def test_residual(path, star, triangle):
 
 
 def _reference_residual(graph):
-    """A stack peel written independently of ``_strip``: one edge at a
+    """A stack peel written independently of ``_peel``: one edge at a
     time, in stack order."""
     edges, incidence = graph.edges, graph._incidence
     deg = graph.degrees()
@@ -519,54 +592,57 @@ def _reference_residual(graph):
 
 
 def test_residual_matches_stack_peel():
-    """Peeling ends at the same edge set in any order, so the strip loop,
-    the round loop of ``peel_nm`` and the reference stack peel leave the
-    same residual, also when ``m > n``."""
+    """Peeling ends at the same edge set in any order, so the round loop
+    of ``peel_nm``, which ``_residual`` reads, and the reference stack peel
+    leave the same residual, also when ``m > n``."""
     graphs = [messy_instance(random.Random(9_100_003 + s)) for s in range(300)]
     graphs += seeded_family(100, seed=37, n_hi=8, m_cap=16, size_lo=1)
     assert sum(g.m > g.n for g in graphs) >= 50
     for g in graphs:
-        rounds_alive = mincore._peel(g, set())[2]
         assert _residual(g) == _reference_residual(g)
-        assert _residual(g) == [i for i, a in enumerate(rounds_alive) if a]
 
 
 def test_fpt_skips_levels_below_residual_excess(monkeypatch):
     """K4 has 6 residual edges on 4 vertices, so levels 0 and 1 cannot succeed."""
     k4 = Hypergraph(4, list(itertools.combinations(range(4), 2)))
-    calls, stripped, levels = [], [], []
+    calls, looped, absorbed, levels = [], [], [], []
 
     def counting_peel(graph, deleted=()):
         calls.append(tuple(deleted))
         return peel_nm(graph, deleted)
 
-    def counting_strip(graph, deg, alive, left, seeds):
-        stripped.append((graph is k4, levels[-1] if levels else None))
-        return strip(graph, deg, alive, left, seeds)
+    def counting_loop(graph, dead):
+        looped.append(graph is k4)
+        return loop(graph, dead)
+
+    def counting_absorb(graph, active, need, left, seeds):
+        absorbed.append((graph is k4, levels[-1] if levels else None))
+        return absorb(graph, active, need, left, seeds)
 
     def levelled_successes(self, a, part=0, parts=1):
         levels.append(a)
         return successes(self, a, part, parts)
 
-    strip, successes = mincore._strip, mincore._Kernel.successes
+    loop, absorb, successes = mincore._peel, mincore._absorb, mincore._Kernel.successes
     monkeypatch.setattr(mincore, "peel_nm", counting_peel)
-    monkeypatch.setattr(mincore, "_strip", counting_strip)
+    monkeypatch.setattr(mincore, "_peel", counting_loop)
+    monkeypatch.setattr(mincore, "_absorb", counting_absorb)
     monkeypatch.setattr(mincore._Kernel, "successes", levelled_successes)
     with pytest.raises(NotFoundWithin) as err:
         mincore_fpt(k4, 1)
     assert err.value.a_max == 1
-    # only the strip that finds R; the kernel's base state needs none
-    assert stripped == [(True, None)]
-    assert calls == levels == []
-    stripped.clear()
+    # only the peel that finds R; the kernel's base state needs no extension
+    assert looped == [True]
+    assert absorbed == calls == levels == []
+    looped.clear()
     res = mincore_fpt(k4, 3)
     assert res.parameter_a == 3
     assert levels == [2, 3]
-    assert stripped[:1] == [(True, None)]
-    assert {level for on_k4, level in stripped[1:] if not on_k4} == {2, 3}
-    assert all(not on_k4 for on_k4, _ in stripped[1:])
+    strip = _reference_strips(k4, list(range(6)))
+    assert absorbed == [(False, a) for a in (2, 3) for _ in range(_kernel_extensions(strip, 6, [a]))]
     # no deletion of two edges peels K4, so only level 3 reaches peel_nm
     assert {len(d) for d in calls} == {3}
+    assert looped == [True] * (1 + len(calls))
 
 
 def test_internal_invariants_raise_runtime_error(monkeypatch, path):
@@ -574,11 +650,12 @@ def test_internal_invariants_raise_runtime_error(monkeypatch, path):
         patch.setattr(mincore, "_core_radius", lambda graph, core, t: None)
         with pytest.raises(RuntimeError, match="must stay a core after re-insertion"):
             mincore_fpt(path, 0)
-    # A strip that claims every deletion empties the kernel: deleting two
-    # edges at vertex 0 of K4 leaves the triangle 1, 2, 3, which does not peel.
+    # A closure loop that claims every deletion activates all of the dual:
+    # deleting two edges at vertex 0 of K4 leaves the triangle 1, 2, 3,
+    # which does not peel.
     k4 = Hypergraph(4, list(itertools.combinations(range(4), 2)))
     with monkeypatch.context() as patch:
-        patch.setattr(mincore, "_strip", lambda graph, deg, alive, left, seeds: 0)
+        patch.setattr(mincore, "_absorb", lambda graph, active, need, left, seeds: 0)
         with pytest.raises(RuntimeError, match="strips the kernel must peel"):
             mincore_fpt(k4, 2)
     with monkeypatch.context() as patch:

@@ -2,7 +2,7 @@
 
 ``_peel`` must return equal ``(rounds, victims, alive)`` to the reference
 round loop, and the kernel's prefix-shared verdicts must equal a fresh
-reference strip of every deletion.
+reference strip of every deletion it does not pass over.
 """
 
 import itertools
@@ -12,7 +12,7 @@ import reference_peel
 from hypercore import Hypergraph, generate_random
 from hypercore import mincore
 from conftest import messy_instance, seeded_family
-from test_mincore import _kernel_family
+from test_mincore import _kernel_family, _passed_over, _reference_strips
 
 
 def _peel_cases():
@@ -72,21 +72,28 @@ def test_peel_matches_reference_round_loop():
 
 
 def test_prefix_shared_verdicts_match_fresh_reference_strip():
-    """Every deletion at ``a <= 3`` (every level when ``|R| <= 10``) succeeds
-    on the kernel iff a fresh reference strip of ``R - D`` leaves no edge,
-    also when the deletions arrive as the strided parts of a pool, each
-    taking every ``k``-th deletion."""
+    """Every deletion at ``a <= 3`` (every level when ``|R| <= 10``) that
+    the kernel does not pass over succeeds on the kernel iff a fresh
+    reference strip of ``R - D`` leaves no edge, also when the deletions
+    arrive as the strided parts of a pool, each taking every ``k``-th
+    deletion.  Up to the first level with a success, no success is passed
+    over."""
     decided = 0
     for g in _kernel_family():
         residual = mincore._residual(g)
         kernel = mincore._Kernel(g, residual)
-        template = kernel.local.degrees()
+        strip = _reference_strips(g, residual)
         top = len(residual) if len(residual) <= 10 else 3
+        found = False
         for a in range(top + 1):
             combos = list(itertools.combinations(range(len(residual)), a))
-            fresh = [c for c in combos if 1 not in reference_peel._strip(kernel.local, template, c)]
-            assert list(kernel.successes(a)) == fresh
-            chosen = set(fresh)
+            fresh = [c for c in combos if 1 not in strip(c)]
+            kept = [c for c in fresh if not _passed_over(strip, c)]
+            if not found:  # no level below this one has a success
+                assert kept == fresh
+            found = found or bool(fresh)
+            assert list(kernel.successes(a)) == kept
+            chosen = set(kept)
             for k in (2, 3, 7):
                 for w in range(k):
                     part = kernel.successes(a, w, k)

@@ -18,7 +18,7 @@ from hypercore import (
     trace_report,
 )
 from hypercore.hypergraph import default_thresholds, resolve_thresholds
-from hypercore.propagation import _absorb, _base_state, _check_core, _walk
+from hypercore.propagation import _absorb, _base_state, _check_core, _spread, _walk
 from conftest import all_subsets, messy_instance, seeded_family
 
 
@@ -365,18 +365,19 @@ def test_single_engine_matches_both_replaced_engines():
     assert verdicts == {True, False}
 
 
-def _absorbed(graph, t, state, seeds):
+def _absorbed(graph, state, seeds):
     """A copy of the closure ``state`` extended by ``seeds``."""
-    active, count, fired, left = state
-    active, count, fired = active[:], count[:], fired[:]
-    left = _absorb(graph, t, active, count, fired, left, seeds)
-    return active, count, fired, left
+    active, need, left = state
+    active, need = active[:], need[:]
+    left = _absorb(graph, active, need, left, seeds)
+    return active, need, left
 
 
 def test_absorb_matches_rounds_and_stack_closure():
     """The closure ``_absorb`` reaches, from the empty set's closure and as
     the extension of a prefix's closure, is the one both other loops reach,
-    and its counts and ``left`` describe it."""
+    the edges whose count reached their threshold are the ones the rounds
+    fired, and its ``need`` and ``left`` describe it."""
     cases = [_reference_case(random.Random(4_200_013 + s)) for s in range(400)]
     assert sum(any(len(e) == 1 for e in g.edges) for g, _, _ in cases) >= 50
     assert sum(t is not None and any(t[j] == 0 < len(e) - 1 for j, e in enumerate(g.edges))
@@ -387,22 +388,25 @@ def test_absorb_matches_rounds_and_stack_closure():
         seeds = sorted(core)
         cut = len(seeds) // 2
         base = _base_state(g, t)
-        before = (base[0][:], base[1][:], base[2][:], base[3])
-        prefix = _absorbed(g, t, base, seeds[:cut])
+        before = (base[0][:], base[1][:], base[2])
+        prefix = _absorbed(g, base, seeds[:cut])
         states = [
-            _absorbed(g, t, base, seeds),
-            _absorbed(g, t, prefix, seeds[cut:]),
-            _absorbed(g, t, prefix, reversed(seeds)),
+            _absorbed(g, base, seeds),
+            _absorbed(g, prefix, seeds[cut:]),
+            _absorbed(g, prefix, reversed(seeds)),
         ]
         # extending copies leaves the states extended from as they were
         assert base == before
         assim, covered = _closure(g, core, t)
-        for active, count, fired, left in states:
-            assert active == assim and fired == covered, (g.edges, thresholds, core)
+        fired = _spread(g, core, t)[4]
+        for active, need, left in states:
+            assert active == assim, (g.edges, thresholds, core)
             assert {v for v in range(g.n) if active[v]} == assimilated_closure(g, core, t)
-            assert count == [sum(active[v] for v in e) for e in g.edges]
-            assert left == active.count(0) + fired.count(0)
-        closed += not states[0][3]
+            assert need == [t[j] - sum(active[v] for v in e) for j, e in enumerate(g.edges)]
+            reached = bytearray(c <= 0 for c in need)
+            assert reached == fired == covered, (g.edges, thresholds, core)
+            assert left == active.count(0)
+        closed += not states[0][2]
     assert 50 <= closed <= 350, closed
 
 

@@ -190,3 +190,32 @@ def test_no_function_calls_itself():
                 if name == fn.name:
                     found.append(f"{path.stem}.{fn.name}:{node.lineno}")
     assert found == []
+
+
+def _package_modules_imported(node):
+    """The package modules an import names, as paths below ``hypercore``:
+    ``from .oracle import x``, ``from . import oracle``, ``import
+    hypercore.oracle`` and ``from hypercore import oracle`` all give
+    ``oracle``."""
+    if isinstance(node, ast.Import):
+        paths = [alias.name for alias in node.names]
+    elif node.level:
+        return [node.module] if node.module else [alias.name for alias in node.names]
+    else:
+        paths = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return [p.removeprefix("hypercore.") for p in paths if p.startswith("hypercore.")]
+
+
+def test_only_the_cli_imports_the_oracle():
+    """The oracle is the ground truth the algorithms are certified against,
+    so it stays outside them: no package module but ``cli`` and
+    ``__init__`` imports ``oracle``."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees().items()
+        if name not in ("cli", "__init__")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(p.partition(".")[0] == "oracle" for p in _package_modules_imported(node))
+    ]
+    assert found == []
