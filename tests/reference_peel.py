@@ -6,7 +6,9 @@ kernel strips were shared across deletion prefixes.
 frontier from every vertex a round touched and kept ``alive`` as a list
 of booleans.  ``_strip`` copied the degree template and stripped the
 whole kernel again for every deletion.  ``test_peel_reference.py``
-compares the package's loops with these.
+compares ``_peel`` with the package's round loop, and it and
+``test_mincore.py`` compare ``_strip`` with the package's kernel, which
+decides each deletion as a core of the residual's dual.
 """
 
 from typing import Sequence
