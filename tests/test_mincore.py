@@ -471,12 +471,11 @@ def test_dual_cores_are_the_deletions_that_strip_the_residual():
         spanned = sorted({v for ei in residual for v in g.edges[ei]})
         at = [tuple(i for i, ei in enumerate(residual) if v in g.edges[ei]) for v in spanned]
         assert (dual.n, sorted(dual.edges)) == (len(residual), sorted(at))
-        local = _local(g, residual)
-        template = local.degrees()
+        strip = _reference_strips(g, residual)
         top = len(residual) if len(residual) <= 10 else 3
         for a in range(top + 1):
             for combo in itertools.combinations(range(len(residual)), a):
-                stripped = 1 not in reference_peel._strip(local, template, combo)
+                stripped = 1 not in strip(combo)
                 assert stripped == reference_is_core(dual, combo), (g.edges, combo)
                 decided += 1
                 cores += stripped
@@ -519,11 +518,14 @@ def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
         return absorb(graph, active, need, left, seeds)
 
     loop, absorb = mincore._peel, mincore._absorb
-    extended = 0
+    cases = []
     for s in range(120):
         rng = random.Random(9_300_007 + s)
-        g = messy_instance(rng)
-        a_max = rng.randint(0, 4)
+        cases.append((messy_instance(rng), rng.randint(0, 4)))
+    # wider residuals, where a passed-over prefix would have had children
+    cases += [(g, 4) for g in seeded_family(60, seed=38, n_hi=8, m_cap=14, size_lo=1)]
+    extended = 0
+    for g, a_max in cases:
         residual = _residual(g)
         outcome = _outcome(_scan_reference, g, a_max)
         found = isinstance(outcome, MinCoreResult)
