@@ -363,10 +363,11 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     stripped by ``R - P``.  Then ``D`` lies inside ``cl(D - x)``, which
     holds ``P`` and so ``x``, hence ``cl(D) = cl(D - x)``: if ``D``
     succeeds, so does ``D - x``, at level ``a - 1``.  The search runs
-    level ``a`` only when level ``a - 1`` holds no success: below the
-    start level 6 rules every success out, and above it level ``a - 1``
-    ran and found none.  So the skip, the oracle's skip 2 on ``R*``, leaves
-    out no success at any level the search runs.
+    level ``a`` only when level ``a - 1`` holds no success: at the start
+    level, level ``a - 1`` lies below it, where 6 rules every success out,
+    and above it, level ``a - 1`` ran and found none.  So the skip, the
+    oracle's skip 2 on ``R*``, leaves out no success at any level the
+    search runs.
 
     With ``w`` workers, worker ``i`` decides the deletions of a level whose
     lexicographic index is ``i`` mod ``w``, starting from the closure of
