@@ -17,15 +17,27 @@ and one edge per vertex of ``R``, holding the residual edges at it, under
 default thresholds.  Stripping the one edge left at a degree-one vertex
 is firing that vertex's dual edge.  So the kernel, built once per search,
 is ``R*``, and every deletion is decided on it by the oracle's closure
-loop, ``propagation._absorb``.  The prefix walker the oracle also uses,
-``propagation._walk``, makes the deletions in lexicographic order and
-extends the closure of each deletion prefix by one edge; a deletion that
-extends a prefix by an edge its closure already holds is passed over, as
-in the oracle's minimum blocks.  Only the deletions that succeed touch
-the whole instance: :func:`peel_nm` peels it without them, and the
-deleted edges are re-inserted (which may add one final layer) to score
-the radius.  A pool splits each level into one strided part per worker,
-and the least of the parts' bests is the serial answer.
+loop, ``propagation._absorb``.
+
+The search starts at ``|R| - |V(R)| + c2(R)``, where ``c2`` counts the
+components of ``R`` with no size-1 edge (lemma 6'); for a residual of
+two-vertex edges that is the least level with a success.  A vertex of
+``R`` that lies in exactly two residual edges puts both in the same
+closures; joining such pairs splits ``R`` into classes (lemma 9), and a
+success at the first level holds at most one member of a class.  The
+prefix walker the oracle also uses, ``propagation._walk``, makes the
+subsets of classes in lexicographic order and extends the closure of
+each prefix by the class's least member; a subset that extends a prefix
+by a member its closure already holds is passed over, as in the oracle's
+minimum blocks.  Each class-level success stands for every choice of
+one member per class, and only these deletions touch the whole instance:
+:func:`peel_nm` peels it without them, and the deleted edges are
+re-inserted (which may add one final layer) to score the radius, once
+for each distinct core a level peels to.  The choices do not come in
+lexicographic order, so the least ``(radius, deleted)`` is taken
+explicitly.  A pool splits each level's subsets of classes into one
+strided part per worker, and the least of the parts' bests is the serial
+answer.
 """
 
 from __future__ import annotations
@@ -33,10 +45,11 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 from .hypergraph import Hypergraph, default_thresholds
-from .propagation import _absorb, _base_state, _core_radius, _walk
+from .propagation import _base_state, _core_radius, _extend_by, _walk
 
 PEEL_FAILURE_MESSAGE = "no core of size n-m possible"
 
@@ -163,20 +176,49 @@ def _residual(graph: Hypergraph) -> list[int]:
     return [i for i, a in enumerate(_peel(graph, set())[2]) if a]
 
 
+def _least_members(size: int, groups) -> list[int]:
+    """For each item of ``range(size)``, the smallest item of its class,
+    where each of ``groups`` joins its items into one class: a union-find
+    whose roots are the smallest members."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for group in groups:
+        r = find(group[0])
+        for y in group[1:]:
+            s = find(y)
+            if s < r:
+                parent[r] = r = s
+            elif s > r:
+                parent[s] = r
+    return [find(x) for x in range(size)]
+
+
 class _Kernel:
     """The dual ``R*`` of the residual ``R`` of ``graph``, built once per
     search.
 
     Vertex ``i`` of ``dual`` is edge ``residual[i]`` of ``graph``, and each
     vertex ``v`` of ``V(R)`` gives ``dual`` one edge: the ``i`` for which
-    ``residual[i]`` holds ``v``.  ``R`` is sorted, so the lexicographic order of the
-    subsets of ``dual``'s vertices is the order of the subsets of ``R``.
-    ``base`` is the closure state of the empty set in ``dual`` under
-    default thresholds: by lemma 1 ``R`` has no degree-one vertex, so no
-    dual edge fires in it.
+    ``residual[i]`` holds ``v``.  ``base`` is the closure state of the empty
+    set in ``dual`` under default thresholds: by lemma 1 ``R`` has no
+    degree-one vertex, so no dual edge fires in it.
+
+    ``start`` is the first level that can hold a success,
+    ``max(0, |R| - |V(R)| + c2(R))`` (lemma 6' of :func:`mincore_fpt`);
+    the components of ``R`` on ``V(R)`` are those of ``dual``'s vertices
+    joined by its edges.  ``classes`` holds the classes of lemma 9: the
+    vertices of ``dual`` joined by its two-member edges, each an ascending
+    tuple, in the order of their smallest members, which represent them in
+    the walk.  ``R`` is sorted, so the lexicographic order of the subsets
+    of the representatives is their order among the subsets of ``R``.
     """
 
-    __slots__ = ("graph", "residual", "dual", "base", "thresholds")
+    __slots__ = ("graph", "residual", "dual", "base", "thresholds", "start", "classes")
 
     def __init__(self, graph: Hypergraph, residual: list[int]):
         at: dict[int, list[int]] = {}
@@ -185,63 +227,75 @@ class _Kernel:
                 at.setdefault(v, []).append(i)
         self.graph = graph
         self.residual = residual
-        self.dual = Hypergraph(len(residual), at.values())
-        t = default_thresholds(self.dual)
+        self.dual = dual = Hypergraph(len(residual), at.values())
+        t = default_thresholds(dual)
         if 0 in t:
             raise RuntimeError("the residual must have no degree-one vertex")
-        self.base = _base_state(self.dual, t)
+        self.base = _base_state(dual, t)
         self.thresholds = default_thresholds(graph)
+        component = _least_members(dual.n, dual.edges)
+        singles = {component[i] for i, ei in enumerate(residual) if len(graph.edges[ei]) == 1}
+        c2 = len(set(component)) - len(singles)
+        self.start = max(0, dual.n - dual.m + c2)
+        classes: dict[int, list[int]] = {}
+        for i, r in enumerate(_least_members(dual.n, [e for e in dual.edges if len(e) == 2])):
+            classes.setdefault(r, []).append(i)
+        self.classes = [tuple(members) for members in classes.values()]
 
     def successes(self, a: int, part: int = 0, parts: int = 1):
-        """Yield the ``a``-subsets of ``range(len(residual))`` whose deletion
-        strips ``R`` to nothing, that is, the ``a``-cores of ``dual``
-        (lemma 8 of :func:`mincore_fpt`), in lexicographic order, among the
-        deletions whose index in that order is ``part`` mod ``parts``.
+        """Yield the ``a``-subsets of ``range(len(classes))`` whose
+        representatives' deletion strips ``R`` to nothing, that is, whose
+        representatives are an ``a``-core of ``dual`` (lemma 8 of
+        :func:`mincore_fpt`), in lexicographic order, among the subsets
+        whose index in that order is ``part`` mod ``parts``.
 
-        The walker ``_walk`` extends the closure of each deletion prefix by
-        one edge (:meth:`_delete`), and every deletion under that prefix
-        starts from it; a call starts from ``base``.  A deletion that
-        extends a prefix by an edge its closure already holds is passed
-        over; it cannot succeed unless a deletion of ``a - 1`` edges does,
-        so the yield is complete when level ``a - 1`` has no success.
+        The walker ``_walk`` extends the closure of each prefix by one
+        representative, and every subset under that prefix starts from it;
+        a call starts from ``base``.  A subset that extends a prefix by a
+        representative its closure already holds is passed over; it cannot
+        succeed unless a deletion of ``a - 1`` edges does.  So when level
+        ``a - 1`` has no success, each success of level ``a`` takes at most
+        one member of a class, and the yield holds the classes of every one
+        (lemma 9).
         """
-        return _walk(self.dual.n, a, self.base, self._delete, part, parts)
-
-    def _delete(self, state, x: int):
-        """The closure state ``state`` extended by edge ``x``, in a copy, or
-        None when ``x`` is already in the closure."""
-        active, need, left = state
-        if active[x]:
-            return None
-        active, need = active[:], need[:]
-        return active, need, _absorb(self.dual, active, need, left, (x,))
+        reps = [members[0] for members in self.classes]
+        return _walk(len(reps), a, self.base, _extend_by(self.dual, reps, True), part, parts)
 
     def best(
         self, a: int, part: int = 0, parts: int = 1
     ) -> Optional[tuple[int, tuple[int, ...], frozenset[int]]]:
-        """Smallest ``(radius, deleted, core)`` over the successful deletions
-        of ``a`` residual edges whose lexicographic index is ``part`` mod
-        ``parts``; ``deleted`` holds the edge indices of ``graph``
-        and ``core`` is :func:`peel_nm`'s core without them.  None when none
-        succeeds.
+        """Smallest ``(radius, deleted, core)`` over the deletions of ``a``
+        residual edges that take one member of each class of a subset
+        :meth:`successes` yields for ``(a, part, parts)``; ``deleted``
+        holds the edge indices of ``graph``, ascending, and ``core`` is
+        :func:`peel_nm`'s core without them.  None when there is none.
 
-        Each deletion is decided on the kernel by :meth:`successes`, which
-        needs no success at level ``a - 1``; a success is peeled on
-        ``graph`` and scored by propagating its core over all of ``graph``.
+        Every such deletion succeeds, since the members of a class lie in
+        the same closures, and when level ``a - 1`` has no success they
+        are all the successes of level ``a`` (lemma 9).  Each is peeled on
+        ``graph``; its core is scored by propagating it over all of
+        ``graph``, once per call for each distinct core.  The member choices
+        do not come in lexicographic order, so the least ``(radius,
+        deleted)`` is taken explicitly.
         """
-        graph, residual = self.graph, self.residual
+        graph, residual, classes, t = self.graph, self.residual, self.classes, self.thresholds
+        radii: dict[frozenset[int], int] = {}
         best = None
         for combo in self.successes(a, part, parts):
-            deleted = tuple([residual[i] for i in combo])
-            try:
-                core = peel_nm(graph, deleted).core
-            except NoCoreOfSizeNM:
-                raise RuntimeError("a deletion that strips the kernel must peel the instance")
-            radius = _core_radius(graph, core, self.thresholds)
-            if radius is None:
-                raise RuntimeError("peeled core must stay a core after re-insertion")
-            if best is None or radius < best[0]:
-                best = (radius, deleted, core)
+            for choice in product(*[classes[c] for c in combo]):
+                deleted = tuple(sorted([residual[i] for i in choice]))
+                try:
+                    core = peel_nm(graph, deleted).core
+                except NoCoreOfSizeNM:
+                    raise RuntimeError("a deletion that strips the kernel must peel the instance")
+                radius = radii.get(core)
+                if radius is None:
+                    radius = _core_radius(graph, core, t)
+                    if radius is None:
+                        raise RuntimeError("peeled core must stay a core after re-insertion")
+                    radii[core] = radius
+                if best is None or (radius, deleted) < best[:2]:
+                    best = (radius, deleted, core)
         return best
 
 
@@ -284,9 +338,10 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     ``ValueError``.
 
     Only deletions inside the residual ``R`` (:func:`_residual`) are tried,
-    starting at ``a = max(0, |R| - |V(R)|)``, where ``V(R)`` is the set of
-    vertices of ``R``'s edges.  This gives the same answer as trying every
-    ``a``-subset of all ``m`` edges from ``a = 0``:
+    starting at ``a = max(0, |R| - |V(R)| + c2(R))``, where ``V(R)`` is the
+    set of vertices of ``R``'s edges and ``c2(R)`` counts the components
+    of ``R`` with no size-1 edge.  This gives the same answer as trying
+    every ``a``-subset of all ``m`` edges from ``a = 0``:
 
     Write ``core2(H)`` for the largest edge set of ``H`` in which no vertex
     has degree one (the union of two such sets is one, so a largest
@@ -321,6 +376,28 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
        ``R - D`` has at least ``|R| - a`` edges on at most ``|V(R)|``
        vertices, so by 3 no level ``a < |R| - |V(R)|`` has a success.
 
+    6'. Write ``c2(H)`` for the number of connected components of ``H``,
+       taken on the vertex set ``V(R)``, that hold no size-1 edge; a
+       vertex in no edge of ``H`` is such a component.  Let ``R - D`` peel,
+       one edge at a time, and let ``K`` be a component that
+       ``c2(R - D)`` counts.  A vertex claimed before the last edge ``e``
+       of ``K`` is peeled had degree one then, so it lies in no edge alive
+       afterwards, ``e`` among them: no vertex of ``e`` is claimed yet.
+       ``e`` claims one, and as ``|e| >= 2`` another stays unclaimed; a
+       component with no edge claims nothing.  So each such ``K`` has
+       fewer edges than vertices, and ``|R| - a <= |V(R)| - c2(R - D)``.
+       The components of ``R - D`` refine those of ``R``, and a component
+       of ``R`` with no size-1 edge splits into at least one with none, so
+       ``c2(R - D) >= c2(R)``: no level ``a < |R| - |V(R)| + c2(R)`` has
+       a success.  This start is exact, ``a*`` itself, when every edge of
+       ``R`` has two vertices.  ``R`` is then a multigraph whose ``c2(R)``
+       components have no degree-one vertex, and a graph peels iff it has
+       no cycle: a forest with an edge has a leaf, and removing a leaf's
+       edge leaves a forest, while the edges of a cycle (two parallel edges
+       among them) give its vertices degree two.  Keeping a spanning
+       forest of each component, ``|V(R)| - c2(R)`` edges, and deleting
+       the rest peels.
+
     7. For ``D'`` a subset of ``D``,
        ``core2(R - D) = core2(core2(R - D') - (D - D'))``: this is 3
        applied to the instance ``R - D'``, whose ``core2`` is
@@ -345,35 +422,69 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
        ``e``: the strip and the closure loop are one computation, and 7
        is the closure property ``cl(D) = cl(cl(D') | D)``.  ``R*`` has
        ``|R|`` vertices and ``|V(R)|`` edges, so the start level of 6 is
-       ``max(0, n - m)`` taken on ``R*``.
+       ``max(0, n - m)`` taken on ``R*``, and the components of ``R`` are
+       those of ``R*``'s vertices joined by its edges.
+    9. A vertex ``v`` of ``R`` in exactly two residual edges gives ``R*``
+       a two-member edge ``E(v)``, which fires once either member is
+       active, so a closed set holding one member holds both.  Join the
+       members of these edges into classes: the members of a class lie in
+       the same closed sets, and swapping a member of ``D`` for another of
+       its class leaves ``cl(D)`` unchanged.  At a level ``a`` where
+       ``a - 1`` has no success, no success ``D`` holds two members of one
+       class: one of them, ``y``, lies in ``cl(D - y)``, so
+       ``cl(D - y) = cl(D)`` and ``D - y`` would succeed at ``a - 1``.  So
+       the successes at such a level are exactly the choices of one member
+       from each class of an ``a``-subset of classes whose representatives
+       (least members) succeed.  When every edge of ``R`` has two
+       vertices, there are at most ``3 a*`` classes.  A class is then a
+       maximal chain of edges through vertices of degree 2 in ``R``, which
+       has no vertex of degree 1.  A component that is one cycle of such
+       vertices is one class, and by 6' it adds 1 to ``a*``.  In any other
+       component ``K``, suppressing the degree-2 vertices turns each class
+       into one edge, perhaps a loop, of a multigraph on the ``V'``
+       vertices of degree at least 3, so its ``E'`` classes have
+       ``2 E' >= 3 V'``.  Suppression keeps the cyclomatic number
+       ``|edges| - |vertices| + 1``, so ``K`` adds
+       ``E' - V' + 1 > E' / 3`` to ``a*`` by 6'.  A level thus walks at
+       most ``C(3 a*, a)`` subsets of classes, whatever ``n`` and ``|R|``.
 
     So the levels skipped and the deletions left out hold no success, and
     the successful deletions at ``a*`` are the same.  By 3 and 8 each
     deletion is decided on ``R*`` alone: it succeeds iff it is a core of
-    ``R*``, so a failing deletion never touches ``G``.  By 7 the closure of
-    ``D`` starts from the closure of the prefix ``D`` shares with the
-    deletion tried before it.  Each success is scored as before: peel
-    ``G - D``, re-insert, propagate on ``G``.  The walker
-    (``propagation._walk``) makes the ``a``-subsets of the sorted ``R`` in
-    lexicographic order, the order they have among all ``a``-subsets of
-    ``range(m)``, so the radius tie-break picks the same tuple.
+    ``R*``, so a failing deletion never touches ``G``.  The walker
+    (``propagation._walk``) makes the ``a``-subsets of the classes in
+    lexicographic order and decides each by its representatives; by 7 the
+    closure of a subset starts from the closure of the prefix it shares
+    with the subset tried before it.  By 9 each class-level success
+    expands into its member choices, and each of these deletions ``D`` is
+    scored as before: peel ``G - D``, re-insert, propagate on ``G``.  The
+    radius is a function of ``G``, the core and the thresholds, so a core
+    that several deletions peel to is propagated once per level, or once
+    per part of a level with a pool.  The
+    expansion does not come in the lexicographic order of the deleted
+    tuples, so the search takes the least ``(radius, deleted)``
+    explicitly: the pair that a scan of all deletions in lexicographic
+    order, keeping the first least radius, returns.
 
-    The walker passes over every deletion ``D`` that extends a prefix
-    ``P`` by an edge ``x`` already in the closure of ``P``, that is,
+    The walker passes over every subset ``D`` that extends a prefix ``P``
+    by a representative ``x`` already in the closure of ``P``, that is,
     stripped by ``R - P``.  Then ``D`` lies inside ``cl(D - x)``, which
     holds ``P`` and so ``x``, hence ``cl(D) = cl(D - x)``: if ``D``
     succeeds, so does ``D - x``, at level ``a - 1``.  The search runs
     level ``a`` only when level ``a - 1`` holds no success: at the start
-    level, level ``a - 1`` lies below it, where 6 rules every success out,
-    and above it, level ``a - 1`` ran and found none.  So the skip, the
-    oracle's skip 2 on ``R*``, leaves out no success at any level the
-    search runs.
+    level, level ``a - 1`` lies below it, where 6' rules every success
+    out, and above it, level ``a - 1`` ran and found none, its walk
+    holding the classes of every success by 9.  So neither the skip, the
+    oracle's skip 2 on ``R*``, nor the classes leave out a success at any
+    level the search runs.
 
-    With ``w`` workers, worker ``i`` decides the deletions of a level whose
-    lexicographic index is ``i`` mod ``w``, starting from the closure of
-    the empty set, so ``jobs`` cannot change a verdict.  No two deletions
-    share a ``deleted`` tuple, so the least ``(radius, deleted)`` over the
-    parts is the serial answer.
+    With ``w`` workers, worker ``i`` decides the subsets of classes of a
+    level whose lexicographic index is ``i`` mod ``w``, starting from the
+    closure of the empty set, expands its own successes and keeps its own
+    radii, so ``jobs`` cannot change a verdict.  Each deletion expands from
+    one subset of classes alone, so no two deletions share a ``deleted``
+    tuple, and the least ``(radius, deleted)`` over the parts is the
+    serial answer.
     """
     if a_max < 0:
         raise ValueError("a_max must be non-negative")
@@ -390,7 +501,7 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     else:
         pool = nullcontext()
     with pool:
-        for a in range(max(0, kernel.dual.n - kernel.dual.m), a_max + 1):
+        for a in range(kernel.start, a_max + 1):
             if workers == 1:
                 best = kernel.best(a)
             else:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .hypergraph import Hypergraph, Thresholds, resolve_thresholds
-from .propagation import _absorb, _base_state, _core_radius, _walk, is_core
+from .propagation import _absorb, _base_state, _core_radius, _extend_by, _walk, is_core
 
 
 class BudgetExceededError(RuntimeError):
@@ -170,18 +170,8 @@ def _cores(graph: Hypergraph, k: int, t: Sequence[int], minimal: bool = False):
     free = [v for v in range(graph.n) if not incidence[v]]
     rest = [v for v in range(graph.n) if incidence[v]]
     active, need, left = _base_state(graph, t)
-    left = _absorb(graph, active, need, left, free)
-
-    def extend(state, i):
-        active, need, left = state
-        v = rest[i]
-        if active[v]:
-            return None if minimal else state
-        active, need = active[:], need[:]
-        return active, need, _absorb(graph, active, need, left, (v,))
-
-    base = (active, need, left)
-    for combo in _walk(len(rest), k - len(free), base, extend):
+    base = (active, need, _absorb(graph, active, need, left, free))
+    for combo in _walk(len(rest), k - len(free), base, _extend_by(graph, rest, minimal)):
         yield tuple(sorted(free + [rest[i] for i in combo]))
 
 

@@ -32,11 +32,13 @@ extending the closure of any subset of it.
 One closure loop serves both exhaustive enumerations, and ``_walk`` is
 the one prefix walker behind them.  It makes the ``k``-combinations of
 ``range(n)`` in lexicographic order, without recursion, and extends one
-closure state per prefix depth.  The oracle extends each vertex subset's
-closure from its lexicographic prefix, and keeps the rounds for the
-radius and for confirming its witness.  :func:`~.mincore.mincore_fpt`
+closure state per prefix depth with the callback ``_extend_by`` builds,
+which maps each item to a vertex.  The oracle extends each vertex
+subset's closure from its lexicographic prefix, and keeps the rounds for
+the radius and for confirming its witness.  :func:`~.mincore.mincore_fpt`
 decides each deletion of residual edges as a core of the residual's dual
-(lemma 8 there), extended the same way from its prefix's closure.
+(lemma 8 there), extended the same way from its prefix's closure by one
+representative of each class of closure-equivalent edges (lemma 9).
 """
 
 from __future__ import annotations
@@ -180,6 +182,27 @@ def _absorb(graph: Hypergraph, active, need, left: int, seeds) -> int:
                         left -= 1
                         stack.append(u)
     return left
+
+
+def _extend_by(graph: Hypergraph, items: Sequence[int], minimal: bool):
+    """The ``extend`` callback of :func:`_walk` over closure states of
+    ``graph``, in which walk item ``i`` is vertex ``items[i]``.
+
+    A vertex already active in the prefix's closure changes nothing: the
+    callback returns the prefix's state, or, with ``minimal``, None to pass
+    over every combination extending the prefix by it.  Any other vertex
+    extends a copy of the state by :func:`_absorb`.
+    """
+
+    def extend(state, i):
+        active, need, left = state
+        v = items[i]
+        if active[v]:
+            return None if minimal else state
+        active, need = active[:], need[:]
+        return active, need, _absorb(graph, active, need, left, (v,))
+
+    return extend
 
 
 def _walk(n: int, k: int, base, extend, part: int = 0, parts: int = 1):

@@ -1,6 +1,7 @@
 """Command line surface: formats, exit codes, determinism."""
 
 import ast
+import itertools
 import os
 import pathlib
 import random
@@ -14,6 +15,7 @@ import time
 import pytest
 
 import hypercore
+from hypercore import mincore
 from hypercore import HceParseError, Hypergraph, generate_random, read_instance, write_instance
 from hypercore.cli import build_parser, main
 from hypercore.reductions import read_minrep
@@ -495,6 +497,29 @@ def test_jobs_flag_never_changes_bytes(tmp_path):
         again = run("mincore", str(inst), "--max-a", "7", "--jobs", jobs)
         assert again.stdout == base.stdout
         assert again.returncode == base.returncode
+
+
+def test_mincore_below_the_start_level_exits_1_at_once(tmp_path):
+    """K10, the 45 two-vertex edges on 10 vertices, is one component with
+    no size-1 edge, so by lemma 6' of ``mincore_fpt`` no deletion of fewer
+    than 45 - 10 + 1 = 36 edges peels it.  ``--max-a 35`` tries no level:
+    it exits 1 at once, where lemma 6 alone left C(45, 35) deletions."""
+    k10 = Hypergraph(10, list(itertools.combinations(range(10), 2)))
+    kernel = mincore._Kernel(k10, mincore._residual(k10))
+    assert (kernel.dual.n, kernel.dual.m, kernel.start) == (45, 10, 36)
+    inst = tmp_path / "k10.hce"
+    inst.write_text(write_instance(k10))
+    start = time.perf_counter()
+    res = subprocess.run(
+        [sys.executable, "-m", "hypercore", "mincore", str(inst), "--max-a", "35"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert res.returncode == 1, res.stderr
+    assert res.stdout == "no core of size n-m+a possible for any a <= 35\n"
+    assert res.stderr == ""
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -24,7 +24,7 @@ from hypercore import (
     propagate,
     reference_is_core,
 )
-from hypercore import mincore
+from hypercore import mincore, propagation
 from hypercore.hypergraph import default_thresholds
 from hypercore.mincore import PEEL_FAILURE_MESSAGE, MinCoreResult, _residual
 import reference_peel
@@ -244,39 +244,46 @@ def pools(monkeypatch):
     return recorded
 
 
-def _assert_one_task_per_worker(pools):
-    """Each ``map`` call is one level, consecutive from the first, and holds
-    exactly one task ``(a, part, workers)`` per part."""
-    for workers, maps in pools:
-        assert maps
-        first = maps[0][0][0]
-        for a, tasks in enumerate(maps, start=first):
-            assert tasks == [(a, w, workers) for w in range(workers)]
+def _assert_one_task_per_worker(pools, levels):
+    """Pool ``i`` maps exactly the levels ``levels[i]``, one ``map`` call
+    each, in order, and each call holds one task ``(a, part, workers)``
+    per part."""
+    assert len(pools) == len(levels)
+    for (workers, maps), run in zip(pools, levels):
+        assert maps == [[(a, w, workers) for w in range(workers)] for a in run]
 
 
 def test_fpt_pool_parts_strided_across_prefixes(pools, monkeypatch):
-    """A strided part takes every ``w``-th deletion, so consecutive
-    deletions of a part share shorter prefixes than in the serial order;
-    each part strips from the kernel's base state, so the pool returns what
-    the serial search does."""
+    """A strided part takes every ``w``-th class-level deletion, so
+    consecutive deletions of a part share shorter prefixes than in the
+    serial order; each part strips from the kernel's base state, so the
+    pool returns what the serial search does.  A search maps the levels
+    from the start of lemma 6' to the first success, none when the start
+    lies above ``a_max``."""
     monkeypatch.setattr(mincore, "_cpu_count", lambda: 3)
-    checked = 0
-    for s in range(200):
+    checked = unmapped = 0
+    levels = []
+    for s in range(400):
         g = generate_random(24, 22, 2, 3, s)
         residual = _residual(g)
-        start = max(0, len(residual) - len({v for ei in residual for v in g.edges[ei]}))
+        start = _start(g, residual)
+        classes = len(_reference_classes(g, residual))
         serial = _outcome(mincore_fpt, g, 3)
         top = serial.parameter_a if isinstance(serial, MinCoreResult) else 3
-        if all(math.comb(len(residual), a) <= 64 for a in range(start, top + 1)):
+        if start <= top and all(math.comb(classes, a) <= 64 for a in range(start, top + 1)):
             continue
         assert _outcome(mincore_fpt, g, 3, jobs=2) == serial
         assert _outcome(mincore_fpt, g, 3, jobs=3) == serial
+        levels += [range(start, top + 1)] * 2
+        if start > top:
+            unmapped += 1
+            continue
         checked += 1
         if checked == 30:
             break
-    assert checked == 30
-    assert [workers for workers, _ in pools] == [2, 3] * 30
-    _assert_one_task_per_worker(pools)
+    assert checked == 30 and unmapped >= 1
+    assert [workers for workers, _ in pools] == [2, 3] * (checked + unmapped)
+    _assert_one_task_per_worker(pools, levels)
 
 
 def test_fpt_real_pool_matches_serial(monkeypatch):
@@ -316,7 +323,7 @@ def test_fpt_jobs_capped_at_cpu_count(pools, monkeypatch):
     assert mincore_fpt(g, g.n, jobs=10_000) == expected
     assert mincore_fpt(g, g.n, jobs=2) == expected
     assert [workers for workers, _ in pools] == [3, 2]
-    _assert_one_task_per_worker(pools)
+    _assert_one_task_per_worker(pools, [range(_start(g, _residual(g)), expected.parameter_a + 1)] * 2)
     # On one CPU, jobs > 1 starts no pool: one worker is this process.
     monkeypatch.setattr(mincore, "_cpu_count", lambda: 1)
     assert mincore_fpt(g, g.n, jobs=2) == expected
@@ -427,20 +434,79 @@ def _passed_over(strip, combo):
     return any(not strip(combo[:i])[x] for i, x in enumerate(combo))
 
 
+def _relabel(labels, groups):
+    """Join ``groups`` into classes: each item of a group takes the least
+    label in it, until no label changes."""
+    changed = True
+    while changed:
+        changed = False
+        for group in groups:
+            low = min(labels[x] for x in group)
+            for x in group:
+                if labels[x] != low:
+                    labels[x] = low
+                    changed = True
+    return labels
+
+
+def _start(g, residual):
+    """Lemma 6' of ``mincore_fpt``, counted without the kernel:
+    ``max(0, |R| - |V(R)| + c2(R))``, where ``c2`` counts the components of
+    ``R`` on ``V(R)`` that hold no size-1 edge."""
+    edges = [g.edges[ei] for ei in residual]
+    label = _relabel({v: v for e in edges for v in e}, edges)
+    ones = {label[e[0]] for e in edges if len(e) == 1}
+    return max(0, len(edges) - len(label) + len(set(label.values())) - len(ones))
+
+
+def _reference_classes(g, residual):
+    """The classes of lemma 9, found without the kernel: positions in
+    ``residual`` joined when their edges share a vertex that lies in no
+    other residual edge, as ascending tuples ordered by least member."""
+    spanned = {v for ei in residual for v in g.edges[ei]}
+    at = [[i for i, ei in enumerate(residual) if v in g.edges[ei]] for v in sorted(spanned)]
+    label = _relabel(list(range(len(residual))), [pair for pair in at if len(pair) == 2])
+    classes = {}
+    for i, low in enumerate(label):
+        classes.setdefault(low, []).append(i)
+    return sorted(tuple(members) for members in classes.values())
+
+
+def _representatives(kernel, combos):
+    """Each class-level subset in ``combos`` as the positions in ``R`` of
+    its classes' least members."""
+    return [tuple(kernel.classes[i][0] for i in combo) for combo in combos]
+
+
+def _expanded(kernel, combos):
+    """The deletions, as ascending positions in ``R``, that take one member
+    of each class of each class-level subset in ``combos``."""
+    return [
+        tuple(sorted(choice))
+        for combo in combos
+        for choice in itertools.product(*[kernel.classes[i] for i in combo])
+    ]
+
+
 def test_kernel_verdicts_and_search_match_whole_instance_scan():
     """Stripping ``R - D`` decides every deletion as peeling ``G - D`` does
-    (lemma 3), the kernel yields those deletions less the ones it passes
-    over, which hold none at a level up to the first success, and the
-    search returns what the whole-instance scan does."""
+    (lemma 3).  The kernel walks the representatives of lemma 9's classes
+    and yields the subsets whose representatives peel, less the ones it
+    passes over, which hold none at a level up to the first success; there
+    the member choices of its yield are exactly the successes, and at every
+    level they all succeed.  The search returns what the whole-instance
+    scan does."""
     graphs = _kernel_family()
     assert sum(len(set(g.edges)) < g.m for g in graphs) >= 40  # duplicate edges
     assert sum(any(len(e) == 1 for e in g.edges) for g in graphs) >= 40
     assert sum(min(g.degrees(), default=1) == 0 for g in graphs) >= 40  # isolated
     assert sum(g.m > g.n for g in graphs) >= 40
-    dropped = 0
+    dropped = merged = 0
     for g in graphs:
         residual = _residual(g)
         kernel = mincore._Kernel(g, residual)
+        assert kernel.classes == _reference_classes(g, residual)
+        merged += len(kernel.classes) < len(residual)
         strip = _reference_strips(g, residual)
         top = len(residual) if len(residual) <= 10 else 3
         found = False
@@ -451,11 +517,19 @@ def test_kernel_verdicts_and_search_match_whole_instance_scan():
             kept = [c for c in peeling if not _passed_over(strip, c)]
             if not found:  # no level below this one has a success
                 assert kept == peeling
+            yielded = list(kernel.successes(a))
+            leaves = list(itertools.combinations(range(len(kernel.classes)), a))
+            chosen = set(kept)
+            assert yielded == [c for c, r in zip(leaves, _representatives(kernel, leaves)) if r in chosen]
+            expanded = _expanded(kernel, yielded)
+            assert set(expanded) <= set(peeling)
+            if not found:  # the member choices, as a set and without repeats
+                assert sorted(expanded) == peeling
             found = found or bool(peeling)
             dropped += len(peeling) - len(kept)
-            assert list(kernel.successes(a)) == kept
         assert _outcome(mincore_fpt, g, g.n) == _outcome(_scan_reference, g, g.n)
     assert dropped >= 1_000  # the skip passes over successes above the first level
+    assert merged >= 40
 
 
 def test_dual_cores_are_the_deletions_that_strip_the_residual():
@@ -483,26 +557,28 @@ def test_dual_cores_are_the_deletions_that_strip_the_residual():
     assert 1_000 <= cores <= decided - 1_000
 
 
-def _kernel_extensions(strip, size, levels):
-    """Closure extensions the kernel makes while trying ``levels`` over
-    ``size`` residual edges: per level, one for each deletion prefix whose
-    edges the reference strip finds alive, each in ``R`` without the edges
-    before it.  The base state is never extended."""
+def _kernel_extensions(strip, reps, levels):
+    """Closure extensions the kernel makes while trying ``levels`` over the
+    class representatives ``reps``, positions in ``R``: per level, one for
+    each prefix whose representatives the reference strip finds alive,
+    each in ``R`` without the ones before it.  The base state is never
+    extended."""
     count = 0
     for a in levels:
         for d in range(1, a + 1):
-            # the d-edge prefixes of a-edge deletions out of |R|
-            for prefix in itertools.combinations(range(size - (a - d)), d):
-                count += not _passed_over(strip, prefix)
+            # the d-class prefixes of a-class subsets out of len(reps)
+            for prefix in itertools.combinations(range(len(reps) - (a - d)), d):
+                count += not _passed_over(strip, tuple(reps[i] for i in prefix))
     return count
 
 
 def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
     """``peel_nm`` runs once per successful deletion at the levels tried,
     and the winner keeps the core it was scored with.  The only other peel
-    of the instance is the one that finds ``R``; the kernel extends the
-    closure of each deletion prefix it reaches once per level, and only
-    when its last edge is not already in the shorter prefix's closure."""
+    of the instance is the one that finds ``R``; besides the closure of the
+    empty set, the kernel extends the closure of each prefix of class
+    representatives it reaches once per level, and only when its last
+    representative is not already in the shorter prefix's closure."""
     peeled, looped, absorbed = [], [], []
 
     def counting_peel(graph, deleted=()):
@@ -517,7 +593,7 @@ def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
         absorbed.append(graph is g)
         return absorb(graph, active, need, left, seeds)
 
-    loop, absorb = mincore._peel, mincore._absorb
+    loop, absorb = mincore._peel, propagation._absorb
     cases = []
     for s in range(120):
         rng = random.Random(9_300_007 + s)
@@ -529,23 +605,23 @@ def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
         residual = _residual(g)
         outcome = _outcome(_scan_reference, g, a_max)
         found = isinstance(outcome, MinCoreResult)
-        start = max(0, len(residual) - len({v for ei in residual for v in g.edges[ei]}))
-        levels = range(start, (outcome.parameter_a if found else a_max) + 1)
+        levels = range(_start(g, residual), (outcome.parameter_a if found else a_max) + 1)
         successes = sum(
             _peels(g, deleted) for a in levels for deleted in itertools.combinations(residual, a)
         )
-        expected = _kernel_extensions(_reference_strips(g, residual), len(residual), levels)
+        reps = [members[0] for members in _reference_classes(g, residual)]
+        expected = _kernel_extensions(_reference_strips(g, residual), reps, levels)
         peeled.clear()
         looped.clear()
         absorbed.clear()
         with monkeypatch.context() as patch:
             patch.setattr(mincore, "peel_nm", counting_peel)
             patch.setattr(mincore, "_peel", counting_loop)
-            patch.setattr(mincore, "_absorb", counting_absorb)
+            patch.setattr(propagation, "_absorb", counting_absorb)
             assert _outcome(mincore_fpt, g, a_max) == outcome
         assert len(peeled) == successes
         assert looped == [True] * (1 + successes)
-        assert absorbed == [False] * expected
+        assert absorbed == [False] * (1 + expected)  # the first builds the base state
         extended += expected
     assert extended >= 200
 
@@ -605,8 +681,11 @@ def test_residual_matches_stack_peel():
 
 
 def test_fpt_skips_levels_below_residual_excess(monkeypatch):
-    """K4 has 6 residual edges on 4 vertices, so levels 0 and 1 cannot succeed."""
+    """K4 has 6 residual edges on 4 vertices in one component with no
+    size-1 edge, so by lemma 6' levels 0, 1 and 2 cannot succeed."""
     k4 = Hypergraph(4, list(itertools.combinations(range(4), 2)))
+    strip = _reference_strips(k4, list(range(6)))
+    assert all(1 in strip(c) for a in range(3) for c in itertools.combinations(range(6), a))
     calls, looped, absorbed, levels = [], [], [], []
 
     def counting_peel(graph, deleted=()):
@@ -625,26 +704,157 @@ def test_fpt_skips_levels_below_residual_excess(monkeypatch):
         levels.append(a)
         return successes(self, a, part, parts)
 
-    loop, absorb, successes = mincore._peel, mincore._absorb, mincore._Kernel.successes
+    loop, absorb, successes = mincore._peel, propagation._absorb, mincore._Kernel.successes
     monkeypatch.setattr(mincore, "peel_nm", counting_peel)
     monkeypatch.setattr(mincore, "_peel", counting_loop)
-    monkeypatch.setattr(mincore, "_absorb", counting_absorb)
+    monkeypatch.setattr(propagation, "_absorb", counting_absorb)
     monkeypatch.setattr(mincore._Kernel, "successes", levelled_successes)
     with pytest.raises(NotFoundWithin) as err:
-        mincore_fpt(k4, 1)
-    assert err.value.a_max == 1
-    # only the peel that finds R; the kernel's base state needs no extension
+        mincore_fpt(k4, 2)
+    assert err.value.a_max == 2
+    # only the peel that finds R, and the closure of the empty set
     assert looped == [True]
-    assert absorbed == calls == levels == []
+    assert absorbed == [(False, None)]
+    assert calls == levels == []
     looped.clear()
+    absorbed.clear()
     res = mincore_fpt(k4, 3)
     assert res.parameter_a == 3
-    assert levels == [2, 3]
-    strip = _reference_strips(k4, list(range(6)))
-    assert absorbed == [(False, a) for a in (2, 3) for _ in range(_kernel_extensions(strip, 6, [a]))]
-    # no deletion of two edges peels K4, so only level 3 reaches peel_nm
+    assert levels == [3]
+    assert absorbed == [(False, None)] + [(False, 3)] * _kernel_extensions(strip, range(6), [3])
     assert {len(d) for d in calls} == {3}
     assert looped == [True] * (1 + len(calls))
+
+
+def test_start_level_is_the_least_success_on_graph_residuals():
+    """Lemma 6' is exact when every residual edge has two vertices: on
+    random graphs the kernel's start is the least level at which a fresh
+    reference strip finds a deletion that strips ``R``, and lemma 9's
+    classes number at most three per deleted edge there.  Each class's
+    members lie in the same closures: swapping one for another never
+    changes what the strip leaves."""
+    checked, least, ratio = 0, set(), 0.0
+    rng = random.Random(9_500_003)
+    for n, m in ((8, 10), (9, 12), (7, 11)):
+        for s in range(350):
+            g = generate_random(n, m, 2, 2, s)
+            residual = _residual(g)
+            if not residual:
+                continue
+            kernel = mincore._Kernel(g, residual)
+            strip = _reference_strips(g, residual)
+            a = 0
+            while all(1 in strip(c) for c in itertools.combinations(range(len(residual)), a)):
+                a += 1
+            assert kernel.start == _start(g, residual) == a
+            assert len(kernel.classes) <= 3 * a
+            for members in kernel.classes:
+                if len(members) > 1:
+                    x, y = rng.sample(members, 2)
+                    rest = [i for i in range(len(residual)) if i not in members]
+                    kept = rng.sample(rest, min(len(rest), a - 1))
+                    assert strip(tuple(sorted([x, *kept]))) == strip(tuple(sorted([y, *kept])))
+            checked += 1
+            least.add(a)
+            ratio = max(ratio, len(kernel.classes) / a)
+    assert checked >= 1_000
+    assert least >= {3, 4, 5, 6} and ratio > 2
+
+
+def test_no_success_below_the_start_level():
+    """On the shapes of the ``fpt_search`` benchmark and two wider ones,
+    every level from the start of lemma 6, ``|R| - |V(R)|``, up to below
+    the start of lemma 6', and at most 3, holds no deletion that strips
+    ``R``: a walk over every vertex of the dual, with no classes, yields
+    nothing there."""
+    levels = 0
+    for shape in ((24, 22, 2, 3), (40, 40, 2, 3), (30, 26, 2, 4)):
+        for s in range(100):
+            g = generate_random(*shape, s)
+            kernel = mincore._Kernel(g, _residual(g))
+            dual = kernel.dual
+            for a in range(max(0, dual.n - dual.m), min(kernel.start, 4)):
+                extend = propagation._extend_by(dual, range(dual.n), True)
+                assert not any(propagation._walk(dual.n, a, kernel.base, extend))
+                levels += 1
+    assert levels >= 100
+
+
+def test_each_distinct_core_is_scored_once_per_call(monkeypatch):
+    """``best`` propagates over the instance once for each distinct core
+    that the successes of its call peel to, part by part, and a second
+    call scores them again: the radii are kept per call."""
+    scored = []
+
+    def counting_radius(graph, core, t):
+        scored.append(core)
+        return radius(graph, core, t)
+
+    radius = mincore._core_radius
+    monkeypatch.setattr(mincore, "_core_radius", counting_radius)
+    successes = cores = 0
+    for s in range(60):
+        g = generate_random(24, 22, 2, 3, s)
+        residual = _residual(g)
+        kernel = mincore._Kernel(g, residual)
+        for parts in (1, 2):
+            for part in range(parts):
+                for a in range(kernel.start, 4):
+                    deletions = _expanded(kernel, kernel.successes(a, part, parts))
+                    peeled = set()
+                    for d in deletions:
+                        victims = reference_peel._peel(g, {residual[i] for i in d})[1]
+                        peeled.add(frozenset(range(g.n)).difference(victims.values()))
+                    for _ in range(2):
+                        scored.clear()
+                        kernel.best(a, part, parts)
+                        assert sorted(map(sorted, scored)) == sorted(map(sorted, peeled))
+                    successes += len(deletions)
+                    cores += len(peeled)
+                    if deletions:
+                        break
+    assert successes >= 5 * cores > 0
+
+
+def test_fpt_pool_parts_expand_classes(pools, monkeypatch):
+    """Where a class-level success stands for two or more deletions, each
+    part expands the successes it decides, and the least over the parts is
+    the serial answer: two workers return what one does."""
+    monkeypatch.setattr(mincore, "_cpu_count", lambda: 2)
+    checked = 0
+    for s in range(200):
+        g = generate_random(24, 22, 2, 3, s)
+        serial = _outcome(mincore_fpt, g, 3)
+        if not isinstance(serial, MinCoreResult):
+            continue
+        kernel = mincore._Kernel(g, _residual(g))
+        a = serial.parameter_a
+        combos = list(kernel.successes(a))
+        if len(_expanded(kernel, combos)) == len(combos):
+            continue
+        assert _outcome(mincore_fpt, g, 3, jobs=2) == serial
+        hits = [kernel.best(a, w, 2) for w in range(2)]
+        assert min(h for h in hits if h is not None) == (
+            serial.radius,
+            serial.deleted_edges,
+            serial.core,
+        )
+        checked += 1
+    assert checked >= 30
+    assert [workers for workers, _ in pools] == [2] * checked
+
+
+def test_fpt_real_pool_expands_classes(monkeypatch):
+    """Two worker processes on instances whose winning level has a class
+    with two or more members."""
+    monkeypatch.setattr(mincore, "_cpu_count", lambda: 2)
+    for seed in (1, 3):
+        g = generate_random(24, 22, 2, 3, seed)
+        kernel = mincore._Kernel(g, _residual(g))
+        serial = mincore_fpt(g, 3)
+        combos = list(kernel.successes(serial.parameter_a))
+        assert len(_expanded(kernel, combos)) > len(combos)
+        assert mincore_fpt(g, 3, jobs=2) == serial
 
 
 def test_internal_invariants_raise_runtime_error(monkeypatch, path):
@@ -653,13 +863,13 @@ def test_internal_invariants_raise_runtime_error(monkeypatch, path):
         with pytest.raises(RuntimeError, match="must stay a core after re-insertion"):
             mincore_fpt(path, 0)
     # A closure loop that claims every deletion activates all of the dual:
-    # deleting two edges at vertex 0 of K4 leaves the triangle 1, 2, 3,
-    # which does not peel.
+    # deleting the three edges at vertex 0 of K4 leaves the triangle 1, 2,
+    # 3, which does not peel.
     k4 = Hypergraph(4, list(itertools.combinations(range(4), 2)))
     with monkeypatch.context() as patch:
-        patch.setattr(mincore, "_absorb", lambda graph, active, need, left, seeds: 0)
+        patch.setattr(propagation, "_absorb", lambda graph, active, need, left, seeds: 0)
         with pytest.raises(RuntimeError, match="strips the kernel must peel"):
-            mincore_fpt(k4, 2)
+            mincore_fpt(k4, 3)
     with monkeypatch.context() as patch:
         patch.setattr(mincore, "_residual", lambda graph: list(range(graph.m)))
         with pytest.raises(RuntimeError, match="no degree-one vertex"):

@@ -12,7 +12,13 @@ import reference_peel
 from hypercore import Hypergraph, generate_random
 from hypercore import mincore
 from conftest import messy_instance, seeded_family
-from test_mincore import _kernel_family, _passed_over, _reference_strips
+from test_mincore import (
+    _expanded,
+    _kernel_family,
+    _passed_over,
+    _reference_strips,
+    _representatives,
+)
 
 
 def _peel_cases():
@@ -72,12 +78,13 @@ def test_peel_matches_reference_round_loop():
 
 
 def test_prefix_shared_verdicts_match_fresh_reference_strip():
-    """Every deletion at ``a <= 3`` (every level when ``|R| <= 10``) that
-    the kernel does not pass over succeeds on the kernel iff a fresh
-    reference strip of ``R - D`` leaves no edge, also when the deletions
-    arrive as the strided parts of a pool, each taking every ``k``-th
-    deletion.  Up to the first level with a success, no success is passed
-    over."""
+    """Every subset of class representatives at ``a <= 3`` (every level
+    when ``|R| <= 10``) that the kernel does not pass over succeeds on the
+    kernel iff a fresh reference strip of ``R`` without them leaves no
+    edge, also when the subsets arrive as the strided parts of a pool,
+    each taking every ``k``-th subset.  Up to the first level with a
+    success, no success is passed over, and the member choices of the
+    kernel's yield are exactly the deletions the fresh strip finds."""
     decided = 0
     for g in _kernel_family():
         residual = mincore._residual(g)
@@ -88,15 +95,23 @@ def test_prefix_shared_verdicts_match_fresh_reference_strip():
         for a in range(top + 1):
             combos = list(itertools.combinations(range(len(residual)), a))
             fresh = [c for c in combos if 1 not in strip(c)]
-            kept = [c for c in fresh if not _passed_over(strip, c)]
+            leaves = list(itertools.combinations(range(len(kernel.classes)), a))
+            stripped = [
+                c for c, r in zip(leaves, _representatives(kernel, leaves)) if 1 not in strip(r)
+            ]
+            kept = [
+                c for c, r in zip(stripped, _representatives(kernel, stripped))
+                if not _passed_over(strip, r)
+            ]
             if not found:  # no level below this one has a success
-                assert kept == fresh
+                assert kept == stripped
+                assert sorted(_expanded(kernel, kept)) == fresh
             found = found or bool(fresh)
             assert list(kernel.successes(a)) == kept
             chosen = set(kept)
             for k in (2, 3, 7):
                 for w in range(k):
                     part = kernel.successes(a, w, k)
-                    assert list(part) == [c for c in combos[w::k] if c in chosen]
+                    assert list(part) == [c for c in leaves[w::k] if c in chosen]
             decided += len(combos)
     assert decided >= 10_000
