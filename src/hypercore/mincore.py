@@ -31,11 +31,12 @@ each prefix by the class's least member; a subset that extends a prefix
 by a member its closure already holds is passed over, as in the oracle's
 minimum blocks.  Each class-level success stands for every choice of
 one member per class, and only these deletions touch the whole instance:
-:func:`peel_nm` peels it without them, and the deleted edges are
-re-inserted (which may add one final layer) to score the radius, once
-for each distinct core a level peels to.  The choices do not come in
-lexicographic order, so the least ``(radius, deleted)`` is taken
-explicitly.  A pool splits each level's subsets of classes into one
+each is peeled by :func:`peel_nm`'s loop from a start state built once
+per search, and the deleted edges are re-inserted (which may add one
+final layer) to score the radius, once for each distinct core a level
+peels to.  The choices do not come in lexicographic order, so the least
+``(radius, deleted)`` is taken explicitly; :func:`peel_nm` confirms the
+winner's core.  A pool splits each level's subsets of classes into one
 strided part per worker, and the least of the parts' bests is the serial
 answer.
 """
@@ -94,56 +95,63 @@ class MinCoreResult:
     parameter_a: int
 
 
-def _peel(graph: Hypergraph, dead: set[int]):
+def _start_state(graph: Hypergraph):
+    """The peel's start state on ``graph``: degrees, edge-index sums, degree-one vertices."""
+    deg = list(map(len, graph._incidence))
+    return deg, list(map(sum, graph._incidence)), [v for v, d in enumerate(deg) if d == 1]
+
+
+def _peel(edges, deg, sums, frontier, dead, ends=None) -> list[int]:
     """Peel degree-one vertices in synchronous rounds, ``dead`` left out.
 
-    Each round removes every alive edge that has a degree-one vertex and
-    credits it with the smallest such vertex; the rounds run until no
-    degree-one vertex is left.  Returns ``(rounds, victims, alive)``: the
-    rounds in peeling order, each an ascending edge tuple, ``victims[e]``
-    the vertex credited to edge ``e``, and the mask of edges left alive.
+    Runs from a state as :func:`_start_state` builds it, changing ``deg``
+    and ``sums`` in place but not ``frontier``.  Each round removes every
+    alive edge that has a degree-one vertex and credits it with the
+    smallest such vertex, until none is left.  Returns the credited
+    vertices in peeling order, each of which keeps the index of its edge
+    in ``sums``; when ``ends`` is a list, each round appends the number
+    of vertices credited so far.
 
-    At the start of a round the frontier is exactly the set of degree-one
-    vertices, in ascending order.  Each has one alive edge, so walking the
-    frontier in order and giving every edge to the first frontier vertex
-    seen on it credits the smallest degree-one vertex; a frontier vertex
-    whose degree is already 0 lost its edge to a smaller one this round.
-    Every frontier vertex ends the round at degree 0, so the next frontier
-    is the vertices whose degree fell to 1 and stayed there (a degree can
-    fall 2 -> 1 -> 0 within one round).
+    While ``v`` has an edge, ``sums[v]`` is the sum of the indices of its
+    alive edges: an edge holds ``v`` at most once, and its index is added
+    once, when the state is built, and subtracted once, when the edge is
+    deleted or peeled and ``v`` keeps another.  So a degree-one vertex's
+    sum is its one edge, duplicate edges having distinct indices, and no
+    incidence list is scanned.  (An XOR would do the same; the built-in
+    ``sum`` builds the state in C.)
+
+    A round walks the ascending frontier, which holds every degree-one
+    vertex: first those of the start, then those whose degree fell to 1
+    in the round before.  Each edge goes to the first one seen on it, the
+    smallest; a frontier vertex at degree 0 has no edge left by its turn.
     """
-    edges, incidence = graph.edges, graph._incidence
-    deg = graph.degrees()
-    alive = bytearray(b"\x01") * graph.m
+    fallen = []
     for ei in dead:
-        alive[ei] = 0
         for u in edges[ei]:
-            deg[u] -= 1
-    victims: dict[int, int] = {}
-    rounds: list[tuple[int, ...]] = []
-    frontier = [v for v, d in enumerate(deg) if d == 1]
-    while frontier:
-        batch = []
-        fallen = []
-        for v in frontier:
-            if not deg[v]:
-                continue
-            for ei in incidence[v]:
-                if alive[ei]:
-                    break
-            victims[ei] = v
-            batch.append(ei)
-            alive[ei] = 0
-            for u in edges[ei]:
-                d = deg[u] - 1
-                deg[u] = d
+            deg[u] = d = deg[u] - 1
+            if d:
+                sums[u] -= ei
                 if d == 1:
                     fallen.append(u)
-        batch.sort()
-        rounds.append(tuple(batch))
-        frontier = [u for u in fallen if deg[u] == 1]
-        frontier.sort()
-    return rounds, victims, alive
+    frontier = sorted(frontier + fallen)
+    victims: list[int] = []
+    while frontier:
+        fallen = []
+        for v in frontier:
+            if deg[v]:
+                ei = sums[v]
+                victims.append(v)
+                for u in edges[ei]:
+                    deg[u] = d = deg[u] - 1
+                    if d:
+                        sums[u] -= ei
+                        if d == 1:
+                            fallen.append(u)
+        if ends is not None:
+            ends.append(len(victims))
+        fallen.sort()
+        frontier = fallen
+    return victims
 
 
 def peel_nm(graph: Hypergraph, deleted: Sequence[int] = ()) -> PeelResult:
@@ -163,17 +171,23 @@ def peel_nm(graph: Hypergraph, deleted: Sequence[int] = ()) -> PeelResult:
         raise ValueError(f"deleted edge index outside [0, {m})")
     if m - len(dead) > n:
         raise NoCoreOfSizeNM()
-    rounds, victims, alive = _peel(graph, dead)
-    if 1 in alive:
+    deg, sums, frontier = _start_state(graph)
+    ends: list[int] = []
+    victims = _peel(graph.edges, deg, sums, frontier, dead, ends)
+    if len(victims) < m - len(dead):
         raise NoCoreOfSizeNM()
-    rounds.reverse()
-    core = frozenset(range(n)).difference(victims.values())
-    return PeelResult(core=core, layers=rounds)
+    credit = list(map(sums.__getitem__, victims))
+    layers = [tuple(sorted(credit[lo:hi])) for lo, hi in zip([0, *ends], ends) if lo < hi]
+    core = set(range(n))
+    core.difference_update(victims)
+    return PeelResult(core=frozenset(core), layers=layers[::-1])
 
 
 def _residual(graph: Hypergraph) -> list[int]:
     """Sorted indices of the edges that degree-one peeling cannot remove."""
-    return [i for i, a in enumerate(_peel(graph, set())[2]) if a]
+    deg, sums, frontier = _start_state(graph)
+    peeled = {sums[v] for v in _peel(graph.edges, deg, sums, frontier, ())}
+    return [i for i in range(graph.m) if i not in peeled]
 
 
 def _least_members(size: int, groups) -> list[int]:
@@ -216,9 +230,12 @@ class _Kernel:
     tuple, in the order of their smallest members, which represent them in
     the walk.  ``R`` is sorted, so the lexicographic order of the subsets
     of the representatives is their order among the subsets of ``R``.
+    ``state`` is the peel's start state on ``graph`` and ``vertices`` its vertex set.
     """
 
-    __slots__ = ("graph", "residual", "dual", "base", "thresholds", "start", "classes")
+    __slots__ = (
+        "graph", "residual", "dual", "base", "thresholds", "start", "classes", "state", "vertices"
+    )
 
     def __init__(self, graph: Hypergraph, residual: list[int]):
         at: dict[int, list[int]] = {}
@@ -241,6 +258,8 @@ class _Kernel:
         for i, r in enumerate(_least_members(dual.n, [e for e in dual.edges if len(e) == 2])):
             classes.setdefault(r, []).append(i)
         self.classes = [tuple(members) for members in classes.values()]
+        self.state = _start_state(graph)
+        self.vertices = frozenset(range(graph.n))
 
     def successes(self, a: int, part: int = 0, parts: int = 1):
         """Yield the ``a``-subsets of ``range(len(classes))`` whose
@@ -272,22 +291,24 @@ class _Kernel:
 
         Every such deletion succeeds, since the members of a class lie in
         the same closures, and when level ``a - 1`` has no success they
-        are all the successes of level ``a`` (lemma 9).  Each is peeled on
-        ``graph``; its core is scored by propagating it over all of
-        ``graph``, once per call for each distinct core.  The member choices
-        do not come in lexicographic order, so the least ``(radius,
-        deleted)`` is taken explicitly.
+        are all the successes of level ``a`` (lemma 9).  Each is peeled from
+        a copy of ``state``, and its core, ``vertices`` less the credited
+        vertices, is scored by propagating it over all of ``graph``, once
+        per call for each distinct core.  The member choices do not come in
+        lexicographic order, so the least ``(radius, deleted)`` is taken
+        explicitly.
         """
         graph, residual, classes, t = self.graph, self.residual, self.classes, self.thresholds
+        (deg, sums, frontier), kept = self.state, graph.m - a
         radii: dict[frozenset[int], int] = {}
         best = None
         for combo in self.successes(a, part, parts):
             for choice in product(*[classes[c] for c in combo]):
                 deleted = tuple(sorted([residual[i] for i in choice]))
-                try:
-                    core = peel_nm(graph, deleted).core
-                except NoCoreOfSizeNM:
+                victims = _peel(graph.edges, deg[:], sums[:], frontier, deleted)
+                if len(victims) != kept:
                     raise RuntimeError("a deletion that strips the kernel must peel the instance")
+                core = self.vertices.difference(victims)
                 radius = radii.get(core)
                 if radius is None:
                     radius = _core_radius(graph, core, t)
@@ -457,10 +478,12 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     closure of a subset starts from the closure of the prefix it shares
     with the subset tried before it.  By 9 each class-level success
     expands into its member choices, and each of these deletions ``D`` is
-    scored as before: peel ``G - D``, re-insert, propagate on ``G``.  The
-    radius is a function of ``G``, the core and the thresholds, so a core
-    that several deletions peel to is propagated once per level, or once
-    per part of a level with a pool.  The
+    scored as before: peel ``G - D`` (with :func:`peel_nm`'s loop, from a
+    copy of a start state built once per search, so that ``peel_nm``
+    itself peels only the winner, to confirm it), re-insert, propagate on
+    ``G``.  The radius is a function of ``G``, the core and the
+    thresholds, so a core that several deletions peel to is propagated
+    once per level, or once per part of a level with a pool.  The
     expansion does not come in the lexicographic order of the deleted
     tuples, so the search takes the least ``(radius, deleted)``
     explicitly: the pair that a scan of all deletions in lexicographic
@@ -509,6 +532,8 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
                 best = min((hit for hit in hits if hit is not None), default=None)
             if best is not None:
                 radius, deleted, core = best
+                if peel_nm(graph, deleted).core != core:
+                    raise RuntimeError("the kernel's core must be the one peel_nm finds")
                 return MinCoreResult(
                     core=core, radius=radius, deleted_edges=deleted, parameter_a=a
                 )

@@ -31,12 +31,36 @@ import reference_peel
 from conftest import messy_instance, seeded_family
 
 
+def _peeled(graph, dead=()):
+    """``mincore._peel`` of all of ``graph`` without ``dead``, read back in
+    the reference loop's form ``(rounds, victims, alive)``: each round an
+    ascending edge tuple, ``victims[e]`` the vertex credited to edge ``e``
+    and the 0/1 mask of the edges left alive.  Each credited vertex keeps
+    its edge in ``sums``, no edge is credited twice, the round ends count
+    every credited vertex, and the frontier the loop starts from is left
+    as it was."""
+    deg, sums, frontier = mincore._start_state(graph)
+    held = list(frontier)
+    ends = []
+    credited = mincore._peel(graph.edges, deg, sums, frontier, dead, ends)
+    assert frontier == held
+    victims = {sums[v]: v for v in credited}
+    assert len(victims) == len(credited) == (ends[-1] if ends else 0)
+    rounds = [
+        tuple(sorted(sums[v] for v in credited[lo:hi]))
+        for lo, hi in zip([0, *ends], ends)
+        if lo < hi
+    ]
+    alive = [int(ei not in victims and ei not in dead) for ei in range(graph.m)]
+    return rounds, victims, alive
+
+
 def test_peel_path(path):
     res = peel_nm(path)
     assert res.core == frozenset({1})
     assert res.radius == 1
     assert res.layers == [(0, 1)]
-    assert mincore._peel(path, set())[1] == {0: 0, 1: 2}
+    assert _peeled(path)[1] == {0: 0, 1: 2}
 
 
 def test_peel_triangle_fails(triangle):
@@ -98,7 +122,7 @@ def test_peel_layers_are_a_valid_minimal_layering():
                 assert len(set(g.edges[e_idx]) & reached) >= t[e_idx]
             reached |= {v for e in layer for v in g.edges[e]}
         assert reached == set(range(g.n))
-        victims = mincore._peel(g, set())[1]
+        victims = _peeled(g)[1]
         assert set(victims.values()) == set(range(g.n)) - res.core
         assert len(set(victims.values())) == g.m
         assert all(victims[e] in g.edges[e] for e in victims)
@@ -122,7 +146,7 @@ def test_peel_victims_are_the_propagation_credits():
         singletons += any(len(e) == 1 for e in g.edges)
         credit = propagate(g, core).credit
         inverse = {j: v for v, j in enumerate(credit) if j >= 0}
-        assert mincore._peel(g, set())[1] == inverse, g.edges
+        assert _peeled(g)[1] == inverse, g.edges
     assert peeled >= 100 and singletons >= 10
 
 
@@ -573,21 +597,23 @@ def _kernel_extensions(strip, reps, levels):
 
 
 def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
-    """``peel_nm`` runs once per successful deletion at the levels tried,
-    and the winner keeps the core it was scored with.  The only other peel
-    of the instance is the one that finds ``R``; besides the closure of the
-    empty set, the kernel extends the closure of each prefix of class
-    representatives it reaches once per level, and only when its last
-    representative is not already in the shorter prefix's closure."""
+    """The peel loop runs on the instance once to find ``R``, once per
+    successful deletion at the levels tried, and once more when
+    ``peel_nm`` confirms the winner: ``peel_nm`` runs exactly once on a
+    search that succeeds and never on one that does not.  Besides the
+    closure of the empty set, the kernel extends the closure of each
+    prefix of class representatives it reaches once per level, and only
+    when its last representative is not already in the shorter prefix's
+    closure."""
     peeled, looped, absorbed = [], [], []
 
     def counting_peel(graph, deleted=()):
         peeled.append(tuple(deleted))
         return peel_nm(graph, deleted)
 
-    def counting_loop(graph, dead):
-        looped.append(graph is g)
-        return loop(graph, dead)
+    def counting_loop(edges, deg, sums, frontier, dead, ends=None):
+        looped.append(edges is g.edges)
+        return loop(edges, deg, sums, frontier, dead, ends)
 
     def counting_absorb(graph, active, need, left, seeds):
         absorbed.append(graph is g)
@@ -619,8 +645,8 @@ def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
             patch.setattr(mincore, "_peel", counting_loop)
             patch.setattr(propagation, "_absorb", counting_absorb)
             assert _outcome(mincore_fpt, g, a_max) == outcome
-        assert len(peeled) == successes
-        assert looped == [True] * (1 + successes)
+        assert peeled == ([outcome.deleted_edges] if found else [])
+        assert looped == [True] * (1 + successes + found)
         assert absorbed == [False] * (1 + expected)  # the first builds the base state
         extended += expected
     assert extended >= 200
@@ -632,7 +658,7 @@ def test_peel_with_deleted_edges_matches_rebuilt_subgraph(triangle):
     assert res.core == rebuilt.core == frozenset({0})
     # layers and the victims keep the indices of the full instance
     assert res.layers == [(0, 2)]
-    assert mincore._peel(triangle, {1})[1] == {0: 1, 2: 2}
+    assert _peeled(triangle, {1})[1] == {0: 1, 2: 2}
     with pytest.raises(ValueError):
         peel_nm(triangle, deleted=(3,))
     with pytest.raises(ValueError):
@@ -692,9 +718,9 @@ def test_fpt_skips_levels_below_residual_excess(monkeypatch):
         calls.append(tuple(deleted))
         return peel_nm(graph, deleted)
 
-    def counting_loop(graph, dead):
-        looped.append(graph is k4)
-        return loop(graph, dead)
+    def counting_loop(edges, deg, sums, frontier, dead, ends=None):
+        looped.append((edges is k4.edges, len(dead)))
+        return loop(edges, deg, sums, frontier, dead, ends)
 
     def counting_absorb(graph, active, need, left, seeds):
         absorbed.append((graph is k4, levels[-1] if levels else None))
@@ -713,7 +739,7 @@ def test_fpt_skips_levels_below_residual_excess(monkeypatch):
         mincore_fpt(k4, 2)
     assert err.value.a_max == 2
     # only the peel that finds R, and the closure of the empty set
-    assert looped == [True]
+    assert looped == [(True, 0)]
     assert absorbed == [(False, None)]
     assert calls == levels == []
     looped.clear()
@@ -722,8 +748,11 @@ def test_fpt_skips_levels_below_residual_excess(monkeypatch):
     assert res.parameter_a == 3
     assert levels == [3]
     assert absorbed == [(False, None)] + [(False, 3)] * _kernel_extensions(strip, range(6), [3])
-    assert {len(d) for d in calls} == {3}
-    assert looped == [True] * (1 + len(calls))
+    # every spanning tree's complement peels, and peel_nm confirms the winner
+    successes = sum(1 not in strip(c) for c in itertools.combinations(range(6), 3))
+    assert successes == 16
+    assert calls == [res.deleted_edges]
+    assert looped == [(True, 0)] + [(True, 3)] * (successes + 1)
 
 
 def test_start_level_is_the_least_success_on_graph_residuals():
@@ -816,6 +845,70 @@ def test_each_distinct_core_is_scored_once_per_call(monkeypatch):
     assert successes >= 5 * cores > 0
 
 
+def test_kernel_peels_give_the_cores_of_peel_nm(monkeypatch):
+    """``best`` peels exactly the member choices of its successes, each
+    from the start state its kernel holds, and the core it takes from
+    each, the held vertex set less the credited vertices, is the core
+    ``peel_nm`` finds without the same deletion, at every level from the
+    start up to 3.  The family has duplicate edges, size-1 edges and
+    isolated vertices."""
+    seen = []
+
+    def recording_loop(edges, deg, sums, frontier, dead, ends=None):
+        victims = loop(edges, deg, sums, frontier, dead, ends)
+        seen.append((tuple(dead), victims))
+        return victims
+
+    loop = mincore._peel
+    checked = 0
+    for g in _kernel_family():
+        residual = _residual(g)
+        kernel = mincore._Kernel(g, residual)
+        for a in range(kernel.start, 4):
+            expected = [
+                tuple(residual[i] for i in d) for d in _expanded(kernel, kernel.successes(a))
+            ]
+            seen.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(mincore, "_peel", recording_loop)
+                kernel.best(a)
+            assert sorted(d for d, _ in seen) == sorted(expected)
+            for d, victims in seen:
+                assert kernel.vertices.difference(victims) == peel_nm(g, d).core
+            checked += len(seen)
+    assert checked >= 1_000
+
+
+def test_best_leaves_the_held_start_state_as_it_was(pools, monkeypatch):
+    """``best`` peels copies of the start state its kernel holds: after
+    serial calls, strided parts and a two-worker search (its pool run in
+    this process, on the kernel ``mincore_fpt`` built), the state and the
+    vertex set are as built, and a second call of ``best`` returns what
+    the first did.  Every instance here has a class of two or more
+    members."""
+    monkeypatch.setattr(mincore, "_cpu_count", lambda: 2)
+    checked = 0
+    for s in range(40):
+        g = generate_random(24, 22, 2, 3, s)
+        kernel = mincore._Kernel(g, _residual(g))
+        if all(len(members) == 1 for members in kernel.classes):
+            continue
+        held = mincore._start_state(g)
+        assert kernel.state == held
+        for a in range(kernel.start, 4):
+            first = kernel.best(a)
+            assert kernel.best(a) == first
+            hits = [kernel.best(a, w, 2) for w in range(2)]
+            assert min((h for h in hits if h is not None), default=None) == first
+        assert kernel.state == held and kernel.vertices == frozenset(range(g.n))
+        serial = _outcome(mincore_fpt, g, 3)
+        assert _outcome(mincore_fpt, g, 3, jobs=2) == serial
+        pooled = mincore._POOL_KERNEL
+        assert pooled.state == held and pooled.vertices == frozenset(range(g.n))
+        checked += 1
+    assert checked >= 20
+
+
 def test_fpt_pool_parts_expand_classes(pools, monkeypatch):
     """Where a class-level success stands for two or more deletions, each
     part expands the successes it decides, and the least over the parts is
@@ -876,6 +969,20 @@ def test_internal_invariants_raise_runtime_error(monkeypatch, path):
             mincore_fpt(path, 0)
     with pytest.raises(RuntimeError, match="_pool_init"):
         mincore._pool_run((0, 0, 1))
+    # A kernel peel that credits the wrong vertices scores a core of the
+    # path, {2}, that peel_nm's confirmation does not find.  The first
+    # peel finds R and peel_nm's peel records its rounds: both are kept.
+    loop, calls = mincore._peel, []
+
+    def miscrediting_loop(edges, deg, sums, frontier, dead, ends=None):
+        victims = loop(edges, deg, sums, frontier, dead, ends)
+        calls.append(ends)
+        return victims if calls == [None] or ends is not None else list(range(len(victims)))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mincore, "_peel", miscrediting_loop)
+        with pytest.raises(RuntimeError, match="the one peel_nm finds"):
+            mincore_fpt(path, 0)
 
 
 def test_verify_optimal_radius_examples(path, star):
