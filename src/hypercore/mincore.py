@@ -17,7 +17,7 @@ and one edge per vertex of ``R``, holding the residual edges at it, under
 default thresholds.  Stripping the one edge left at a degree-one vertex
 is firing that vertex's dual edge.  So the kernel, built once per search,
 is ``R*``, and every deletion is decided on it by the oracle's closure
-loop, ``propagation._absorb``.
+loop.
 
 The search starts at ``|R| - |V(R)| + c2(R)``, where ``c2`` counts the
 components of ``R`` with no size-1 edge (lemma 6'); for a residual of
@@ -25,7 +25,7 @@ two-vertex edges that is the least level with a success.  A vertex of
 ``R`` that lies in exactly two residual edges puts both in the same
 closures; joining such pairs splits ``R`` into classes (lemma 9), and a
 success at the first level holds at most one member of a class.  The
-prefix walker the oracle also uses, ``propagation._walk``, makes the
+prefix walker the oracle also uses, ``propagation._cores``, makes the
 subsets of classes in lexicographic order and extends the closure of
 each prefix by the class's least member; a subset that extends a prefix
 by a member its closure already holds is passed over, as in the oracle's
@@ -50,7 +50,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .hypergraph import Hypergraph, default_thresholds
-from .propagation import _base_state, _core_radius, _extend_by, _walk
+from .propagation import _base_state, _core_radius, _cores
 
 PEEL_FAILURE_MESSAGE = "no core of size n-m possible"
 
@@ -183,10 +183,12 @@ def peel_nm(graph: Hypergraph, deleted: Sequence[int] = ()) -> PeelResult:
     return PeelResult(core=frozenset(core), layers=layers[::-1])
 
 
-def _residual(graph: Hypergraph) -> list[int]:
-    """Sorted indices of the edges that degree-one peeling cannot remove."""
-    deg, sums, frontier = _start_state(graph)
-    peeled = {sums[v] for v in _peel(graph.edges, deg, sums, frontier, ())}
+def _residual(graph: Hypergraph, state) -> list[int]:
+    """Sorted indices of the edges that degree-one peeling cannot remove,
+    peeled from copies of ``state``, the start state of ``graph``."""
+    deg, sums, frontier = state
+    sums = sums[:]
+    peeled = {sums[v] for v in _peel(graph.edges, deg[:], sums, frontier, ())}
     return [i for i in range(graph.m) if i not in peeled]
 
 
@@ -230,20 +232,22 @@ class _Kernel:
     tuple, in the order of their smallest members, which represent them in
     the walk.  ``R`` is sorted, so the lexicographic order of the subsets
     of the representatives is their order among the subsets of ``R``.
-    ``state`` is the peel's start state on ``graph`` and ``vertices`` its vertex set.
+    ``state`` is the peel's start state on ``graph``, built once and peeled
+    in copies, first to find ``R``, and ``vertices`` its vertex set.
     """
 
     __slots__ = (
         "graph", "residual", "dual", "base", "thresholds", "start", "classes", "state", "vertices"
     )
 
-    def __init__(self, graph: Hypergraph, residual: list[int]):
+    def __init__(self, graph: Hypergraph):
+        self.state = _start_state(graph)
+        self.residual = residual = _residual(graph, self.state)
         at: dict[int, list[int]] = {}
         for i, ei in enumerate(residual):
             for v in graph.edges[ei]:
                 at.setdefault(v, []).append(i)
         self.graph = graph
-        self.residual = residual
         self.dual = dual = Hypergraph(len(residual), at.values())
         t = default_thresholds(dual)
         if 0 in t:
@@ -258,51 +262,41 @@ class _Kernel:
         for i, r in enumerate(_least_members(dual.n, [e for e in dual.edges if len(e) == 2])):
             classes.setdefault(r, []).append(i)
         self.classes = [tuple(members) for members in classes.values()]
-        self.state = _start_state(graph)
         self.vertices = frozenset(range(graph.n))
-
-    def successes(self, a: int, part: int = 0, parts: int = 1):
-        """Yield the ``a``-subsets of ``range(len(classes))`` whose
-        representatives' deletion strips ``R`` to nothing, that is, whose
-        representatives are an ``a``-core of ``dual`` (lemma 8 of
-        :func:`mincore_fpt`), in lexicographic order, among the subsets
-        whose index in that order is ``part`` mod ``parts``.
-
-        The walker ``_walk`` extends the closure of each prefix by one
-        representative, and every subset under that prefix starts from it;
-        a call starts from ``base``.  A subset that extends a prefix by a
-        representative its closure already holds is passed over; it cannot
-        succeed unless a deletion of ``a - 1`` edges does.  So when level
-        ``a - 1`` has no success, each success of level ``a`` takes at most
-        one member of a class, and the yield holds the classes of every one
-        (lemma 9).
-        """
-        reps = [members[0] for members in self.classes]
-        return _walk(len(reps), a, self.base, _extend_by(self.dual, reps, True), part, parts)
 
     def best(
         self, a: int, part: int = 0, parts: int = 1
     ) -> Optional[tuple[int, tuple[int, ...], frozenset[int]]]:
         """Smallest ``(radius, deleted, core)`` over the deletions of ``a``
-        residual edges that take one member of each class of a subset
-        :meth:`successes` yields for ``(a, part, parts)``; ``deleted``
-        holds the edge indices of ``graph``, ascending, and ``core`` is
-        :func:`peel_nm`'s core without them.  None when there is none.
+        residual edges that take one member of each class of a success;
+        ``deleted`` holds the edge indices of ``graph``, ascending, and
+        ``core`` is :func:`peel_nm`'s core without them.  None when there
+        is none.
 
-        Every such deletion succeeds, since the members of a class lie in
-        the same closures, and when level ``a - 1`` has no success they
-        are all the successes of level ``a`` (lemma 9).  Each is peeled from
-        a copy of ``state``, and its core, ``vertices`` less the credited
-        vertices, is scored by propagating it over all of ``graph``, once
-        per call for each distinct core.  The member choices do not come in
-        lexicographic order, so the least ``(radius, deleted)`` is taken
-        explicitly.
+        The successes are the ``a``-subsets of ``range(len(classes))``
+        whose representatives are a core of ``dual`` (lemma 8 of
+        :func:`mincore_fpt`), so that deleting them strips ``R`` to
+        nothing, among the subsets whose lexicographic index is ``part``
+        mod ``parts``.  ``propagation._cores`` decides them from ``base``,
+        passing over each subset that extends a prefix by a representative
+        its closure already holds: such a subset cannot succeed unless a
+        deletion of ``a - 1`` edges does.
+
+        Every member choice of a success succeeds, since the members of a
+        class lie in the same closures, and when level ``a - 1`` has no
+        success these choices are all the successes of level ``a`` (lemma
+        9).  Each is peeled from a copy of ``state``, and its core,
+        ``vertices`` less the credited vertices, is scored by propagating
+        it over all of ``graph``, once per call for each distinct core.
+        The member choices do not come in lexicographic order, so the least
+        ``(radius, deleted)`` is taken explicitly.
         """
         graph, residual, classes, t = self.graph, self.residual, self.classes, self.thresholds
         (deg, sums, frontier), kept = self.state, graph.m - a
         radii: dict[frozenset[int], int] = {}
         best = None
-        for combo in self.successes(a, part, parts):
+        reps = [members[0] for members in classes]
+        for combo in _cores(self.dual, self.base, reps, a, True, part, parts):
             for choice in product(*[classes[c] for c in combo]):
                 deleted = tuple(sorted([residual[i] for i in choice]))
                 victims = _peel(graph.edges, deg[:], sums[:], frontier, deleted)
@@ -473,7 +467,7 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     the successful deletions at ``a*`` are the same.  By 3 and 8 each
     deletion is decided on ``R*`` alone: it succeeds iff it is a core of
     ``R*``, so a failing deletion never touches ``G``.  The walker
-    (``propagation._walk``) makes the ``a``-subsets of the classes in
+    (``propagation._cores``) makes the ``a``-subsets of the classes in
     lexicographic order and decides each by its representatives; by 7 the
     closure of a subset starts from the closure of the prefix it shares
     with the subset tried before it.  By 9 each class-level success
@@ -513,7 +507,7 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
         raise ValueError("a_max must be non-negative")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    kernel = _Kernel(graph, _residual(graph))
+    kernel = _Kernel(graph)
     workers = min(jobs, _cpu_count())
     if workers > 1:  # imported only here: a run with no pool never loads it
         from concurrent.futures import ProcessPoolExecutor

@@ -8,16 +8,16 @@ Budgets, ``spent`` and ``block`` count whole blocks of ``comb(n, k)``
 subsets, as if every subset were decided.
 
 Each subset's closure is extended from the closure of its lexicographic
-prefix by the walker ``propagation._walk`` and ``propagation._absorb``:
-propagation is a closure operator, so ``cl(A | B) = cl(cl(A) | B)``.  A
-subset is a core when its closure is everything.  Two skips leave
-subsets undecided, and neither can leave out a core:
+prefix by the walker ``propagation._cores``: propagation is a closure
+operator, so ``cl(A | B) = cl(cl(A) | B)``.  A subset is a core when its
+closure is everything.  Two skips leave subsets undecided, and neither
+can leave out a core:
 
 1. **Vertices in no edge.**  No edge can activate a vertex in no edge, so
    every core holds the set ``F`` of them.  The search of block ``k``
-   absorbs ``F`` into the state of the empty prefix and walks the
-   ``(k - |F|)``-subsets of the other vertices; no ``k``-subset is a core
-   when ``k < |F|``.  The order is the same: for two sorted sets of equal
+   starts from the closure of ``F``, as the state of the empty prefix,
+   and walks the ``(k - |F|)``-subsets of the other vertices; no
+   ``k``-subset is a core when ``k < |F|``.  The order is the same: for two sorted sets of equal
    size, the first position where they differ holds the smallest element
    of their symmetric difference, which lies in the set that comes
    first, and adding ``F``, disjoint from both, leaves that difference
@@ -54,7 +54,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .hypergraph import Hypergraph, Thresholds, resolve_thresholds
-from .propagation import _absorb, _base_state, _core_radius, _extend_by, _walk, is_core
+from .propagation import _base_state, _core_radius, is_core
+from .propagation import _cores as _item_cores  # this module's _cores wraps it
 
 
 class BudgetExceededError(RuntimeError):
@@ -81,8 +82,8 @@ class OracleBudget:
     ``max_vertices`` bounds the vertex count; ``max_subsets`` bounds the
     number of candidate subsets the search may visit (checked one
     cardinality block ahead, so a run never starts a block it cannot
-    finish).  A cap that is not a non-negative integer raises
-    ``ValueError``.
+    finish).  A cap that is not a non-negative integer, a bool among
+    them, raises ``ValueError``.
     """
 
     max_vertices: int = 18
@@ -90,7 +91,7 @@ class OracleBudget:
 
     def __post_init__(self):
         for cap in (self.max_vertices, self.max_subsets):
-            if not isinstance(cap, int) or cap < 0:
+            if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
                 raise ValueError(f"oracle budget caps must be non-negative integers: {self}")
 
 
@@ -158,20 +159,18 @@ def _cores(graph: Hypergraph, k: int, t: Sequence[int], minimal: bool = False):
     """Yield the ``k``-subsets of ``[0, n)`` that are cores under ``t``, in
     lexicographic order.
 
-    The vertices in no edge are in every core: they are absorbed into the
-    base state, and the walk picks the rest of each subset from the other
+    The vertices in no edge are in every core: they go into the base
+    state, and the walk picks the rest of each subset from the other
     vertices, none when ``k`` is below their count (skip 1 of the module
-    docstring).  A vertex already in its prefix's closure changes nothing;
-    any other extends a copy of the prefix's state.  With ``minimal``,
-    which needs no ``(k - 1)``-core to exist, a vertex already in the
-    closure passes over every subset extending the prefix by it (skip 2).
+    docstring).  With ``minimal``, which needs no ``(k - 1)``-core to
+    exist, a vertex already in its prefix's closure passes over every
+    subset extending the prefix by it (skip 2).
     """
     incidence = graph._incidence
     free = [v for v in range(graph.n) if not incidence[v]]
     rest = [v for v in range(graph.n) if incidence[v]]
-    active, need, left = _base_state(graph, t)
-    base = (active, need, _absorb(graph, active, need, left, free))
-    for combo in _walk(len(rest), k - len(free), base, _extend_by(graph, rest, minimal)):
+    base = _base_state(graph, t, free)
+    for combo in _item_cores(graph, base, rest, k - len(free), minimal):
         yield tuple(sorted(free + [rest[i] for i in combo]))
 
 

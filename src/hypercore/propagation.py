@@ -29,16 +29,18 @@ vertex.  Closures do: propagation is a closure operator, so
 ``cl(A | B) = cl(cl(A) | B)``, and the closure of a set can be built by
 extending the closure of any subset of it.
 
-One closure loop serves both exhaustive enumerations, and ``_walk`` is
+One closure loop serves both exhaustive enumerations, and ``_cores`` is
 the one prefix walker behind them.  It makes the ``k``-combinations of
-``range(n)`` in lexicographic order, without recursion, and extends one
-closure state per prefix depth with the callback ``_extend_by`` builds,
-which maps each item to a vertex.  The oracle extends each vertex
-subset's closure from its lexicographic prefix, and keeps the rounds for
-the radius and for confirming its witness.  :func:`~.mincore.mincore_fpt`
-decides each deletion of residual edges as a core of the residual's dual
-(lemma 8 there), extended the same way from its prefix's closure by one
-representative of each class of closure-equivalent edges (lemma 9).
+a list of items in lexicographic order, without recursion, and extends
+one closure state per prefix depth by each item's vertex.  The oracle
+extends each vertex subset's closure from its lexicographic prefix, and
+keeps the rounds for the radius and for confirming its witness.
+:func:`~.mincore.mincore_fpt` decides each deletion of residual edges as
+a core of the residual's dual (lemma 8 there), extended the same way
+from its prefix's closure by one representative of each class of
+closure-equivalent edges (lemma 9).  No other module reads a closure
+state: they hold the ones :func:`_base_state` builds and pass them to
+``_cores``.
 """
 
 from __future__ import annotations
@@ -140,14 +142,15 @@ def _spread(graph: Hypergraph, core: Iterable[int], t: Sequence[int]):
     return depth, credit, layers, inside, fired
 
 
-def _base_state(graph: Hypergraph, t: Sequence[int]):
-    """The closure state of the empty seed set under thresholds ``t``, as
+def _base_state(graph: Hypergraph, t: Sequence[int], seeds: Iterable[int] = ()):
+    """The closure state of ``seeds`` under thresholds ``t``, as
     ``(active, need, left)`` for :func:`_absorb`: every edge with
-    ``t[j] == 0`` fires before any vertex is active."""
+    ``t[j] == 0`` fires before any vertex is active, and one call absorbs
+    its vertices and ``seeds``."""
     active = bytearray(graph.n)
     need = list(t)
-    seeds = [v for j, tj in enumerate(t) if not tj for v in graph.edges[j]]
-    return active, need, _absorb(graph, active, need, graph.n, seeds)
+    fired = [v for j, tj in enumerate(t) if not tj for v in graph.edges[j]]
+    return active, need, _absorb(graph, active, need, graph.n, [*fired, *seeds])
 
 
 def _absorb(graph: Hypergraph, active, need, left: int, seeds) -> int:
@@ -184,51 +187,33 @@ def _absorb(graph: Hypergraph, active, need, left: int, seeds) -> int:
     return left
 
 
-def _extend_by(graph: Hypergraph, items: Sequence[int], minimal: bool):
-    """The ``extend`` callback of :func:`_walk` over closure states of
-    ``graph``, in which walk item ``i`` is vertex ``items[i]``.
+def _cores(graph: Hypergraph, base, items: Sequence[int], k: int, minimal: bool = False,
+           part: int = 0, parts: int = 1):
+    """Yield, in lexicographic order, the ``k``-combinations of
+    ``range(len(items))`` whose closure from ``base``, extended by the
+    vertices ``items[i]``, is everything.
 
-    A vertex already active in the prefix's closure changes nothing: the
-    callback returns the prefix's state, or, with ``minimal``, None to pass
-    over every combination extending the prefix by it.  Any other vertex
-    extends a copy of the state by :func:`_absorb`.
-    """
-
-    def extend(state, i):
-        active, need, left = state
-        v = items[i]
-        if active[v]:
-            return None if minimal else state
-        active, need = active[:], need[:]
-        return active, need, _absorb(graph, active, need, left, (v,))
-
-    return extend
-
-
-def _walk(n: int, k: int, base, extend, part: int = 0, parts: int = 1):
-    """Yield, in lexicographic order, the ``k``-combinations of ``range(n)``
-    whose state has ``left == 0``.
-
-    A state is a tuple whose last field is ``left``; ``base`` is the state
-    of the empty prefix.  ``extend(state, x)`` returns the state of the
-    prefix extended by item ``x``: ``state`` itself when ``x`` changes
-    nothing, or None to pass over every combination that extends the
-    prefix by ``x``.  The walker keeps one state per prefix depth, so each
-    prefix is extended once and every combination under it starts from its
-    state.
+    ``base`` is a closure state, such as :func:`_base_state` builds, and is
+    left as it is.  The walk keeps one state per prefix depth, so each
+    prefix's closure is extended once, by :func:`_absorb` on a copy of the
+    shorter prefix's state, and every combination under the prefix starts
+    from it.  An item whose vertex the prefix's closure already holds keeps
+    the prefix's state; with ``minimal``, it instead passes over every
+    combination that extends the prefix by it.
 
     Only the leaves whose index in the full lexicographic sequence is
-    ``part`` mod ``parts`` are decided, as in ``islice(combinations(range(n),
-    k), part, None, parts)``, and no prefix is extended unless its subtree
-    holds such a leaf.  A subtree left out moves the leaf index on by its
-    size: the prefix ending in ``x`` at depth ``d`` has ``comb(n - 1 - x,
-    k - 1 - d)`` leaves.  The loop is iterative, so ``k`` is not bounded by
-    the recursion limit.
+    ``part`` mod ``parts`` are decided, as in ``islice(combinations(range(
+    len(items)), k), part, None, parts)``, and no prefix is extended unless
+    its subtree holds such a leaf.  A subtree left out moves the leaf index
+    on by its size: the prefix ending in ``x`` at depth ``d`` has
+    ``comb(n - 1 - x, k - 1 - d)`` leaves.  The loop is iterative, so ``k``
+    is not bounded by the recursion limit.
     """
+    n = len(items)
     if not 0 <= k <= n:
         return
     if not k:
-        if not part and not base[-1]:
+        if not part and not base[2]:
             yield ()
         return
     last = k - 1
@@ -243,13 +228,19 @@ def _walk(n: int, k: int, base, extend, part: int = 0, parts: int = 1):
             d -= 1
             x = combo[d] + 1
             continue
-        size = comb(n - 1 - x, last - d) if d < last else 1
+        # only a strided part reads the leaf index
+        size = comb(n - 1 - x, last - d) if parts > 1 and d < last else 1
         if parts > 1 and (part - index) % parts >= size:
             index += size
             x += 1
             continue
-        state = extend(states[d], x)
-        if state is None:
+        state = states[d]
+        active, need, left = state
+        v = items[x]
+        if not active[v]:
+            active, need = active[:], need[:]
+            state = active, need, _absorb(graph, active, need, left, (v,))
+        elif minimal:
             index += size
             x += 1
             continue
@@ -260,7 +251,7 @@ def _walk(n: int, k: int, base, extend, part: int = 0, parts: int = 1):
             states[d] = state
         else:
             index += 1
-            if not state[-1]:
+            if not state[2]:
                 yield tuple(combo)
 
 

@@ -505,7 +505,7 @@ def test_mincore_below_the_start_level_exits_1_at_once(tmp_path):
     than 45 - 10 + 1 = 36 edges peels it.  ``--max-a 35`` tries no level:
     it exits 1 at once, where lemma 6 alone left C(45, 35) deletions."""
     k10 = Hypergraph(10, list(itertools.combinations(range(10), 2)))
-    kernel = mincore._Kernel(k10, mincore._residual(k10))
+    kernel = mincore._Kernel(k10)
     assert (kernel.dual.n, kernel.dual.m, kernel.start) == (45, 10, 36)
     inst = tmp_path / "k10.hce"
     inst.write_text(write_instance(k10))

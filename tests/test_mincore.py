@@ -26,9 +26,14 @@ from hypercore import (
 )
 from hypercore import mincore, propagation
 from hypercore.hypergraph import default_thresholds
-from hypercore.mincore import PEEL_FAILURE_MESSAGE, MinCoreResult, _residual
+from hypercore.mincore import PEEL_FAILURE_MESSAGE, MinCoreResult
 import reference_peel
 from conftest import messy_instance, seeded_family
+
+
+def _residual(graph):
+    """``mincore._residual`` of ``graph`` from a fresh start state."""
+    return mincore._residual(graph, mincore._start_state(graph))
 
 
 def _peeled(graph, dead=()):
@@ -317,7 +322,7 @@ def test_fpt_real_pool_matches_serial(monkeypatch):
     monkeypatch.setattr(mincore, "_cpu_count", lambda: 2)
     for seed, a, relation in ((27, 1, "beats"), (0, 2, "ties")):
         g = generate_random(10, 10, 2, 3, seed)
-        kernel = mincore._Kernel(g, _residual(g))
+        kernel = mincore._Kernel(g)
         part0, part1 = kernel.best(a, 0, 2), kernel.best(a, 1, 2)
         if relation == "beats":
             assert part1[0] < part0[0]
@@ -512,6 +517,14 @@ def _expanded(kernel, combos):
     ]
 
 
+def _successes(kernel, a, part=0, parts=1):
+    """The class-level successes ``kernel.best(a, part, parts)`` expands:
+    the subsets of classes whose representatives ``_cores`` yields on the
+    kernel's dual, with the call ``best`` makes."""
+    reps = [members[0] for members in kernel.classes]
+    return propagation._cores(kernel.dual, kernel.base, reps, a, True, part, parts)
+
+
 def test_kernel_verdicts_and_search_match_whole_instance_scan():
     """Stripping ``R - D`` decides every deletion as peeling ``G - D`` does
     (lemma 3).  The kernel walks the representatives of lemma 9's classes
@@ -527,8 +540,8 @@ def test_kernel_verdicts_and_search_match_whole_instance_scan():
     assert sum(g.m > g.n for g in graphs) >= 40
     dropped = merged = 0
     for g in graphs:
-        residual = _residual(g)
-        kernel = mincore._Kernel(g, residual)
+        kernel = mincore._Kernel(g)
+        residual = kernel.residual
         assert kernel.classes == _reference_classes(g, residual)
         merged += len(kernel.classes) < len(residual)
         strip = _reference_strips(g, residual)
@@ -541,7 +554,7 @@ def test_kernel_verdicts_and_search_match_whole_instance_scan():
             kept = [c for c in peeling if not _passed_over(strip, c)]
             if not found:  # no level below this one has a success
                 assert kept == peeling
-            yielded = list(kernel.successes(a))
+            yielded = list(_successes(kernel, a))
             leaves = list(itertools.combinations(range(len(kernel.classes)), a))
             chosen = set(kept)
             assert yielded == [c for c, r in zip(leaves, _representatives(kernel, leaves)) if r in chosen]
@@ -565,7 +578,7 @@ def test_dual_cores_are_the_deletions_that_strip_the_residual():
     decided = cores = 0
     for g in _kernel_family():
         residual = _residual(g)
-        dual = mincore._Kernel(g, residual).dual
+        dual = mincore._Kernel(g).dual
         spanned = sorted({v for ei in residual for v in g.edges[ei]})
         at = [tuple(i for i, ei in enumerate(residual) if v in g.edges[ei]) for v in spanned]
         assert (dual.n, sorted(dual.edges)) == (len(residual), sorted(at))
@@ -697,13 +710,14 @@ def _reference_residual(graph):
 
 def test_residual_matches_stack_peel():
     """Peeling ends at the same edge set in any order, so the round loop
-    of ``peel_nm``, which ``_residual`` reads, and the reference stack peel
-    leave the same residual, also when ``m > n``."""
+    of ``peel_nm``, which ``_residual`` reads, from a fresh start state or
+    from the one a kernel holds, and the reference stack peel leave the
+    same residual, also when ``m > n``."""
     graphs = [messy_instance(random.Random(9_100_003 + s)) for s in range(300)]
     graphs += seeded_family(100, seed=37, n_hi=8, m_cap=16, size_lo=1)
     assert sum(g.m > g.n for g in graphs) >= 50
     for g in graphs:
-        assert _residual(g) == _reference_residual(g)
+        assert _residual(g) == mincore._Kernel(g).residual == _reference_residual(g)
 
 
 def test_fpt_skips_levels_below_residual_excess(monkeypatch):
@@ -726,15 +740,15 @@ def test_fpt_skips_levels_below_residual_excess(monkeypatch):
         absorbed.append((graph is k4, levels[-1] if levels else None))
         return absorb(graph, active, need, left, seeds)
 
-    def levelled_successes(self, a, part=0, parts=1):
-        levels.append(a)
-        return successes(self, a, part, parts)
+    def levelled_cores(graph, base, items, k, *args):
+        levels.append(k)
+        return cores(graph, base, items, k, *args)
 
-    loop, absorb, successes = mincore._peel, propagation._absorb, mincore._Kernel.successes
+    loop, absorb, cores = mincore._peel, propagation._absorb, mincore._cores
     monkeypatch.setattr(mincore, "peel_nm", counting_peel)
     monkeypatch.setattr(mincore, "_peel", counting_loop)
     monkeypatch.setattr(propagation, "_absorb", counting_absorb)
-    monkeypatch.setattr(mincore._Kernel, "successes", levelled_successes)
+    monkeypatch.setattr(mincore, "_cores", levelled_cores)
     with pytest.raises(NotFoundWithin) as err:
         mincore_fpt(k4, 2)
     assert err.value.a_max == 2
@@ -770,7 +784,7 @@ def test_start_level_is_the_least_success_on_graph_residuals():
             residual = _residual(g)
             if not residual:
                 continue
-            kernel = mincore._Kernel(g, residual)
+            kernel = mincore._Kernel(g)
             strip = _reference_strips(g, residual)
             a = 0
             while all(1 in strip(c) for c in itertools.combinations(range(len(residual)), a)):
@@ -800,11 +814,10 @@ def test_no_success_below_the_start_level():
     for shape in ((24, 22, 2, 3), (40, 40, 2, 3), (30, 26, 2, 4)):
         for s in range(100):
             g = generate_random(*shape, s)
-            kernel = mincore._Kernel(g, _residual(g))
+            kernel = mincore._Kernel(g)
             dual = kernel.dual
             for a in range(max(0, dual.n - dual.m), min(kernel.start, 4)):
-                extend = propagation._extend_by(dual, range(dual.n), True)
-                assert not any(propagation._walk(dual.n, a, kernel.base, extend))
+                assert not any(propagation._cores(dual, kernel.base, range(dual.n), a, True))
                 levels += 1
     assert levels >= 100
 
@@ -824,12 +837,12 @@ def test_each_distinct_core_is_scored_once_per_call(monkeypatch):
     successes = cores = 0
     for s in range(60):
         g = generate_random(24, 22, 2, 3, s)
-        residual = _residual(g)
-        kernel = mincore._Kernel(g, residual)
+        kernel = mincore._Kernel(g)
+        residual = kernel.residual
         for parts in (1, 2):
             for part in range(parts):
                 for a in range(kernel.start, 4):
-                    deletions = _expanded(kernel, kernel.successes(a, part, parts))
+                    deletions = _expanded(kernel, _successes(kernel, a, part, parts))
                     peeled = set()
                     for d in deletions:
                         victims = reference_peel._peel(g, {residual[i] for i in d})[1]
@@ -862,11 +875,11 @@ def test_kernel_peels_give_the_cores_of_peel_nm(monkeypatch):
     loop = mincore._peel
     checked = 0
     for g in _kernel_family():
-        residual = _residual(g)
-        kernel = mincore._Kernel(g, residual)
+        kernel = mincore._Kernel(g)
+        residual = kernel.residual
         for a in range(kernel.start, 4):
             expected = [
-                tuple(residual[i] for i in d) for d in _expanded(kernel, kernel.successes(a))
+                tuple(residual[i] for i in d) for d in _expanded(kernel, _successes(kernel, a))
             ]
             seen.clear()
             with monkeypatch.context() as patch:
@@ -890,7 +903,7 @@ def test_best_leaves_the_held_start_state_as_it_was(pools, monkeypatch):
     checked = 0
     for s in range(40):
         g = generate_random(24, 22, 2, 3, s)
-        kernel = mincore._Kernel(g, _residual(g))
+        kernel = mincore._Kernel(g)
         if all(len(members) == 1 for members in kernel.classes):
             continue
         held = mincore._start_state(g)
@@ -920,9 +933,9 @@ def test_fpt_pool_parts_expand_classes(pools, monkeypatch):
         serial = _outcome(mincore_fpt, g, 3)
         if not isinstance(serial, MinCoreResult):
             continue
-        kernel = mincore._Kernel(g, _residual(g))
+        kernel = mincore._Kernel(g)
         a = serial.parameter_a
-        combos = list(kernel.successes(a))
+        combos = list(_successes(kernel, a))
         if len(_expanded(kernel, combos)) == len(combos):
             continue
         assert _outcome(mincore_fpt, g, 3, jobs=2) == serial
@@ -943,9 +956,9 @@ def test_fpt_real_pool_expands_classes(monkeypatch):
     monkeypatch.setattr(mincore, "_cpu_count", lambda: 2)
     for seed in (1, 3):
         g = generate_random(24, 22, 2, 3, seed)
-        kernel = mincore._Kernel(g, _residual(g))
+        kernel = mincore._Kernel(g)
         serial = mincore_fpt(g, 3)
-        combos = list(kernel.successes(serial.parameter_a))
+        combos = list(_successes(kernel, serial.parameter_a))
         assert len(_expanded(kernel, combos)) > len(combos)
         assert mincore_fpt(g, 3, jobs=2) == serial
 
@@ -964,7 +977,7 @@ def test_internal_invariants_raise_runtime_error(monkeypatch, path):
         with pytest.raises(RuntimeError, match="strips the kernel must peel"):
             mincore_fpt(k4, 3)
     with monkeypatch.context() as patch:
-        patch.setattr(mincore, "_residual", lambda graph: list(range(graph.m)))
+        patch.setattr(mincore, "_residual", lambda graph, state: list(range(graph.m)))
         with pytest.raises(RuntimeError, match="no degree-one vertex"):
             mincore_fpt(path, 0)
     with pytest.raises(RuntimeError, match="_pool_init"):

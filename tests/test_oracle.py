@@ -110,7 +110,13 @@ def test_budget_refuses_a_huge_source_without_building_it():
 
 
 def test_negative_budget_is_an_input_error():
-    for caps in ({"max_vertices": -1}, {"max_subsets": -1}, {"max_subsets": 1e6}):
+    for caps in (
+        {"max_vertices": -1},
+        {"max_subsets": -1},
+        {"max_subsets": 1e6},
+        {"max_vertices": True, "max_subsets": False},
+        {"max_subsets": True},
+    ):
         with pytest.raises(ValueError, match="must be non-negative integers"):
             OracleBudget(**caps)
     assert OracleBudget(0, 0) == OracleBudget(max_vertices=0, max_subsets=0)

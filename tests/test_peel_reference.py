@@ -19,6 +19,8 @@ from test_mincore import (
     _peeled,
     _reference_strips,
     _representatives,
+    _residual,
+    _successes,
 )
 
 
@@ -37,7 +39,7 @@ def _peel_cases():
         cases.append((g, set()))
     for s in range(60):
         g = generate_random(24, 22, 2, 3, s)
-        residual = mincore._residual(g)
+        residual = _residual(g)
         cases.append((g, set()))
         cases += [(g, {e}) for e in residual]
         cases += [(g, set(pair)) for pair in itertools.combinations(residual, 2)][:10]
@@ -88,8 +90,8 @@ def test_prefix_shared_verdicts_match_fresh_reference_strip():
     kernel's yield are exactly the deletions the fresh strip finds."""
     decided = 0
     for g in _kernel_family():
-        residual = mincore._residual(g)
-        kernel = mincore._Kernel(g, residual)
+        kernel = mincore._Kernel(g)
+        residual = kernel.residual
         strip = _reference_strips(g, residual)
         top = len(residual) if len(residual) <= 10 else 3
         found = False
@@ -108,11 +110,11 @@ def test_prefix_shared_verdicts_match_fresh_reference_strip():
                 assert kept == stripped
                 assert sorted(_expanded(kernel, kept)) == fresh
             found = found or bool(fresh)
-            assert list(kernel.successes(a)) == kept
+            assert list(_successes(kernel, a)) == kept
             chosen = set(kept)
             for k in (2, 3, 7):
                 for w in range(k):
-                    part = kernel.successes(a, w, k)
+                    part = _successes(kernel, a, w, k)
                     assert list(part) == [c for c in leaves[w::k] if c in chosen]
             decided += len(combos)
     assert decided >= 10_000

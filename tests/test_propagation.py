@@ -1,6 +1,5 @@
 """Activation semantics: verdicts, layers, radius, threshold generalization."""
 
-import collections
 import itertools
 import random
 import re
@@ -18,7 +17,8 @@ from hypercore import (
     trace_report,
 )
 from hypercore.hypergraph import default_thresholds, resolve_thresholds
-from hypercore.propagation import _absorb, _base_state, _check_core, _spread, _walk
+from hypercore import propagation
+from hypercore.propagation import _absorb, _base_state, _check_core, _cores, _spread
 from conftest import all_subsets, messy_instance, seeded_family
 
 
@@ -414,80 +414,101 @@ def test_absorb_matches_rounds_and_stack_closure():
 # The prefix walker
 
 
-def _refusals(seed):
-    """A fixed random rule: whether extending a state that has kept the
-    items ``kept`` by item ``x`` changes nothing."""
-
-    def refuses(kept, x):
-        return random.Random(f"{seed} {kept} {x}").random() < 0.3
-
-    return refuses
-
-
-def _walked(n, k, part, parts, refuses, skip):
-    """What ``_walk`` yields and which extensions it makes, with states
-    ``(kept, left)`` whose ``left`` is the parity of the items kept.  A
-    refused item returns the prefix's state, or None with ``skip``."""
-    calls = collections.Counter()
-
-    def extend(state, x):
-        calls[state[0], x] += 1
-        if refuses(state[0], x):
-            return None if skip else state
-        kept = state[0] + (x,)
-        return kept, len(kept) % 2
-
-    return list(_walk(n, k, ((), 0), extend, part, parts)), calls
+def _cores_case(rng):
+    """A messy instance, thresholds resolved from a random list (or the
+    default), a non-empty seed set, and items: some of the other vertices,
+    in random order."""
+    g, thresholds, _ = _reference_case(rng)
+    seeds = rng.sample(range(g.n), rng.randint(1, max(1, g.n // 3)))
+    others = [v for v in range(g.n) if v not in seeds]
+    items = rng.sample(others, rng.randint(0, len(others)))
+    return g, resolve_thresholds(g, thresholds), seeds, items
 
 
-def _walked_reference(n, k, part, parts, refuses, skip):
-    """The same from the strided leaves of ``combinations``: each prefix of
-    a leaf on the way to it is extended once, a refused item keeps its
-    prefix's state, and with ``skip`` it cuts the leaf off instead."""
-    yielded = []
-    prefixes = {}
-    for combo in itertools.islice(itertools.combinations(range(n), k), part, None, parts):
-        kept = ()
-        for i, x in enumerate(combo):
-            prefixes[combo[: i + 1]] = (kept, x)
-            if not refuses(kept, x):
-                kept += (x,)
-            elif skip:
+def _cores_reference(g, t, seeds, items, k, minimal, part, parts):
+    """What ``_cores`` yields and the vertices it absorbs, in order, from
+    the strided leaves of ``combinations`` and the round loop: a leaf is
+    kept when ``is_core`` accepts it with the seeds and, with ``minimal``,
+    no item of it lies in its prefix's closure.  Each prefix on the way to
+    a leaf is extended once, unless its last item's vertex is already in
+    the shorter prefix's closure, and with ``minimal`` the leaf is cut off
+    there."""
+    closures = {}
+
+    def closure(prefix):
+        if prefix not in closures:
+            closures[prefix] = assimilated_closure(g, [*seeds, *(items[i] for i in prefix)], t)
+        return closures[prefix]
+
+    yielded, extended = [], {}
+    for combo in itertools.islice(itertools.combinations(range(len(items)), k), part, None, parts):
+        for d, i in enumerate(combo):
+            if items[i] not in closure(combo[:d]):
+                extended.setdefault(combo[: d + 1], items[i])
+            elif minimal:
                 break
         else:
-            if not len(kept) % 2:
+            if len(closure(combo)) == g.n:
                 yielded.append(combo)
-    return yielded, collections.Counter(prefixes.values())
+    return yielded, list(extended.values())
 
 
-def test_walk_matches_strided_combinations():
-    """Every ``n <= 9``, every ``k`` up to ``n + 2`` and 1-4 strided parts,
-    with no refusals, with refusals that keep the prefix's state, and with
-    refusals that skip their subtree."""
-    refused = skipped = 0
-    for n in range(10):
-        for k in range(n + 3):
+def test_cores_match_strided_combinations(monkeypatch):
+    """On random instances with size-1 edges, zero thresholds, vertices in
+    no edge and non-empty seeds, for every ``k`` up to ``len(items) + 2``
+    and 1-4 strided parts: ``_cores`` yields the strided combinations whose
+    vertices, with the seeds, ``is_core`` accepts, less, with ``minimal``,
+    those holding an item already in its prefix's closure.  It calls
+    ``_absorb`` once for each prefix extended by an inactive vertex on the
+    way to a leaf it decides, and leaves the base state as it was."""
+    cases = [_cores_case(random.Random(4_400_021 + s)) for s in range(150)]
+    assert sum(any(len(e) == 1 for e in g.edges) for g, _, _, _ in cases) >= 20
+    assert sum(0 in t for _, t, _, _ in cases) >= 50
+    assert sum(any(not ix for ix in g._incidence) for g, _, _, _ in cases) >= 20
+    absorbed = []
+
+    def recording_absorb(graph, active, need, left, seeds):
+        absorbed.append(tuple(seeds))
+        return absorb(graph, active, need, left, seeds)
+
+    absorb = propagation._absorb
+    yielded = cut = kept = 0
+    for g, t, seeds, items in cases:
+        base = _base_state(g, t, seeds)
+        before = (base[0][:], base[1][:], base[2])
+        for k in range(len(items) + 3):
             for parts in range(1, 5):
                 for part in range(parts):
                     leaves = list(
-                        itertools.islice(itertools.combinations(range(n), k), part, None, parts)
+                        itertools.islice(
+                            itertools.combinations(range(len(items)), k), part, None, parts
+                        )
                     )
-                    got = list(_walk(n, k, (0,), lambda state, x: state, part, parts))
-                    assert got == leaves, (n, k, part, parts)
-                    for skip in (False, True):
-                        rule = _refusals(n * 1000 + k * 10 + part)
-                        walked = _walked(n, k, part, parts, rule, skip)
-                        assert walked == _walked_reference(n, k, part, parts, rule, skip)
-                        refused += len(walked[0]) < len(leaves)
-                        skipped += skip and walked != _walked(n, k, part, parts, rule, False)
-                    assert _walked(n, k, part, parts, lambda kept, x: False, True)[0] == [
-                        c for c in leaves if not len(c) % 2
+                    cores = [
+                        c for c in leaves if is_core(g, {*seeds, *(items[i] for i in c)}, t)
                     ]
-    assert refused >= 100 and skipped >= 100, (refused, skipped)
+                    for minimal in (False, True):
+                        absorbed.clear()
+                        with monkeypatch.context() as patch:
+                            patch.setattr(propagation, "_absorb", recording_absorb)
+                            got = list(_cores(g, base, items, k, minimal, part, parts))
+                        expected = _cores_reference(g, t, seeds, items, k, minimal, part, parts)
+                        assert got == expected[0], (g.edges, t, seeds, items, k, minimal)
+                        assert absorbed == [(v,) for v in expected[1]]
+                        if not minimal:
+                            assert got == cores
+                            prefixes = {c[: d + 1] for c in leaves for d in range(k)}
+                            kept += len(absorbed) < len(prefixes)
+                        else:
+                            cut += len(got) < len(cores)
+                        yielded += len(got)
+        assert base == before
+    assert yielded >= 1_000 and cut >= 300 and kept >= 1_000, (yielded, cut, kept)
 
 
-def test_walk_needs_no_recursion_depth():
+def test_cores_need_no_recursion_depth():
     k = sys.getrecursionlimit() + 1
-    combos = list(_walk(k + 1, k, (0,), lambda state, x: state))
+    g = Hypergraph(k + 1, [])
+    base = _base_state(g, [], range(k + 1))
+    combos = list(_cores(g, base, range(k + 1), k))
     assert combos == list(itertools.combinations(range(k + 1), k))
-

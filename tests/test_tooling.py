@@ -219,3 +219,16 @@ def test_only_the_cli_imports_the_oracle():
         and any(p.partition(".")[0] == "oracle" for p in _package_modules_imported(node))
     ]
     assert found == []
+
+
+def test_only_propagation_imports_absorb():
+    """The closure state ``(active, need, left)`` is built and extended in
+    ``propagation`` alone: no other package module imports ``_absorb``, by
+    name or as an attribute of an imported module."""
+    trees = _package_trees()
+    found = [
+        name
+        for name, tree in trees.items()
+        if name != "propagation" and "_absorb" in _imported_names(tree, trees)
+    ]
+    assert found == []
