@@ -187,8 +187,15 @@ def _absorb(graph: Hypergraph, active, need, left: int, seeds) -> int:
     return left
 
 
-def _cores(graph: Hypergraph, base, items: Sequence[int], k: int, minimal: bool = False,
-           part: int = 0, parts: int = 1):
+def _cores(
+    graph: Hypergraph,
+    base,
+    items: Sequence[int],
+    k: int,
+    minimal: bool = False,
+    part: int = 0,
+    parts: int = 1,
+):
     """Yield, in lexicographic order, the ``k``-combinations of
     ``range(len(items))`` whose closure from ``base``, extended by the
     vertices ``items[i]``, is everything.
