@@ -46,7 +46,6 @@ state: they hold the ones :func:`_base_state` builds and pass them to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .hypergraph import Hypergraph, Thresholds, resolve_thresholds
@@ -95,12 +94,13 @@ def _spread(graph: Hypergraph, core: Iterable[int], t: Sequence[int]):
 
     ``core`` must hold distinct vertices of ``[0, n)``; it is not checked.
 
-    Returns ``(depth, credit, layers, inside, fired)``.  ``depth[v]`` is
+    Returns ``(depth, credit, layers, inside, count)``.  ``depth[v]`` is
     the round that assimilated ``v`` (0 for the core, -1 for never) and
     ``credit[v]`` the smallest-index edge of that round containing ``v``
     (-1 when no edge assimilated it).  ``layers`` holds each round's fired
     edges in ascending order, ``inside`` the edges lying inside the core,
-    and ``fired[j]`` is set for every edge that fired or lies inside.
+    and ``count[j]`` edge ``j``'s assimilated vertices at the end, at
+    least ``t[j]`` exactly when ``j`` fired or lies inside.
     """
     edges, incidence = graph.edges, graph._incidence
     depth = [-1] * graph.n
@@ -110,12 +110,10 @@ def _spread(graph: Hypergraph, core: Iterable[int], t: Sequence[int]):
         depth[v] = 0
         for j in incidence[v]:
             count[j] += 1
-    fired = bytearray(graph.m)
     inside = []
     frontier = []
     for j, e in enumerate(edges):
         if count[j] == len(e):
-            fired[j] = 1
             inside.append(j)
         elif count[j] >= t[j]:
             frontier.append(j)
@@ -126,7 +124,6 @@ def _spread(graph: Hypergraph, core: Iterable[int], t: Sequence[int]):
         r = len(layers)
         new = []
         for j in frontier:  # ascending, so the smallest edge gets the credit
-            fired[j] = 1
             for u in edges[j]:
                 if depth[u] < 0:
                     depth[u] = r
@@ -136,10 +133,11 @@ def _spread(graph: Hypergraph, core: Iterable[int], t: Sequence[int]):
         for u in new:
             for j in incidence[u]:
                 count[j] += 1
-                # counts grow by one, so an edge meets its threshold once
-                if count[j] == t[j] and not fired[j]:
+                # counts grow by one, so an edge meets its threshold once,
+                # and one at or above it at the start fired then
+                if count[j] == t[j]:
                     frontier.append(j)
-    return depth, credit, layers, inside, fired
+    return depth, credit, layers, inside, count
 
 
 def _base_state(graph: Hypergraph, t: Sequence[int], seeds: Iterable[int] = ()):
@@ -208,13 +206,13 @@ def _cores(
     the prefix's state; with ``minimal``, it instead passes over every
     combination that extends the prefix by it.
 
-    Only the leaves whose index in the full lexicographic sequence is
-    ``part`` mod ``parts`` are decided, as in ``islice(combinations(range(
-    len(items)), k), part, None, parts)``, and no prefix is extended unless
-    its subtree holds such a leaf.  A subtree left out moves the leaf index
-    on by its size: the prefix ending in ``x`` at depth ``d`` has
-    ``comb(n - 1 - x, k - 1 - d)`` leaves.  The loop is iterative, so ``k``
-    is not bounded by the recursion limit.
+    Parts take turns at the prefixes of ``max(k - 3, 0) + 1`` items that
+    the walk reaches: the ``i``-th, counting from 0, falls to part ``i``
+    mod ``parts``, which extends it and decides every leaf under it.  A
+    prefix takes its number before its item is tested, and all parts
+    extend the same shorter prefixes and pass over the same subtrees, so
+    they number the prefixes alike and each leaf belongs to one part.  The
+    loop is iterative, so ``k`` is not bounded by the recursion limit.
     """
     n = len(items)
     if not 0 <= k <= n:
@@ -224,9 +222,10 @@ def _cores(
             yield ()
         return
     last = k - 1
+    turns = max(k - 3, 0) if parts > 1 else k  # the depth where parts take turns, k for none
+    turn = -1  # the number of the last prefix of that depth reached
     combo = [0] * k
     states = [base] * k
-    index = 0  # the lexicographic index of the first leaf under item x
     d = x = 0
     while True:
         if x > n - k + d:  # too few items left after x to finish the combination
@@ -235,12 +234,11 @@ def _cores(
             d -= 1
             x = combo[d] + 1
             continue
-        # only a strided part reads the leaf index
-        size = comb(n - 1 - x, last - d) if parts > 1 and d < last else 1
-        if parts > 1 and (part - index) % parts >= size:
-            index += size
-            x += 1
-            continue
+        if d == turns:
+            turn += 1
+            if turn % parts != part:
+                x += 1
+                continue
         state = states[d]
         active, need, left = state
         v = items[x]
@@ -248,7 +246,6 @@ def _cores(
             active, need = active[:], need[:]
             state = active, need, _absorb(graph, active, need, left, (v,))
         elif minimal:
-            index += size
             x += 1
             continue
         combo[d] = x
@@ -256,10 +253,8 @@ def _cores(
         if d < last:
             d += 1
             states[d] = state
-        else:
-            index += 1
-            if not state[2]:
-                yield tuple(combo)
+        elif not state[2]:
+            yield tuple(combo)
 
 
 def _core_radius(
@@ -303,7 +298,7 @@ def propagate(
     """Synchronous-round propagation with full layer bookkeeping."""
     cs = _check_core(graph, core)
     t = resolve_thresholds(graph, thresholds)
-    depth, credit, layers, inside, fired = _spread(graph, cs, t)
+    depth, credit, layers, inside, count = _spread(graph, cs, t)
     verdict = -1 not in depth  # then every edge fired, too
     return PropagationTrace(
         verdict=verdict,
@@ -312,7 +307,7 @@ def propagate(
         initially_covered=tuple(inside),
         depth=depth,
         credit=credit,
-        uncovered=() if verdict else tuple(j for j, f in enumerate(fired) if not f),
+        uncovered=() if verdict else tuple(j for j, c in enumerate(count) if c < t[j]),
     )
 
 

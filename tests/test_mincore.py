@@ -235,8 +235,9 @@ def test_fpt_radius_can_be_one_round_above_the_best():
 
 
 def test_fpt_deterministic_and_parallel_identical():
-    # The last instance's 286 deletions at a = 3 split into two parts whose
-    # bests tie at radius 3; part 1's (1, 3, 9) is the smaller tuple.
+    # The last instance's 20 subsets of classes at a = 3 split into two
+    # parts whose bests tie at radius 3; part 0's (1, 3, 9) is the smaller
+    # tuple.
     for g in [*seeded_family(6, seed=35, n_hi=7), generate_random(14, 14, 2, 3, 59)]:
         a = mincore_fpt(g, g.n)
         b = mincore_fpt(g, g.n)
@@ -282,13 +283,12 @@ def _assert_one_task_per_worker(pools, levels):
         assert maps == [[(a, w, workers) for w in range(workers)] for a in run]
 
 
-def test_fpt_pool_parts_strided_across_prefixes(pools, monkeypatch):
-    """A strided part takes every ``w``-th class-level deletion, so
-    consecutive deletions of a part share shorter prefixes than in the
-    serial order; each part strips from the kernel's base state, so the
-    pool returns what the serial search does.  A search maps the levels
-    from the start of lemma 6' to the first success, none when the start
-    lies above ``a_max``."""
+def test_fpt_pool_parts_take_turns_at_prefixes(pools, monkeypatch):
+    """The parts take turns at prefixes of class-level subsets, and each
+    part strips from the kernel's base state and decides every deletion
+    under the prefixes it owns, so the pool returns what the serial search
+    does.  A search maps the levels from the start of lemma 6' to the
+    first success, none when the start lies above ``a_max``."""
     monkeypatch.setattr(mincore, "_cpu_count", lambda: 3)
     checked = unmapped = 0
     levels = []
@@ -334,6 +334,41 @@ def test_fpt_real_pool_matches_serial(monkeypatch):
         assert mincore_fpt(g, 4, jobs=2) == serial
         # A worker started by spawn or forkserver receives a pickled kernel.
         assert pickle.loads(pickle.dumps(kernel)).best(a, 1, 2) == part1
+
+
+def test_pool_parts_repeat_less_of_the_serial_walk(monkeypatch):
+    """At the first level with a success of two instances, each of 2 parts
+    makes at most 0.66 of the serial walk's ``_absorb`` calls and each of
+    4 parts at most 0.47, since a part extends only the shorter prefixes
+    and the prefixes it owns, and every part expands within 5 % of an even
+    share of the deletions."""
+    calls = [0]
+
+    def counting_absorb(graph, active, need, left, seeds):
+        calls[0] += 1
+        return absorb(graph, active, need, left, seeds)
+
+    def walk(kernel, a, part=0, parts=1):
+        """``_absorb`` calls and expanded deletions of one part."""
+        calls[0] = 0
+        deletions = sum(
+            math.prod(len(kernel.classes[c]) for c in combo)
+            for combo in _successes(kernel, a, part, parts)
+        )
+        return calls[0], deletions
+
+    absorb = propagation._absorb
+    monkeypatch.setattr(propagation, "_absorb", counting_absorb)
+    for shape, level in (((30, 34, 2, 2, 0), 9), ((36, 40, 2, 2, 5), 10)):
+        kernel = mincore._Kernel(generate_random(*shape))
+        assert kernel.start == level  # lemma 6' is exact: every edge has two vertices
+        serial, total = walk(kernel, level)
+        assert total > 0
+        for parts, share in ((2, 0.66), (4, 0.47)):
+            for part in range(parts):
+                extended, deletions = walk(kernel, level, part, parts)
+                assert extended <= share * serial, (shape, parts, part)
+                assert abs(deletions * parts - total) <= 0.05 * total, (shape, parts, part)
 
 
 def test_fpt_rejects_jobs_below_one(path):
@@ -894,7 +929,7 @@ def test_kernel_peels_give_the_cores_of_peel_nm(monkeypatch):
 
 def test_best_leaves_the_held_start_state_as_it_was(pools, monkeypatch):
     """``best`` peels copies of the start state its kernel holds: after
-    serial calls, strided parts and a two-worker search (its pool run in
+    serial calls, pool parts and a two-worker search (its pool run in
     this process, on the kernel ``mincore_fpt`` built), the state and the
     vertex set are as built, and a second call of ``best`` returns what
     the first did.  Every instance here has a class of two or more

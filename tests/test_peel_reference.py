@@ -84,11 +84,15 @@ def test_prefix_shared_verdicts_match_fresh_reference_strip():
     """Every subset of class representatives at ``a <= 3`` (every level
     when ``|R| <= 10``) that the kernel does not pass over succeeds on the
     kernel iff a fresh reference strip of ``R`` without them leaves no
-    edge, also when the subsets arrive as the strided parts of a pool,
-    each taking every ``k``-th subset.  Up to the first level with a
-    success, no success is passed over, and the member choices of the
-    kernel's yield are exactly the deletions the fresh strip finds."""
-    decided = 0
+    edge, also when the subsets arrive as the parts of a pool.  The parts
+    take turns at the prefixes of ``max(a - 3, 0) + 1`` classes that the
+    walk reaches, those no shorter prefix of which is passed over, so
+    part ``w`` of ``k`` decides the subsets under the prefixes whose
+    number in lexicographic order is ``w`` mod ``k``.  Up to the first
+    level with a success, no success is passed over, and the member
+    choices of the kernel's yield are exactly the deletions the fresh
+    strip finds."""
+    decided = deep = 0
     for g in _kernel_family():
         kernel = mincore._Kernel(g)
         residual = kernel.residual
@@ -111,10 +115,23 @@ def test_prefix_shared_verdicts_match_fresh_reference_strip():
                 assert sorted(_expanded(kernel, kept)) == fresh
             found = found or bool(fresh)
             assert list(_successes(kernel, a)) == kept
-            chosen = set(kept)
+            s = max(a - 3, 0)
+            prefixes = [
+                p for p in itertools.combinations(range(len(kernel.classes)), s + 1)
+                if p[-1] <= len(kernel.classes) - a + s
+            ]
+            reached = [
+                p for p, r in zip(prefixes, _representatives(kernel, prefixes))
+                if not _passed_over(strip, r[:s])
+            ]
+            number = {p: i for i, p in enumerate(reached)}
+            turn = (lambda c: number[c[: s + 1]]) if a else (lambda c: 0)
             for k in (2, 3, 7):
                 for w in range(k):
                     part = _successes(kernel, a, w, k)
-                    assert list(part) == [c for c in leaves[w::k] if c in chosen]
+                    assert list(part) == [c for c in kept if turn(c) % k == w]
+            deep += a > 3 and len({turn(c) for c in kept}) > 1
             decided += len(combos)
-    assert decided >= 10_000
+    # deep counts the levels above 3 whose successes lie under two or more
+    # numbered prefixes
+    assert decided >= 10_000 and deep >= 100, deep

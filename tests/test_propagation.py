@@ -376,8 +376,9 @@ def _absorbed(graph, state, seeds):
 def test_absorb_matches_rounds_and_stack_closure():
     """The closure ``_absorb`` reaches, from the empty set's closure and as
     the extension of a prefix's closure, is the one both other loops reach,
-    the edges whose count reached their threshold are the ones the rounds
-    fired, and its ``need`` and ``left`` describe it."""
+    the edges whose count reached their threshold are the ones whose final
+    count in the rounds meets it, those the rounds fired or found inside
+    the core, and its ``need`` and ``left`` describe it."""
     cases = [_reference_case(random.Random(4_200_013 + s)) for s in range(400)]
     assert sum(any(len(e) == 1 for e in g.edges) for g, _, _ in cases) >= 50
     assert sum(t is not None and any(t[j] == 0 < len(e) - 1 for j, e in enumerate(g.edges))
@@ -398,7 +399,8 @@ def test_absorb_matches_rounds_and_stack_closure():
         # extending copies leaves the states extended from as they were
         assert base == before
         assim, covered = _closure(g, core, t)
-        fired = _spread(g, core, t)[4]
+        # an edge fired, or lies inside the core, iff its count met t
+        fired = bytearray(c >= tj for c, tj in zip(_spread(g, core, t)[4], t))
         for active, need, left in states:
             assert active == assim, (g.edges, thresholds, core)
             assert {v for v in range(g.n) if active[v]} == assimilated_closure(g, core, t)
@@ -427,12 +429,15 @@ def _cores_case(rng):
 
 def _cores_reference(g, t, seeds, items, k, minimal, part, parts):
     """What ``_cores`` yields and the vertices it absorbs, in order, from
-    the strided leaves of ``combinations`` and the round loop: a leaf is
-    kept when ``is_core`` accepts it with the seeds and, with ``minimal``,
-    no item of it lies in its prefix's closure.  Each prefix on the way to
-    a leaf is extended once, unless its last item's vertex is already in
-    the shorter prefix's closure, and with ``minimal`` the leaf is cut off
-    there."""
+    the leaves of ``combinations`` and the round loop.  Parts take turns at
+    the prefixes of ``max(k - 3, 0) + 1`` items that the walk reaches, each
+    numbered when first met; a leaf under a prefix of another part is cut
+    off there.  A leaf is kept when ``is_core`` accepts it with the seeds
+    and, with ``minimal``, no item of it lies in its prefix's closure.
+    Each prefix on the way to a leaf is extended once, unless its last
+    item's vertex is already in the shorter prefix's closure, and with
+    ``minimal`` the leaf is cut off there.  The empty combination belongs
+    to part 0."""
     closures = {}
 
     def closure(prefix):
@@ -440,27 +445,34 @@ def _cores_reference(g, t, seeds, items, k, minimal, part, parts):
             closures[prefix] = assimilated_closure(g, [*seeds, *(items[i] for i in prefix)], t)
         return closures[prefix]
 
+    s = max(k - 3, 0)
+    turns = {}
     yielded, extended = [], {}
-    for combo in itertools.islice(itertools.combinations(range(len(items)), k), part, None, parts):
+    for combo in itertools.combinations(range(len(items)), k):
         for d, i in enumerate(combo):
+            if d == s and turns.setdefault(combo[: d + 1], len(turns)) % parts != part:
+                break
             if items[i] not in closure(combo[:d]):
                 extended.setdefault(combo[: d + 1], items[i])
             elif minimal:
                 break
         else:
-            if len(closure(combo)) == g.n:
+            if (k or not part) and len(closure(combo)) == g.n:
                 yielded.append(combo)
     return yielded, list(extended.values())
 
 
-def test_cores_match_strided_combinations(monkeypatch):
+def test_cores_match_turns_at_prefixes(monkeypatch):
     """On random instances with size-1 edges, zero thresholds, vertices in
     no edge and non-empty seeds, for every ``k`` up to ``len(items) + 2``
-    and 1-4 strided parts: ``_cores`` yields the strided combinations whose
-    vertices, with the seeds, ``is_core`` accepts, less, with ``minimal``,
-    those holding an item already in its prefix's closure.  It calls
-    ``_absorb`` once for each prefix extended by an inactive vertex on the
-    way to a leaf it decides, and leaves the base state as it was."""
+    and 1-4 parts: ``_cores`` yields the combinations whose vertices, with
+    the seeds, ``is_core`` accepts, less, with ``minimal``, those holding
+    an item already in its prefix's closure.  The parts' yields are
+    disjoint and their union is the serial yield.  Without ``minimal``,
+    part ``p`` yields the serial leaves under the completable prefixes of
+    ``max(k - 3, 0) + 1`` items whose lexicographic number is ``p`` mod
+    the parts.  ``_absorb`` runs once for each prefix extended by an
+    inactive vertex, and the base state is left as it was."""
     cases = [_cores_case(random.Random(4_400_021 + s)) for s in range(150)]
     assert sum(any(len(e) == 1 for e in g.edges) for g, _, _, _ in cases) >= 20
     assert sum(0 in t for _, t, _, _ in cases) >= 50
@@ -472,38 +484,47 @@ def test_cores_match_strided_combinations(monkeypatch):
         return absorb(graph, active, need, left, seeds)
 
     absorb = propagation._absorb
-    yielded = cut = kept = 0
+    yielded = cut = kept = split = 0
     for g, t, seeds, items in cases:
         base = _base_state(g, t, seeds)
         before = (base[0][:], base[1][:], base[2])
-        for k in range(len(items) + 3):
-            for parts in range(1, 5):
-                for part in range(parts):
-                    leaves = list(
-                        itertools.islice(
-                            itertools.combinations(range(len(items)), k), part, None, parts
-                        )
-                    )
-                    cores = [
-                        c for c in leaves if is_core(g, {*seeds, *(items[i] for i in c)}, t)
-                    ]
-                    for minimal in (False, True):
+        n = len(items)
+        for k in range(n + 3):
+            leaves = list(itertools.combinations(range(n), k))
+            cores = [c for c in leaves if is_core(g, {*seeds, *(items[i] for i in c)}, t)]
+            s = max(k - 3, 0)
+            prefixes = [p for p in itertools.combinations(range(n), s + 1) if p[-1] <= n - k + s]
+            number = {p: i for i, p in enumerate(prefixes)}
+            turn = (lambda c: number[c[: s + 1]]) if k else (lambda c: 0)
+            for minimal in (False, True):
+                for parts in range(1, 5):
+                    got = []
+                    for part in range(parts):
                         absorbed.clear()
                         with monkeypatch.context() as patch:
                             patch.setattr(propagation, "_absorb", recording_absorb)
-                            got = list(_cores(g, base, items, k, minimal, part, parts))
+                            got.append(list(_cores(g, base, items, k, minimal, part, parts)))
                         expected = _cores_reference(g, t, seeds, items, k, minimal, part, parts)
-                        assert got == expected[0], (g.edges, t, seeds, items, k, minimal)
+                        assert got[-1] == expected[0], (g.edges, t, seeds, items, k, minimal)
                         assert absorbed == [(v,) for v in expected[1]]
                         if not minimal:
-                            assert got == cores
-                            prefixes = {c[: d + 1] for c in leaves for d in range(k)}
-                            kept += len(absorbed) < len(prefixes)
-                        else:
-                            cut += len(got) < len(cores)
-                        yielded += len(got)
+                            assert got[-1] == [c for c in cores if turn(c) % parts == part]
+                            if parts == 1:
+                                reached = {c[: d + 1] for c in leaves for d in range(k)}
+                                kept += len(absorbed) < len(reached)
+                    if parts == 1:
+                        serial = got[0]
+                    assert sorted(itertools.chain(*got)) == serial
+                    assert sum(map(len, got)) == len(serial)
+                    split += k > 3 and sum(map(bool, got)) > 1
+                if minimal:
+                    cut += len(serial) < len(cores)
+                yielded += len(serial)
         assert base == before
-    assert yielded >= 1_000 and cut >= 300 and kept >= 1_000, (yielded, cut, kept)
+    # split counts the walks with k > 3 whose yield falls to two or more parts
+    assert yielded >= 300 and cut >= 50 and kept >= 200 and split >= 50, (
+        yielded, cut, kept, split
+    )
 
 
 def test_cores_need_no_recursion_depth():
