@@ -29,16 +29,18 @@ prefix walker the oracle also uses, ``propagation._cores``, makes the
 subsets of classes in lexicographic order and extends the closure of
 each prefix by the class's least member; a subset that extends a prefix
 by a member its closure already holds is passed over, as in the oracle's
-minimum blocks.  Each class-level success stands for every choice of
-one member per class, and only these deletions touch the whole instance:
-each is peeled by :func:`peel_nm`'s loop from a start state built once
-per search, and the deleted edges are re-inserted (which may add one
-final layer) to score the radius, once for each distinct core a level
-peels to.  The choices do not come in lexicographic order, so the least
-``(radius, deleted)`` is taken explicitly; :func:`peel_nm` confirms the
-winner's core.  A pool splits each level among its workers, which take
-turns at the prefixes the walk reaches, and the least of the parts' bests
-is the serial answer.
+minimum blocks, and so is one that takes, after an earlier sibling
+prefix with no success under it, a member of that prefix's closure, as
+in the oracle's shadows.  Each class-level success stands for every
+choice of one member per class, and only these deletions touch the
+whole instance: each is peeled by :func:`peel_nm`'s loop from a start
+state built once per search, and the deleted edges are re-inserted
+(which may add one final layer) to score the radius, once for each
+distinct core a level peels to.  The choices do not come in
+lexicographic order, so the least ``(radius, deleted)`` is taken
+explicitly; :func:`peel_nm` confirms the winner's core.  A pool splits
+each level among its workers, which take turns at the prefixes the walk
+reaches, and the least of the parts' bests is the serial answer.
 """
 
 from __future__ import annotations
@@ -280,7 +282,9 @@ class _Kernel:
         ``part`` of ``parts``.  ``propagation._cores`` decides them from
         ``base``, passing over each subset that extends a prefix by a
         representative its closure already holds: such a subset cannot
-        succeed unless a deletion of ``a - 1`` edges does.
+        succeed unless a deletion of ``a - 1`` edges does.  It also
+        passes over the representatives in the closure of an earlier
+        sibling prefix under which no subset succeeds.
 
         Every member choice of a success succeeds, since the members of a
         class lie in the same closures, and when level ``a - 1`` has no
@@ -353,7 +357,7 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     long searches.  On 2 cores, 20 searches of ``generate_random(24, 22,
     2, 3, s)`` at ``a_max = 3`` took 0.01 s serially and 0.16-0.18 s with
     ``jobs=2``, and five of ``generate_random(40, 44, 2, 3, s)`` at
-    ``a_max = 12`` took 47-54 s and 28-31 s.
+    ``a_max = 12`` took 40-48 s and 21-26 s.
 
     Only deletions inside the residual ``R`` (:func:`_residual`) are tried,
     starting at ``a = max(0, |R| - |V(R)| + c2(R))``, where ``V(R)`` is the
@@ -494,9 +498,17 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     level ``a`` only when level ``a - 1`` holds no success: at the start
     level, level ``a - 1`` lies below it, where 6' rules every success
     out, and above it, level ``a - 1`` ran and found none, its walk
-    holding the classes of every success by 9.  So neither the skip, the
-    oracle's skip 2 on ``R*``, nor the classes leave out a success at any
-    level the search runs.
+    holding the classes of every success by 9.  The walker also passes
+    over the representatives in a shadow, the closure of an earlier
+    sibling prefix ``P + x`` under which no subset succeeds: a subset
+    ``D`` of ``P``, later representatives and one, ``y``, stripped by
+    ``R - (P + x)``, has ``cl(D)`` inside ``cl(D - y + x)``, which is not
+    everything (the oracle's skip 3 on ``R*``).  A prefix counts as
+    holding no success only when the walk yielded nothing under it and
+    passed over nothing there that could succeed, so this skip needs no
+    condition on the level.  So neither the skips, the oracle's skips 2
+    and 3 on ``R*``, nor the classes leave out a success at any level the
+    search runs.
 
     With ``w`` workers, each walks the level from the closure of the empty
     set, and they take turns at prefixes as ``propagation._cores`` says,

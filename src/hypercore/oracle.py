@@ -10,19 +10,20 @@ subsets, as if every subset were decided.
 Each subset's closure is extended from the closure of its lexicographic
 prefix by the walker ``propagation._cores``: propagation is a closure
 operator, so ``cl(A | B) = cl(cl(A) | B)``.  A subset is a core when its
-closure is everything.  Two skips leave subsets undecided, and neither
+closure is everything.  Three skips leave subsets undecided, and none
 can leave out a core:
 
 1. **Vertices in no edge.**  No edge can activate a vertex in no edge, so
    every core holds the set ``F`` of them.  The search of block ``k``
    starts from the closure of ``F``, as the state of the empty prefix,
    and walks the ``(k - |F|)``-subsets of the other vertices; no
-   ``k``-subset is a core when ``k < |F|``.  The order is the same: for two sorted sets of equal
-   size, the first position where they differ holds the smallest element
-   of their symmetric difference, which lies in the set that comes
-   first, and adding ``F``, disjoint from both, leaves that difference
-   unchanged.  So the cores come in the same order, with the same
-   witnesses.  This holds at every size, so every search uses it.
+   ``k``-subset is a core when ``k < |F|``.  The order is the same: for
+   two sorted sets of equal size, the first position where they differ
+   holds the smallest element of their symmetric difference, which lies
+   in the set that comes first, and adding ``F``, disjoint from both,
+   leaves that difference unchanged.  So the cores come in the same
+   order, with the same witnesses.  This holds at every size, so every
+   search uses it.
 2. **Minimum blocks.**  Suppose no ``(k - 1)``-subset is a core.  Let a
    ``k``-subset ``S`` hold a vertex ``v`` in the closure of ``F`` and the
    vertices of ``S`` before ``v``, all of them in ``S - v``.  Then ``S``
@@ -34,6 +35,18 @@ can leave out a core:
    block with a core, nor at the minimum size that the radius pass of
    :func:`oracle_min_radius_over_min_cores` scores.
    :func:`oracle_best_radius_at_size` accepts any size and does not skip.
+3. **Shadows.**  Let ``P`` be a prefix, ``x < y`` two vertices extending
+   it, and ``y`` in ``cl(P + x)``, and suppose no subset of the block
+   under ``P + x`` is a core.  A subset ``S`` of the block made of ``P``
+   and vertices after ``x``, ``y`` among them, has ``S - y + x`` in the
+   block, under ``P + x``, so not a core; its closure holds ``P + x``,
+   hence ``y``, hence ``S``, so ``cl(S)`` lies inside it and ``S`` is not
+   a core.  So once the walker has finished ``P + x`` with no core, it
+   passes over every later vertex in ``cl(P + x)``, at that depth and at
+   every deeper one under the later prefixes.  It counts a finished
+   prefix as holding no core only when it yielded nothing and passed
+   over, by skip 2, nothing that could be one, so this skip needs
+   nothing of the block, and every search uses it.
 
 The rounds of ``propagation._spread``, which :func:`~.mincore.mincore_fpt`
 scores cores with, confirm each verdict the searches return:

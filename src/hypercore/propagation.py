@@ -32,9 +32,13 @@ extending the closure of any subset of it.
 One closure loop serves both exhaustive enumerations, and ``_cores`` is
 the one prefix walker behind them.  It makes the ``k``-combinations of
 a list of items in lexicographic order, without recursion, and extends
-one closure state per prefix depth by each item's vertex.  The oracle
-extends each vertex subset's closure from its lexicographic prefix, and
-keeps the rounds for the radius and for confirming its witness.
+one closure state per prefix depth by each item's vertex.  Closures also
+prune it: when no combination under a prefix ``P + x`` is a core, no
+later combination under ``P`` that holds a vertex of ``cl(P + x)`` is
+one either, so the walk passes over the items in that shadow without
+extending anything.  The oracle extends each vertex subset's closure
+from its lexicographic prefix, and keeps the rounds for the radius and
+for confirming its witness.
 :func:`~.mincore.mincore_fpt` decides each deletion of residual edges as
 a core of the residual's dual (lemma 8 there), extended the same way
 from its prefix's closure by one representative of each class of
@@ -206,13 +210,32 @@ def _cores(
     the prefix's state; with ``minimal``, it instead passes over every
     combination that extends the prefix by it.
 
+    Each depth keeps a shadow, the vertices of closures that rule
+    combinations out.  Let ``x < y`` be items extending the prefix ``P``,
+    ``y`` in ``cl(P + x)``, where no combination under ``P + x`` is a
+    core.  A combination ``C`` of ``P`` and items after ``x`` that holds
+    ``y`` is no core either: ``C - y + x`` is a combination under
+    ``P + x``, and its closure, not everything, holds ``y`` and so
+    ``cl(C)``.  So when the subtree of ``P + x`` ends with no core,
+    ``cl(P + x)`` joins the shadow of its depth, which every deeper depth
+    under the later items starts from, and an item whose vertex lies in
+    the shadow is passed over.  A subtree counts as holding no core when
+    it yielded nothing and passed over nothing that could be one: with
+    ``minimal``, an item passed over below the last depth may hide a core,
+    and one at the last depth does when its prefix's closure is
+    everything.  A subtree that could hold a core adds no shadow, so the
+    walk yields the same with or without shadows.
+
     Parts take turns at the prefixes of ``max(k - 3, 0) + 1`` items that
     the walk reaches: the ``i``-th, counting from 0, falls to part ``i``
     mod ``parts``, which extends it and decides every leaf under it.  A
     prefix takes its number before its item is tested, and all parts
     extend the same shorter prefixes and pass over the same subtrees, so
-    they number the prefixes alike and each leaf belongs to one part.  The
-    loop is iterative, so ``k`` is not bounded by the recursion limit.
+    they number the prefixes alike and each leaf belongs to one part.  A
+    part walks whole only the subtrees of prefixes that long or longer, so
+    only those add to a shadow: the shorter prefixes see none, and every
+    part still walks them alike.  The loop is iterative, so ``k`` is not
+    bounded by the recursion limit.
     """
     n = len(items)
     if not 0 <= k <= n:
@@ -223,9 +246,12 @@ def _cores(
         return
     last = k - 1
     turns = max(k - 3, 0) if parts > 1 else k  # the depth where parts take turns, k for none
+    low = turns if parts > 1 else 0  # the least depth whose subtrees a part walks whole
     turn = -1  # the number of the last prefix of that depth reached
     combo = [0] * k
     states = [base] * k
+    shadows = [0] * k  # per depth, byte v is 1 when vertex v lies in the shadow
+    clean = [True] * k  # per depth, no core could lie under the prefix so far
     d = x = 0
     while True:
         if x > n - k + d:  # too few items left after x to finish the combination
@@ -233,19 +259,28 @@ def _cores(
                 return
             d -= 1
             x = combo[d] + 1
+            if not clean[d + 1]:
+                clean[d] = False
+            elif d >= low and x <= n - k + d:  # only later items read the shadow
+                shadows[d] |= int.from_bytes(states[d + 1][0], "little")
             continue
         if d == turns:
             turn += 1
             if turn % parts != part:
                 x += 1
                 continue
+        v = items[x]
+        if shadows[d] >> 8 * v & 1:
+            x += 1
+            continue
         state = states[d]
         active, need, left = state
-        v = items[x]
         if not active[v]:
             active, need = active[:], need[:]
             state = active, need, _absorb(graph, active, need, left, (v,))
         elif minimal:
+            if d < last or not left:  # the combinations passed over may be cores
+                clean[d] = False
             x += 1
             continue
         combo[d] = x
@@ -253,7 +288,13 @@ def _cores(
         if d < last:
             d += 1
             states[d] = state
-        elif not state[2]:
+            shadows[d] = shadows[d - 1]
+            clean[d] = True
+        elif state[2]:
+            if x <= n - k + d:
+                shadows[d] |= int.from_bytes(state[0], "little")
+        else:
+            clean[d] = False
             yield tuple(combo)
 
 

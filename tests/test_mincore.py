@@ -28,6 +28,7 @@ from hypercore import mincore, propagation
 from hypercore.hypergraph import default_thresholds
 from hypercore.mincore import PEEL_FAILURE_MESSAGE, MinCoreResult
 import reference_peel
+import reference_walk
 from conftest import messy_instance, seeded_family
 
 
@@ -604,6 +605,41 @@ def test_kernel_verdicts_and_search_match_whole_instance_scan():
     assert merged >= 40
 
 
+def test_kernel_successes_passed_over_do_not_shadow():
+    """Above the first success the kernel passes over successes, so a
+    subtree of class subsets that yields nothing may still hold successes
+    and must not shadow its siblings.  On this multigraph every residual
+    edge is a class but for ``{4, 5}``, and level 3 holds the first
+    successes.  At level 4 the closure of classes 0 and 1 holds 2 and 3,
+    so the walk passes over every subset under ``(0, 1)``, two of them
+    successes; had that subtree shadowed its closure, classes 2 and 3
+    would not be reached at depth 1, and ``(0, 2, 3, 4)``, the one success
+    the walk yields there, would be left out.  At each level the walk
+    yields the subsets whose representatives peel, less those it passes
+    over."""
+    g = Hypergraph(4, [(1, 2), (1, 3), (2, 3), (1, 3), (0, 2), (0, 2)])
+    kernel = mincore._Kernel(g)
+    residual = kernel.residual
+    assert kernel.classes == [(0,), (1,), (2,), (3,), (4, 5)] and kernel.start == 3
+    strip = _reference_strips(g, residual)
+    leaves = {}
+    for a in range(3, 6):
+        kept = {
+            c
+            for c in itertools.combinations(range(len(residual)), a)
+            if _peels(g, [residual[i] for i in c]) and not _passed_over(strip, c)
+        }
+        subsets = list(itertools.combinations(range(5), a))
+        leaves[a] = [c for c, r in zip(subsets, _representatives(kernel, subsets)) if r in kept]
+        assert list(_successes(kernel, a)) == leaves[a]
+    assert leaves[3] and leaves[4] == [(0, 2, 3, 4)]
+    # residual[i] == i and classes 0-4 have representatives 0-4
+    under = [c for c in itertools.combinations(range(5), 4) if c[:2] == (0, 1)]
+    assert all(_passed_over(strip, c) for c in under)
+    assert [c for c in under if _peels(g, c)] == [(0, 1, 2, 4), (0, 1, 3, 4)]
+    assert kernel.best(4) == (1, (0, 2, 3, 4), frozenset({2, 3}))
+
+
 def test_dual_cores_are_the_deletions_that_strip_the_residual():
     """Lemma 8 of ``mincore_fpt``, checked with no code of ``_absorb``: the
     kernel's dual has one edge per vertex of ``R``, holding the edges of
@@ -629,19 +665,26 @@ def test_dual_cores_are_the_deletions_that_strip_the_residual():
     assert 1_000 <= cores <= decided - 1_000
 
 
-def _kernel_extensions(strip, reps, levels):
+def _kernel_extensions(strip, reps, levels, shadows=True):
     """Closure extensions the kernel makes while trying ``levels`` over the
-    class representatives ``reps``, positions in ``R``: per level, one for
-    each prefix whose representatives the reference strip finds alive,
-    each in ``R`` without the ones before it.  The base state is never
-    extended."""
-    count = 0
+    class representatives ``reps``, positions in ``R``: those of the walk
+    of ``reference_walk`` with ``minimal``, where the closure of a prefix
+    is the set of edges of ``R`` that the reference strip of ``R`` without
+    the prefix's representatives leaves dead, with or without
+    ``shadows``.  The base state is never extended."""
+    whole = len(strip(()))
+
+    @functools.lru_cache(maxsize=None)
+    def closure(prefix):
+        return {i for i, alive in enumerate(strip(tuple(reps[x] for x in prefix))) if not alive}
+
+    extended = []
     for a in levels:
-        for d in range(1, a + 1):
-            # the d-class prefixes of a-class subsets out of len(reps)
-            for prefix in itertools.combinations(range(len(reps) - (a - d)), d):
-                count += not _passed_over(strip, tuple(reps[i] for i in prefix))
-    return count
+        for _ in reference_walk.walk(
+            len(reps), a, reps.__getitem__, closure, whole, extended, True, shadows=shadows
+        ):
+            pass
+    return len(extended)
 
 
 def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
@@ -652,7 +695,8 @@ def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
     closure of the empty set, the kernel extends the closure of each
     prefix of class representatives it reaches once per level, and only
     when its last representative is not already in the shorter prefix's
-    closure."""
+    closure; a representative in a shadow is not reached, which spares
+    extensions on some searches."""
     peeled, looped, absorbed = [], [], []
 
     def counting_peel(graph, deleted=()):
@@ -674,7 +718,7 @@ def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
         cases.append((messy_instance(rng), rng.randint(0, 4)))
     # wider residuals, where a passed-over prefix would have had children
     cases += [(g, 4) for g in seeded_family(60, seed=38, n_hi=8, m_cap=14, size_lo=1)]
-    extended = 0
+    extended = spared = 0
     for g, a_max in cases:
         residual = _residual(g)
         outcome = _outcome(_scan_reference, g, a_max)
@@ -684,7 +728,9 @@ def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
             _peels(g, deleted) for a in levels for deleted in itertools.combinations(residual, a)
         )
         reps = [members[0] for members in _reference_classes(g, residual)]
-        expected = _kernel_extensions(_reference_strips(g, residual), reps, levels)
+        strip = _reference_strips(g, residual)
+        expected = _kernel_extensions(strip, reps, levels)
+        spared += expected < _kernel_extensions(strip, reps, levels, shadows=False)
         peeled.clear()
         looped.clear()
         absorbed.clear()
@@ -697,7 +743,7 @@ def test_fpt_peels_the_instance_only_for_successes(monkeypatch):
         assert looped == [True] * (1 + successes + found)
         assert absorbed == [False] * (1 + expected)  # the first builds the base state
         extended += expected
-    assert extended >= 200
+    assert extended >= 200 and spared >= 5, (extended, spared)
 
 
 def test_peel_with_deleted_edges_matches_rebuilt_subgraph(triangle):

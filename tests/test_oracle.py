@@ -1,6 +1,7 @@
 """Ground-truth searches and their budgets."""
 
 import collections
+import functools
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from hypercore import (
     MinrepInstance,
     OracleBudget,
     SetCoverInstance,
+    assimilated_closure,
     generate_random,
     oracle_best_radius_at_size,
     oracle_min_core,
@@ -24,11 +26,13 @@ from hypercore import (
     oracle_setcover,
     propagate,
     reference_is_core,
+    threesat_to_mincore_radius,
 )
 from hypercore import oracle, propagation
 from hypercore.hypergraph import default_thresholds, resolve_thresholds
 from conftest import messy_instance, seeded_family
 import reference_oracle
+import reference_walk
 
 
 def test_min_core_examples(triangle):
@@ -374,3 +378,68 @@ def test_oracle_work_counts(monkeypatch):
         calls.clear()
         oracle_min_radius_over_min_cores(g, t)
         assert calls == {"is_core": 1, "_core_radius": cores}
+
+
+def _sat_formula(rng):
+    """A 3-SAT formula of the acceptance suite's shape: 2 or 3 clauses over
+    3 or 4 variables."""
+    nvars = rng.randint(3, 4)
+    clauses = [
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3))
+        for _ in range(rng.choice((2, 2, 3)))
+    ]
+    return CnfFormula(nvars, tuple(clauses))
+
+
+def _walked_absorbs(g, size, shadows):
+    """The ``_absorb`` calls of ``oracle_min_radius_over_min_cores`` on
+    ``g``, whose least core size is ``size``, with the walk of
+    ``reference_walk``, with or without ``shadows``: one base state per
+    block, the blocks up to ``size`` walked to their first core, then
+    block ``size`` walked whole."""
+    free = [v for v in range(g.n) if not g.incident_edges(v)]
+    rest = [v for v in range(g.n) if g.incident_edges(v)]
+
+    @functools.lru_cache(maxsize=None)
+    def closure(prefix):
+        return assimilated_closure(g, free + [rest[i] for i in prefix])
+
+    extended = []
+    for k, first in [*((k, True) for k in range(size + 1)), (size, False)]:
+        cores = reference_walk.walk(
+            len(rest), k - len(free), rest.__getitem__, closure, g.n, extended, True,
+            shadows=shadows,
+        )
+        for _ in cores:
+            if first:
+                break
+    return size + 2 + len(extended)
+
+
+def test_shadows_cut_the_radius_pass_on_compiled_3sat(monkeypatch):
+    """On ``threesat_to_mincore_radius(phi, 4)`` of 2- and 3-clause
+    formulas, the shape of the 3-SAT sources ``certify`` compiles, the
+    radius search returns what the search that decides every subset did,
+    with exactly the ``_absorb`` calls of the shadowed reference walk, at
+    most 2/3 of those of the walk without shadows."""
+    calls = [0]
+
+    def counting_absorb(graph, active, need, left, seeds):
+        calls[0] += 1
+        return absorb(graph, active, need, left, seeds)
+
+    absorb = propagation._absorb
+    budget = OracleBudget(max_vertices=40, max_subsets=10**6)
+    rng = random.Random(4_700_001)
+    made = unshadowed = 0
+    for _ in range(10):
+        g = threesat_to_mincore_radius(_sat_formula(rng), 4).instance
+        calls[0] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(propagation, "_absorb", counting_absorb)
+            got = oracle_min_radius_over_min_cores(g, budget=budget)
+        assert got == reference_oracle.oracle_min_radius_over_min_cores(g, budget=budget)
+        assert calls[0] == _walked_absorbs(g, got[0], True)
+        made += calls[0]
+        unshadowed += _walked_absorbs(g, got[0], False)
+    assert made <= 2 / 3 * unshadowed, (made, unshadowed)

@@ -20,6 +20,7 @@ from hypercore.hypergraph import default_thresholds, resolve_thresholds
 from hypercore import propagation
 from hypercore.propagation import _absorb, _base_state, _check_core, _cores, _spread
 from conftest import all_subsets, messy_instance, seeded_family
+import reference_walk
 
 
 def test_is_core_examples(triangle):
@@ -427,17 +428,11 @@ def _cores_case(rng):
     return g, resolve_thresholds(g, thresholds), seeds, items
 
 
-def _cores_reference(g, t, seeds, items, k, minimal, part, parts):
+def _cores_reference(g, t, seeds, items, k, minimal, part, parts, shadows=True):
     """What ``_cores`` yields and the vertices it absorbs, in order, from
-    the leaves of ``combinations`` and the round loop.  Parts take turns at
-    the prefixes of ``max(k - 3, 0) + 1`` items that the walk reaches, each
-    numbered when first met; a leaf under a prefix of another part is cut
-    off there.  A leaf is kept when ``is_core`` accepts it with the seeds
-    and, with ``minimal``, no item of it lies in its prefix's closure.
-    Each prefix on the way to a leaf is extended once, unless its last
-    item's vertex is already in the shorter prefix's closure, and with
-    ``minimal`` the leaf is cut off there.  The empty combination belongs
-    to part 0."""
+    the recursive walk of ``reference_walk`` with closures by the round
+    loop: the closure of a prefix is the one ``assimilated_closure`` finds
+    from the seeds and the prefix's items."""
     closures = {}
 
     def closure(prefix):
@@ -445,21 +440,13 @@ def _cores_reference(g, t, seeds, items, k, minimal, part, parts):
             closures[prefix] = assimilated_closure(g, [*seeds, *(items[i] for i in prefix)], t)
         return closures[prefix]
 
-    s = max(k - 3, 0)
-    turns = {}
-    yielded, extended = [], {}
-    for combo in itertools.combinations(range(len(items)), k):
-        for d, i in enumerate(combo):
-            if d == s and turns.setdefault(combo[: d + 1], len(turns)) % parts != part:
-                break
-            if items[i] not in closure(combo[:d]):
-                extended.setdefault(combo[: d + 1], items[i])
-            elif minimal:
-                break
-        else:
-            if (k or not part) and len(closure(combo)) == g.n:
-                yielded.append(combo)
-    return yielded, list(extended.values())
+    extended = []
+    yielded = list(
+        reference_walk.walk(
+            len(items), k, items.__getitem__, closure, g.n, extended, minimal, part, parts, shadows
+        )
+    )
+    return yielded, extended
 
 
 def test_cores_match_turns_at_prefixes(monkeypatch):
@@ -472,7 +459,8 @@ def test_cores_match_turns_at_prefixes(monkeypatch):
     part ``p`` yields the serial leaves under the completable prefixes of
     ``max(k - 3, 0) + 1`` items whose lexicographic number is ``p`` mod
     the parts.  ``_absorb`` runs once for each prefix extended by an
-    inactive vertex, and the base state is left as it was."""
+    inactive vertex, except under a shadow, and the base state is left as
+    it was.  The shadows prune extensions without changing a yield."""
     cases = [_cores_case(random.Random(4_400_021 + s)) for s in range(150)]
     assert sum(any(len(e) == 1 for e in g.edges) for g, _, _, _ in cases) >= 20
     assert sum(0 in t for _, t, _, _ in cases) >= 50
@@ -484,7 +472,7 @@ def test_cores_match_turns_at_prefixes(monkeypatch):
         return absorb(graph, active, need, left, seeds)
 
     absorb = propagation._absorb
-    yielded = cut = kept = split = 0
+    yielded = cut = kept = split = shaded = 0
     for g, t, seeds, items in cases:
         base = _base_state(g, t, seeds)
         before = (base[0][:], base[1][:], base[2])
@@ -507,6 +495,11 @@ def test_cores_match_turns_at_prefixes(monkeypatch):
                         expected = _cores_reference(g, t, seeds, items, k, minimal, part, parts)
                         assert got[-1] == expected[0], (g.edges, t, seeds, items, k, minimal)
                         assert absorbed == [(v,) for v in expected[1]]
+                        unshaded = _cores_reference(
+                            g, t, seeds, items, k, minimal, part, parts, shadows=False
+                        )
+                        assert unshaded[0] == expected[0]
+                        shaded += len(absorbed) < len(unshaded[1])
                         if not minimal:
                             assert got[-1] == [c for c in cores if turn(c) % parts == part]
                             if parts == 1:
@@ -521,10 +514,66 @@ def test_cores_match_turns_at_prefixes(monkeypatch):
                     cut += len(serial) < len(cores)
                 yielded += len(serial)
         assert base == before
-    # split counts the walks with k > 3 whose yield falls to two or more parts
-    assert yielded >= 300 and cut >= 50 and kept >= 200 and split >= 50, (
-        yielded, cut, kept, split
+    # split counts the walks with k > 3 whose yield falls to two or more parts,
+    # shaded the part walks that a shadow spared an extension
+    assert yielded >= 300 and cut >= 50 and kept >= 200 and split >= 50 and shaded >= 300, (
+        yielded, cut, kept, split, shaded
     )
+
+
+def _minimal_cores(g, t, items, k):
+    """The ``k``-combinations of ``range(len(items))`` whose vertices
+    ``is_core`` accepts and in which no item's vertex lies in the closure
+    of the items before it."""
+    return [
+        c
+        for c in itertools.combinations(range(len(items)), k)
+        if is_core(g, [items[i] for i in c], t)
+        and not any(items[x] in assimilated_closure(g, [items[i] for i in c[:d]], t)
+                    for d, x in enumerate(c))
+    ]
+
+
+def test_cores_passed_over_do_not_shadow():
+    """Above the least core size, ``minimal`` passes over cores, so a
+    subtree that yields nothing may still hold cores and must not shadow
+    its siblings.  On ``[(0, 1, 2), (0, 2)]`` vertex 0 alone is a core, so
+    at ``k = 2`` the walk passes over both leaves under it; had it shadowed
+    their closure, everything, it would have left out ``(1, 2)``.  On
+    ``[(1, 3), (1, 2, 3), (0, 3, 4)]`` the closure of 1 holds 2 and 3, so at
+    ``k = 3`` the walk passes over both at depth 1 under it, although
+    ``(1, 2, 4)`` is a core, and must still yield ``(2, 3, 4)``.  On random instances, at
+    every ``k`` above the least core size of the items, ``_cores`` yields
+    exactly the cores with no item in its prefix's closure, also split in
+    two parts; ``trapped`` counts the yields with an item in the closure of
+    an earlier sibling, not passed over, under which nothing is yielded."""
+    leaf = Hypergraph(3, [(0, 1, 2), (0, 2)])
+    inner = Hypergraph(5, [(1, 3), (1, 2, 3), (0, 3, 4)])
+    for g, k, expected in ((leaf, 2, [(1, 2)]), (inner, 3, [(0, 2, 3), (0, 2, 4), (2, 3, 4)])):
+        t = default_thresholds(g)
+        assert _minimal_cores(g, t, range(g.n), k) == expected
+        assert list(_cores(g, _base_state(g, t), range(g.n), k, True)) == expected
+    walks = trapped = 0
+    for g in seeded_family(200, seed=46, n_lo=3, n_hi=7, m_cap=7, size_hi=3):
+        t = default_thresholds(g)
+        items = range(g.n)
+        base = _base_state(g, t)
+        least = next(k for k in range(g.n + 1) if _minimal_cores(g, t, items, k))
+        for k in range(least + 1, g.n + 1):
+            expected = _minimal_cores(g, t, items, k)
+            assert list(_cores(g, base, items, k, True)) == expected, (g.edges, k)
+            halves = [list(_cores(g, base, items, k, True, part, 2)) for part in range(2)]
+            assert sorted(halves[0] + halves[1]) == expected
+            walks += 1
+            for c in expected:
+                trapped += any(
+                    not any(y[: d + 1] == c[:d] + (x,) for y in expected)
+                    and x not in assimilated_closure(g, c[:d], t)
+                    and any(i in assimilated_closure(g, c[:d] + (x,), t) for i in c[d:])
+                    for d in range(k)
+                    for x in range(c[d - 1] + 1 if d else 0, c[d])
+                )
+    assert walks >= 400 and trapped >= 100, (walks, trapped)
 
 
 def test_cores_need_no_recursion_depth():
