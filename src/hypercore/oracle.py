@@ -14,10 +14,11 @@ closure is everything.  Three skips leave subsets undecided, and none
 can leave out a core:
 
 1. **Vertices in no edge.**  No edge can activate a vertex in no edge, so
-   every core holds the set ``F`` of them.  The search of block ``k``
-   starts from the closure of ``F``, as the state of the empty prefix,
-   and walks the ``(k - |F|)``-subsets of the other vertices; no
-   ``k``-subset is a core when ``k < |F|``.  The order is the same: for
+   every core holds the set ``F`` of them.  Each search builds the
+   closure of ``F`` once, as the state of the empty prefix, and walks
+   block ``k`` as the ``(k - |F|)``-subsets of the other vertices from
+   it; no ``k``-subset is a core when ``k < |F|``, so those blocks are
+   charged to the budget and not walked.  The order is the same: for
    two sorted sets of equal size, the first position where they differ
    holds the smallest element of their symmetric difference, which lies
    in the set that comes first, and adding ``F``, disjoint from both,
@@ -31,9 +32,10 @@ can leave out a core:
    everything because ``S - v`` has ``k - 1`` vertices.  So ``S`` is not
    a core, and the walker passes over every subset that extends a prefix
    by a vertex its closure already holds.  No ``(k - 1)``-core exists in
-   a block :func:`oracle_min_core` reaches, since it stops at the first
-   block with a core, nor at the minimum size that the radius pass of
-   :func:`oracle_min_radius_over_min_cores` scores.
+   a block that :func:`oracle_min_core` or
+   :func:`oracle_min_radius_over_min_cores` walks: both walk the blocks
+   in order up to the first with a core, which the radius search then
+   walks on to its end, scoring each core as it comes.
    :func:`oracle_best_radius_at_size` accepts any size and does not skip.
 3. **Shadows.**  Let ``P`` be a prefix, ``x < y`` two vertices extending
    it, and ``y`` in ``cl(P + x)``, and suppose no subset of the block
@@ -51,8 +53,9 @@ can leave out a core:
 The rounds of ``propagation._spread``, which :func:`~.mincore.mincore_fpt`
 scores cores with, confirm each verdict the searches return:
 :func:`oracle_min_core` checks its witness with
-:func:`~.propagation.is_core`, and the radius pass scores each core with
-``_core_radius``; a disagreement raises ``RuntimeError``.  The
+:func:`~.propagation.is_core`, and the two radius searches, ``--min-radius``
+among them, score every core they walk with ``_core_radius``, so each core
+they return is confirmed; a disagreement raises ``RuntimeError``.  The
 independent check of the round engine is :func:`reference_is_core`, a
 one-edge-at-a-time activation rescan sharing no code with it, which
 acceptance criterion 1 compares with ``is_core`` on every subset of 200
@@ -67,8 +70,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .hypergraph import Hypergraph, Thresholds, resolve_thresholds
-from .propagation import _base_state, _core_radius, is_core
-from .propagation import _cores as _item_cores  # this module's _cores wraps it
+from .propagation import _base_state, _core_radius, _cores, is_core
 
 
 class BudgetExceededError(RuntimeError):
@@ -92,11 +94,13 @@ class BudgetExceededError(RuntimeError):
 class OracleBudget:
     """Caps for the exhaustive searches, checked before enumerating.
 
-    ``max_vertices`` bounds the vertex count; ``max_subsets`` bounds the
-    number of candidate subsets the search may visit (checked one
-    cardinality block ahead, so a run never starts a block it cannot
-    finish).  A cap that is not a non-negative integer, a bool among
-    them, raises ``ValueError``.
+    ``max_vertices`` bounds the vertex count of the core searches;
+    ``max_subsets`` bounds the number of candidates a search may visit.
+    The core searches check it one cardinality block ahead, so a run never
+    starts a block it cannot finish; the set cover, MinRep and SAT oracles
+    refuse up front when their ``2**k`` candidates exceed it.  A cap that
+    is not a non-negative integer, a bool among them, raises
+    ``ValueError``.
     """
 
     max_vertices: int = 18
@@ -168,23 +172,44 @@ def _block_guard(spent: int, n: int, k: int, budget: OracleBudget) -> int:
     return spent + block
 
 
-def _cores(graph: Hypergraph, k: int, t: Sequence[int], minimal: bool = False):
-    """Yield the ``k``-subsets of ``[0, n)`` that are cores under ``t``, in
-    lexicographic order.
+class _Search:
+    """One core search's set-up and budget ledger, built once per query.
 
-    The vertices in no edge are in every core: they go into the base
-    state, and the walk picks the rest of each subset from the other
-    vertices, none when ``k`` is below their count (skip 1 of the module
-    docstring).  With ``minimal``, which needs no ``(k - 1)``-core to
-    exist, a vertex already in its prefix's closure passes over every
-    subset extending the prefix by it (skip 2).
+    It checks the vertex cap, resolves the thresholds, splits the vertices
+    in no edge, ``free``, from the ``rest`` and builds the base state, the
+    closure of ``free`` (skip 1 of the module docstring).  ``spent`` counts
+    the subsets of the blocks charged so far.
     """
-    incidence = graph._incidence
-    free = [v for v in range(graph.n) if not incidence[v]]
-    rest = [v for v in range(graph.n) if incidence[v]]
-    base = _base_state(graph, t, free)
-    for combo in _item_cores(graph, base, rest, k - len(free), minimal):
-        yield tuple(sorted(free + [rest[i] for i in combo]))
+
+    def __init__(self, graph: Hypergraph, thresholds: Thresholds, budget: OracleBudget):
+        _enumeration_guard(graph.n, budget)
+        self.graph, self.budget, self.spent = graph, budget, 0
+        self.t = resolve_thresholds(graph, thresholds)
+        self.free = [v for v in range(graph.n) if not graph._incidence[v]]
+        self.rest = [v for v in range(graph.n) if graph._incidence[v]]
+        self.base = _base_state(graph, self.t, self.free)
+
+    def cores(self, k: int, minimal: bool = False):
+        """Charge block ``k`` to the budget, then yield its cores in
+        lexicographic order.
+
+        The walk picks the rest of each subset from ``rest`` and yields
+        nothing when ``k`` is below ``len(free)``.  With ``minimal``, which needs no
+        ``(k - 1)``-core to exist, it passes over every subset extending a
+        prefix by a vertex the prefix's closure holds (skip 2).
+        """
+        self.spent = _block_guard(self.spent, self.graph.n, k, self.budget)
+        for combo in _cores(self.graph, self.base, self.rest, k - len(self.free), minimal):
+            yield tuple(sorted(self.free + [self.rest[i] for i in combo]))
+
+    def least(self):
+        """The least size with a core and an iterator over the cores of
+        that size, from the first on, charging every block up to it."""
+        for k in range(self.graph.n + 1):
+            cores = self.cores(k, True)  # no smaller block holds a core, so skip 2 holds
+            for first in cores:
+                return k, itertools.chain((first,), cores)
+        raise RuntimeError("the full vertex set is always a core")
 
 
 def oracle_min_core(
@@ -193,17 +218,12 @@ def oracle_min_core(
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> tuple[int, frozenset[int]]:
     """Minimum core size with the first witness in (cardinality, lex) order."""
-    _enumeration_guard(graph.n, budget)
-    t = resolve_thresholds(graph, thresholds)
-    spent = 0
-    for k in range(graph.n + 1):
-        spent = _block_guard(spent, graph.n, k, budget)
-        # no smaller block held a core, so skip 2 holds
-        for combo in _cores(graph, k, t, True):
-            if not is_core(graph, combo, t):
-                raise RuntimeError("closure and rounds disagree")
-            return k, frozenset(combo)
-    raise RuntimeError("the full vertex set is always a core")
+    search = _Search(graph, thresholds, budget)
+    size, cores = search.least()
+    witness = next(cores)
+    if not is_core(graph, witness, search.t):
+        raise RuntimeError("closure and rounds disagree")
+    return size, frozenset(witness)
 
 
 def oracle_min_radius_over_min_cores(
@@ -216,10 +236,9 @@ def oracle_min_radius_over_min_cores(
     Returns ``(min core size, min radius, witness)`` where the witness is
     the lexicographically first minimum core achieving the radius.
     """
-    size, _ = oracle_min_core(graph, thresholds, budget)
-    t = resolve_thresholds(graph, thresholds)
-    # oracle_min_core admitted this block and found no smaller core (skip 2)
-    best = _least_radius(graph, _cores(graph, size, t, True), t)
+    search = _Search(graph, thresholds, budget)
+    size, cores = search.least()
+    best = _least_radius(graph, cores, search.t)
     if best is None:
         raise RuntimeError("a minimum core size always has a core")
     return size, best[0], best[1]
@@ -232,10 +251,8 @@ def oracle_best_radius_at_size(
     budget: OracleBudget = DEFAULT_RADIUS_BUDGET,
 ) -> Optional[tuple[int, frozenset[int]]]:
     """Minimum radius over all cores of exactly ``size`` vertices, if any."""
-    _enumeration_guard(graph.n, budget)
-    t = resolve_thresholds(graph, thresholds)
-    _block_guard(0, graph.n, size, budget)
-    return _least_radius(graph, _cores(graph, size, t), t)
+    search = _Search(graph, thresholds, budget)
+    return _least_radius(graph, search.cores(size), search.t)
 
 
 def _least_radius(graph: Hypergraph, cores, t: Sequence[int]):

@@ -169,7 +169,7 @@ def test_min_radius_invariant_raises_runtime_error(monkeypatch, path):
 
 
 def test_min_core_invariant_raises_runtime_error(monkeypatch, path):
-    monkeypatch.setattr(oracle, "_cores", lambda *args: iter(()))
+    monkeypatch.setattr(oracle._Search, "cores", lambda *args: iter(()))
     with pytest.raises(RuntimeError, match="always a core"):
         oracle_min_core(path)
 
@@ -290,9 +290,8 @@ def test_skipping_searches_match_exhaustive_reference():
                 ref = _outcome(reference_oracle.oracle_best_radius_at_size, g, k, t, budget)
                 assert got == ref, (g.edges, t, k, budget)
         resolved = resolve_thresholds(g, t)
-        size, _ = oracle_min_core(g, t, oracle.DEFAULT_RADIUS_BUDGET)
-        cores = list(reference_oracle._cores(g, size, resolved))
-        assert list(oracle._cores(g, size, resolved, True)) == cores
+        size, cores = oracle._Search(g, t, oracle.DEFAULT_RADIUS_BUDGET).least()
+        assert list(cores) == list(reference_oracle._cores(g, size, resolved))
         free += any(not ix for ix in g._incidence)
         zero += any(tj == 0 < len(e) - 1 for tj, e in zip(resolved, g.edges))
         single += any(len(e) == 1 for e in g.edges)
@@ -302,26 +301,56 @@ def test_skipping_searches_match_exhaustive_reference():
 
 def test_cores_match_reference_check_on_criterion_1_instances():
     """The instances of acceptance criterion 1: for every size ``k``, the
-    subsets ``_cores`` yields are exactly the ``k``-subsets that the
-    one-edge-at-a-time rescan accepts, in lexicographic order."""
+    subsets one search's ``cores`` yields are exactly the ``k``-subsets
+    that the one-edge-at-a-time rescan accepts, in lexicographic order."""
     yielded = 0
     for s in range(200):
         rng = random.Random(8100 + s)
         n = rng.randint(1, 8)
         m = rng.randint(0, 10)
         g = generate_random(n, m, 1, min(4, n), seed=8500 + s)
-        t = default_thresholds(g)
+        search = oracle._Search(g, default_thresholds(g), OracleBudget())
         for k in range(n + 1):
-            cores = list(oracle._cores(g, k, t))
+            cores = list(search.cores(k))
             combos = itertools.combinations(range(n), k)
             assert cores == [c for c in combos if reference_is_core(g, c)], (s, k)
             yielded += len(cores)
     assert yielded > 1000, yielded
 
 
+def test_each_core_search_builds_one_base_state(monkeypatch):
+    """Each core search builds the base state once, from the vertices in no
+    edge, however many blocks it charges: the blocks below their count too,
+    which it charges and does not walk."""
+    built = []
+
+    def counted(graph, t, seeds=()):
+        built.append(tuple(seeds))
+        return base_state(graph, t, seeds)
+
+    base_state = oracle._base_state
+    monkeypatch.setattr(oracle, "_base_state", counted)
+    cases = _threshold_cases(60, 40, 8900) + [(Hypergraph(6, [(0, 1), (1, 2)]), None)]
+    above = 0
+    for g, t in cases:
+        free = tuple(v for v in range(g.n) if not g.incident_edges(v))
+        size = oracle_min_core(g, t)[0]
+        for search in (
+            lambda: oracle_min_core(g, t),
+            lambda: oracle_min_radius_over_min_cores(g, t),
+            lambda: oracle_best_radius_at_size(g, size, t),
+        ):
+            built.clear()
+            search()
+            assert built == [free], (g.edges, t)
+        above += 0 < len(free) < size
+    assert above >= 30, above
+
+
 def test_custom_thresholds_are_checked_once_per_search(monkeypatch):
-    """Only the search itself and the witness check resolve a non-default
-    threshold tuple, however many subsets the search decides."""
+    """Only the search itself, and the witness check of ``oracle_min_core``,
+    resolve a non-default threshold tuple, however many subsets the search
+    decides."""
     calls = []
 
     def counted(graph, thresholds):
@@ -342,6 +371,9 @@ def test_custom_thresholds_are_checked_once_per_search(monkeypatch):
         counts.add(len(calls))
         calls.clear()
         oracle_best_radius_at_size(g, size, t, OracleBudget())
+        assert len(calls) == 1
+        calls.clear()
+        oracle_min_radius_over_min_cores(g, t, OracleBudget())
         assert len(calls) == 1
     # the search decides thousands of subsets before its witness
     assert sum(math.comb(g.n, k) for k in range(size)) > 10_000
@@ -377,7 +409,7 @@ def test_oracle_work_counts(monkeypatch):
         assert calls == {"_core_radius": cores}
         calls.clear()
         oracle_min_radius_over_min_cores(g, t)
-        assert calls == {"is_core": 1, "_core_radius": cores}
+        assert calls == {"_core_radius": cores}
 
 
 def _sat_formula(rng):
@@ -394,9 +426,9 @@ def _sat_formula(rng):
 def _walked_absorbs(g, size, shadows):
     """The ``_absorb`` calls of ``oracle_min_radius_over_min_cores`` on
     ``g``, whose least core size is ``size``, with the walk of
-    ``reference_walk``, with or without ``shadows``: one base state per
-    block, the blocks up to ``size`` walked to their first core, then
-    block ``size`` walked whole."""
+    ``reference_walk``, with or without ``shadows``: one base state, then
+    every block up to ``size`` walked once and whole, since only the last
+    holds a core."""
     free = [v for v in range(g.n) if not g.incident_edges(v)]
     rest = [v for v in range(g.n) if g.incident_edges(v)]
 
@@ -405,15 +437,12 @@ def _walked_absorbs(g, size, shadows):
         return assimilated_closure(g, free + [rest[i] for i in prefix])
 
     extended = []
-    for k, first in [*((k, True) for k in range(size + 1)), (size, False)]:
-        cores = reference_walk.walk(
+    for k in range(size + 1):
+        list(reference_walk.walk(
             len(rest), k - len(free), rest.__getitem__, closure, g.n, extended, True,
             shadows=shadows,
-        )
-        for _ in cores:
-            if first:
-                break
-    return size + 2 + len(extended)
+        ))
+    return 1 + len(extended)
 
 
 def test_shadows_cut_the_radius_pass_on_compiled_3sat(monkeypatch):
