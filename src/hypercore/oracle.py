@@ -50,16 +50,20 @@ can leave out a core:
    over, by skip 2, nothing that could be one, so this skip needs
    nothing of the block, and every search uses it.
 
-The rounds of ``propagation._spread``, which :func:`~.mincore.mincore_fpt`
-scores cores with, confirm each verdict the searches return:
+Synchronous rounds confirm each verdict the searches return.
 :func:`oracle_min_core` checks its witness with
-:func:`~.propagation.is_core`, and the two radius searches, ``--min-radius``
-among them, score every core they walk with ``_core_radius``, so each core
-they return is confirmed; a disagreement raises ``RuntimeError``.  The
-independent check of the round engine is :func:`reference_is_core`, a
-one-edge-at-a-time activation rescan sharing no code with it, which
-acceptance criterion 1 compares with ``is_core`` on every subset of 200
-random instances.
+:func:`~.propagation.is_core`, the rounds of ``propagation._spread``.  The
+two radius searches, ``--min-radius`` among them, score every core they
+walk, in walk order, with ``propagation._radii``: one run of the same
+rounds for a batch of up to ``_BATCH`` cores, one bit per core in each
+vertex's and edge's mask.  So each core they return is confirmed, and a
+core the rounds do not complete raises ``RuntimeError``.  Each engine has
+its independent check.  :func:`reference_is_core`, a one-edge-at-a-time
+activation rescan sharing no code with ``_spread``, is compared with
+``is_core`` on every subset of 200 random instances (acceptance criterion
+1).  ``_radii``, which shares no code with ``_spread``, is compared with
+one ``propagate`` trace per core, radius and verdict, on over 2,000
+instances, with batches from one core to more than ``_BATCH``.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .hypergraph import Hypergraph, Thresholds, resolve_thresholds
-from .propagation import _base_state, _core_radius, _cores, is_core
+from .propagation import _base_state, _cores, _radii, is_core
 
 
 class BudgetExceededError(RuntimeError):
@@ -115,6 +119,9 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 # Radius certification enumerates every minimum core, so it gets a tighter default.
 DEFAULT_RADIUS_BUDGET = OracleBudget(max_vertices=12)
+# Cores scored per run of the rounds (``_least_radius``): it bounds the
+# cores held at once and keeps each mask at 64 machine words.
+_BATCH = 4096
 
 
 def reference_is_core(graph: Hypergraph, core: Iterable[int]) -> bool:
@@ -256,14 +263,22 @@ def oracle_best_radius_at_size(
 
 
 def _least_radius(graph: Hypergraph, cores, t: Sequence[int]):
-    """The least radius over ``cores`` with the first core reaching it."""
+    """The least radius over ``cores`` with the first core reaching it.
+
+    The cores are scored in walk order, in batches of at most ``_BATCH``,
+    each by one run of ``propagation._radii``.  Every core is scored, one
+    the rounds do not complete raises ``RuntimeError``, and only a smaller
+    radius replaces the best, so a tie keeps the first core, across
+    batches as within one.
+    """
     best = None
-    for combo in cores:
-        r = _core_radius(graph, combo, t)
-        if r is None:
-            raise RuntimeError("closure and rounds disagree")
-        if best is None or r < best[0]:
-            best = (r, frozenset(combo))
+    cores = iter(cores)
+    while batch := list(itertools.islice(cores, _BATCH)):
+        for combo, r in zip(batch, _radii(graph, batch, t)):
+            if r is None:
+                raise RuntimeError("closure and rounds disagree")
+            if best is None or r < best[0]:
+                best = (r, frozenset(combo))
     return best
 
 

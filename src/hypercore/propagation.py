@@ -20,7 +20,12 @@ are covered up front and belong to no layer.  :func:`is_core` and
 ``credit`` lists, as they are, in a :class:`PropagationTrace`, whose
 ``radius`` is the layer count.  Each public function takes its
 thresholds through :func:`~.hypergraph.resolve_thresholds`, which holds
-the rule.
+the rule.  ``_radii`` runs the same rounds for a whole batch of seed sets
+at once, one bit per set in each vertex's and each edge's mask, and
+returns each set's radius, or None for a non-core, as ``_core_radius``
+does for one set.  The oracle scores its radius searches with it;
+:func:`~.mincore.mincore_fpt`, which scores a few cores per level, keeps
+``_core_radius``.
 
 ``_absorb`` computes only the closure, the set of vertices active at the
 end, firing edges one at a time in stack order.  Rounds do not extend
@@ -37,8 +42,8 @@ prune it: when no combination under a prefix ``P + x`` is a core, no
 later combination under ``P`` that holds a vertex of ``cl(P + x)`` is
 one either, so the walk passes over the items in that shadow without
 extending anything.  The oracle extends each vertex subset's closure
-from its lexicographic prefix, and keeps the rounds for the radius and
-for confirming its witness.
+from its lexicographic prefix, and keeps the rounds for the radius, in
+batches, and for confirming its witness.
 :func:`~.mincore.mincore_fpt` decides each deletion of residual edges as
 a core of the residual's dual (lemma 8 there), extended the same way
 from its prefix's closure by one representative of each class of
@@ -309,6 +314,86 @@ def _core_radius(
     """
     depth, _, layers, _, _ = _spread(graph, core, t)
     return None if -1 in depth else len(layers)
+
+
+def _radii(
+    graph: Hypergraph, cores: Sequence[Iterable[int]], t: Sequence[int]
+) -> list[Optional[int]]:
+    """:func:`_core_radius` of each of ``cores``, from one run of the
+    synchronous rounds for the whole batch.
+
+    Bit ``i`` of each mask stands for ``cores[i]``.  ``act[v]`` holds the
+    cores in which vertex ``v`` is active.  ``over[j][k]`` holds those in
+    which edge ``j`` has more than ``k`` active vertices, for ``k`` below
+    ``t[j]``, so ``met[j]``, the last of them, holds those in which the
+    edge has met its threshold; a vertex adds the bits it gains to each
+    count once, as :func:`_spread` adds one per vertex.  Round 1 fires, for
+    each core, the edges met at the start that do not lie inside it; round
+    ``r`` fires the bits each edge's ``met`` gained in round ``r - 1``, so
+    an edge fires once per core, when its count reaches its threshold.  A
+    core's radius is the last round that fired an edge for it, which may
+    activate nothing, and it is a core when its bit is in every ``act``.
+    Like :func:`_spread`, it trusts ``cores`` and ``t``.
+    """
+    edges, incidence = graph.edges, graph._incidence
+    full = (1 << len(cores)) - 1
+    act = [0] * graph.n
+    for i, core in enumerate(cores):
+        for v in core:
+            act[v] |= 1 << i
+    gains = {v: a for v, a in enumerate(act) if a}  # the start's, then each round's
+    over = [[0] * tj for tj in t]
+    met = [0 if tj else full for tj in t]
+    fire = {j: full for j, tj in enumerate(t) if not tj}
+    rounds = []  # per round, the cores it fired an edge for
+    while True:
+        for u, new in gains.items():
+            for j in incidence[u]:
+                c = over[j]
+                if c:  # an edge with a zero threshold is met from the start
+                    carry = new
+                    for k, ck in enumerate(c):
+                        c[k] = ck | carry
+                        carry = ck & new
+                        if not carry:
+                            break
+                    if c[-1] != met[j]:
+                        fire[j] = fire.get(j, 0) | (c[-1] ^ met[j])
+                        met[j] = c[-1]
+        if not rounds:  # the start: an edge inside a core never fires for it
+            for j in list(fire):
+                inside = full
+                for u in edges[j]:
+                    inside &= act[u]
+                fire[j] &= ~inside
+                if not fire[j]:
+                    del fire[j]
+        if not fire:
+            break
+        fired = 0
+        gains = {}
+        for j, bits in fire.items():
+            fired |= bits
+            for u in edges[j]:
+                new = bits & ~act[u]
+                if new:
+                    act[u] |= new
+                    gains[u] = gains.get(u, 0) | new
+        rounds.append(fired)
+        fire = {}
+    cored = full
+    for a in act:
+        cored &= a
+    radii: list[Optional[int]] = [None] * len(cores)
+    for r in range(len(rounds), -1, -1):
+        hit = cored & rounds[r - 1] if r else cored
+        cored ^= hit
+        bits = bin(hit)[:1:-1]
+        i = bits.find("1")
+        while i >= 0:
+            radii[i] = r
+            i = bits.find("1", i + 1)
+    return radii
 
 
 def is_core(graph: Hypergraph, core: Iterable[int], thresholds: Thresholds = None) -> bool:

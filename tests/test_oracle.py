@@ -181,7 +181,7 @@ def test_min_core_witness_disagreement_raises_runtime_error(monkeypatch, path):
 
 
 def test_radius_pass_disagreement_raises_runtime_error(monkeypatch, path):
-    monkeypatch.setattr(oracle, "_core_radius", lambda *args: None)
+    monkeypatch.setattr(oracle, "_radii", lambda graph, cores, t: [None] * len(cores))
     with pytest.raises(RuntimeError, match="^closure and rounds disagree$"):
         oracle_best_radius_at_size(path, 1)
 
@@ -232,6 +232,49 @@ def test_radius_pass_matches_propagate_reference():
     # several minimum cores share the best radius, so the witness order is pinned
     assert ties >= 100, ties
     assert custom >= 200
+
+
+def _least_radius_positions(graph, size, thresholds=None):
+    """The positions, among the cores of ``size`` vertices in lexicographic
+    order, of those reaching the least radius."""
+    radii = [
+        trace.radius
+        for trace in (
+            propagate(graph, c, thresholds)
+            for c in itertools.combinations(range(graph.n), size)
+        )
+        if trace.verdict
+    ]
+    least = min(radii)
+    return [i for i, r in enumerate(radii) if r == least]
+
+
+def test_radius_batches_keep_the_first_least_core():
+    """Scoring the walk in batches returns what scoring every subset in
+    order does, where the least radius first appears after a batch
+    boundary and cores reaching it lie in more than one batch: at the
+    oracle's own batch bound on 11,385 cores, and at small bounds on many
+    instances."""
+    g = generate_random(16, 14, 2, 3, seed=28)
+    least = _least_radius_positions(g, 9)
+    assert least[0] >= oracle._BATCH and least[-1] >= 2 * oracle._BATCH, least
+    budget = OracleBudget(max_vertices=16)
+    assert oracle_best_radius_at_size(g, 9, budget=budget) == _best_radius_reference(g, 9)
+
+    late = spanning = 0
+    for g, t in _threshold_cases(40, 40, 8700):
+        for k in range(g.n + 1):
+            ref = _best_radius_reference(g, k, t)
+            if ref is None:
+                continue
+            least = _least_radius_positions(g, k, t)
+            for batch in (1, 2, 3, 5):
+                late += least[0] >= batch
+                spanning += least[0] >= batch and least[-1] // batch > least[0] // batch
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(oracle, "_BATCH", batch)
+                    assert oracle_best_radius_at_size(g, k, t) == ref, (g.edges, t, k)
+    assert late >= 200 and spanning >= 100, (late, spanning)
 
 
 def test_min_core_matches_per_subset_reference():
@@ -390,9 +433,13 @@ def test_oracle_work_counts(monkeypatch):
 
         return wrapper
 
-    per_subset = propagation.propagate
+    def scored(graph, cores, t):
+        calls["scored"] += len(cores)
+        return radii(graph, cores, t)
+
+    per_subset, radii = propagation.propagate, oracle._radii
     monkeypatch.setattr(oracle, "is_core", counted("is_core", oracle.is_core))
-    monkeypatch.setattr(oracle, "_core_radius", counted("_core_radius", oracle._core_radius))
+    monkeypatch.setattr(oracle, "_radii", scored)
     trace = counted("propagate", propagation.propagate)
     monkeypatch.setattr(propagation, "propagate", trace)
     # catches a module-level import of propagate coming back into the oracle
@@ -406,10 +453,10 @@ def test_oracle_work_counts(monkeypatch):
         )
         calls.clear()
         oracle_best_radius_at_size(g, size, t)
-        assert calls == {"_core_radius": cores}
+        assert calls == {"scored": cores}
         calls.clear()
         oracle_min_radius_over_min_cores(g, t)
-        assert calls == {"_core_radius": cores}
+        assert calls == {"scored": cores}
 
 
 def _sat_formula(rng):

@@ -366,6 +366,46 @@ def test_single_engine_matches_both_replaced_engines():
     assert verdicts == {True, False}
 
 
+def _radii_case(rng, size):
+    """A messy instance, or the one with no vertices, a random valid
+    threshold list (or the default), and ``size`` random seed sets, the
+    first of them emptied on about a third of the instances."""
+    g, t, _ = _reference_case(rng)
+    if rng.random() < 0.02:
+        g, t = Hypergraph(0, []), None
+    cores = [rng.sample(range(g.n), rng.randint(0, g.n)) for _ in range(size)]
+    if cores and rng.random() < 1 / 3:
+        cores[0] = []
+    return g, t, cores
+
+
+def test_radii_match_per_core_propagate():
+    """One bit-parallel run of the rounds scores each seed set of a batch
+    as its own ``propagate`` trace does: the radius of a core, None for a
+    non-core, over batch sizes from 1 to above the oracle's batch bound."""
+    rng = random.Random(4_100_003)
+    sizes = [rng.randint(1, 40) for _ in range(2000)] + [1, 2, 63, 64, 65, 4097, 4200]
+    cases = [_radii_case(rng, size) for size in sizes]
+    assert sum(g.n == 0 for g, _, _ in cases) >= 20
+    assert sum(any(len(e) == 1 for e in g.edges) for g, _, _ in cases) >= 1000
+    assert sum(len(set(g.edges)) < g.m for g, _, _ in cases) >= 800
+    assert sum(any(not ix for ix in g._incidence) for g, _, _ in cases) >= 1000
+    assert sum(t is not None and 0 in t for g, t, _ in cases) >= 700
+    assert sum([] in cores for _, _, cores in cases) >= 1000
+    mixed = silent = 0
+    for g, thresholds, cores in cases:
+        traces = [propagate(g, core, thresholds) for core in cores]
+        want = [trace.radius if trace.verdict else None for trace in traces]
+        got = propagation._radii(g, cores, resolve_thresholds(g, thresholds))
+        assert got == want, (g.n, g.edges, thresholds, cores)
+        mixed += None in want and any(r is not None for r in want)
+        # the last round of a core fired edges but activated nothing
+        silent += any(
+            trace.verdict and max(trace.depth, default=0) < trace.radius for trace in traces
+        )
+    assert mixed >= 1000 and silent >= 100, (mixed, silent)
+
+
 def _absorbed(graph, state, seeds):
     """A copy of the closure ``state`` extended by ``seeds``."""
     active, need, left = state

@@ -232,3 +232,14 @@ def test_only_propagation_imports_absorb():
         if name != "propagation" and "_absorb" in _imported_names(tree, trees)
     ]
     assert found == []
+
+
+def test_oracle_scores_radii_by_batch_only():
+    """The oracle's radius searches have one scoring path, the batch
+    rounds of ``propagation._radii``: ``oracle`` imports neither the
+    per-core rounds ``_spread`` nor ``_core_radius``, by name or as an
+    attribute of an imported module."""
+    trees = _package_trees()
+    names = _imported_names(trees["oracle"], trees)
+    assert "_radii" in names
+    assert names.isdisjoint({"_spread", "_core_radius"})
