@@ -44,9 +44,13 @@ def max_degree(graph: Hypergraph) -> int:
     return max(graph.degrees(), default=0)
 
 
-def _log_bound(base: int, n: int, core_size: int) -> float:
+def _check_core_size(core_size: int) -> None:
     if core_size < 1:
         raise ValueError("core size must be at least 1")
+
+
+def _log_bound(base: int, n: int, core_size: int) -> float:
+    _check_core_size(core_size)
     if base <= 1:
         return 0.0  # degenerate logarithm base; the bound is vacuous
     return math.log(n / core_size, base) - 1.0
@@ -71,8 +75,7 @@ def diameter_radius_bound(graph: Hypergraph, core_size: int) -> float:
     strict form holds only when seeds sit at the ends of a longest
     shortest path.
     """
-    if core_size < 1:
-        raise ValueError("core size must be at least 1")
+    _check_core_size(core_size)
     return _diameter_bound(diameter(graph), core_size)
 
 
@@ -94,7 +97,11 @@ def layer_distance_check(graph: Hypergraph, core: Iterable[int]) -> bool:
 
 
 def bound_report(graph: Hypergraph, core_size: int) -> BoundReport:
-    """All bounds for one instance and core size; needs ``n >= 2``."""
+    """All bounds for one instance and core size; needs ``n >= 2``.
+
+    A core size below 1 raises ``ValueError`` before any bound is computed.
+    """
+    _check_core_size(core_size)
     j = max_neighbor_count(graph)
     d = max_degree(graph)
     diam = diameter(graph)

@@ -177,54 +177,97 @@ def _bfs_distances(graph: Hypergraph, sources: Iterable[int]) -> list[int]:
     return dist
 
 
+def _eccentricity_max(graph: Hypergraph, sources: Sequence[int]) -> int:
+    """The largest eccentricity among distinct ``sources``, from one
+    bit-parallel BFS for all of them (Then et al., "The More the Merrier:
+    Efficient Multi-Source Graph Traversal", PVLDB 2014).
+
+    Bit ``i`` of a vertex's seen mask means that the vertex has been
+    reached from ``sources[i]``; ``lack[v]`` holds the complement, the
+    sources that have not reached ``v`` yet.  Each round ORs the bits that
+    vertices gained in the previous round into each edge they lie in,
+    once per edge, and each member of that edge takes the bits it lacks.
+    A vertex gains a bit in round ``r`` exactly when it lies ``r`` hops
+    from that source, so the number of rounds that gain anything is the
+    answer.  Each (source, vertex) pair gains once, so a vertex's mask
+    gains at most ``len(sources)`` times, and all gains are at most
+    ``len(sources) * n``, the visits of one BFS per source.  Assumes a
+    connected graph; on another it returns the largest finite
+    eccentricity.
+    """
+    edges, incidence = graph.edges, graph._incidence
+    lack = [(1 << len(sources)) - 1] * graph.n
+    gains = {}  # vertex -> the bits it gained in the last round
+    for i, s in enumerate(sources):
+        lack[s] ^= 1 << i
+        gains[s] = 1 << i
+    rounds = 0
+    while True:
+        reach: dict[int, int] = {}  # edge -> the bits its members gained
+        for v, new in gains.items():
+            for j in incidence[v]:
+                reach[j] = reach.get(j, 0) | new
+        before: dict[int, int] = {}  # vertex -> its lack at the round's start
+        for j, bits in reach.items():
+            for u in edges[j]:
+                old = lack[u]
+                new = bits & old
+                if new:
+                    if u not in before:
+                        before[u] = old
+                    lack[u] = old ^ new
+        if not before:
+            return rounds
+        gains = {u: old ^ lack[u] for u, old in before.items()}
+        rounds += 1
+
+
 def diameter(graph: Hypergraph) -> float:
     """Maximum pairwise hop distance; ``math.inf`` when disconnected.
 
     Integer valued whenever finite.  Requires at least two vertices.
 
-    Exact, by iFUB (Crescenzi, Grossi, Habib, Lanzi, Marino, "On computing
-    the diameter of real-world undirected graphs", TCS 2013).  One BFS
-    from vertex 0 settles connectivity.  A double sweep (a vertex ``a``
-    farthest from 0, then ``b`` farthest from ``a``) gives the lower bound
-    ``ecc(b)`` and the root: the smallest-index midpoint of a shortest
-    ``a``-``b`` path.  The root's BFS levels are then scanned from the
-    deepest up, raising the lower bound ``lb`` with each vertex's
-    eccentricity.  Before each vertex of level ``i`` every deeper vertex
-    is scanned, so a pair of unscanned vertices lies within ``2 i`` hops
-    through the root and any other pair within ``lb``: the scan stops as
-    soon as ``lb >= 2 i``.  Only the four sweeps can repeat a source, so
-    the worst case is ``n + 2`` BFS against the ``n`` of an all-pairs
-    loop.  A cycle, where every vertex has the same eccentricity, needs
-    about ``n / 2 + 4``; a path needs 4.
+    Exact, by a deep-vertex rule after the sweeps of iFUB (Crescenzi,
+    Grossi, Habib, Lanzi, Marino, "On computing the diameter of
+    real-world undirected graphs", TCS 2013).  One BFS from vertex 0
+    settles connectivity.  A double sweep (a vertex ``a`` farthest from
+    0, then ``b`` farthest from ``a``) finds the root: the smallest-index
+    midpoint of a shortest ``a``-``b`` path, whose BFS gives each vertex
+    its ``depth``.  Let ``lb`` be the largest eccentricity of the four
+    swept vertices.  The diameter is the larger of ``lb`` and the largest
+    eccentricity among the unswept vertices ``v`` with ``2 depth(v) >
+    lb``.  Proof: a pair ``u``, ``v`` at distance ``D > lb`` has ``D <=
+    depth(u) + depth(v)`` through the root, so one of them, say ``v``, is
+    deeper than ``lb / 2``; ``v`` is unswept, since a swept vertex's
+    eccentricity is at most ``lb``, and ``ecc(v) >= D``.  Conversely every
+    eccentricity is at most the diameter.
+
+    :func:`_eccentricity_max` takes that maximum in one bit-parallel BFS
+    from all the deep vertices at once, whose mask gains are at most
+    those of one BFS per deep vertex.  A path has no unswept deep vertex
+    and costs 4 BFS; a cycle, where every eccentricity is the same, hands
+    about ``n / 2`` sources to the batch.
     """
     if graph.n < 2:
         raise ValueError("diameter needs at least two vertices")
-    ecc: dict[int, int] = {}
-
-    def sweep(v: int) -> list[int]:
-        dist = _bfs_distances(graph, (v,))
-        ecc[v] = max(dist)
-        return dist
-
-    dist = sweep(0)
+    dist = _bfs_distances(graph, (0,))
     if min(dist) < 0:
         return math.inf
-    a = dist.index(ecc[0])
-    dist_a = sweep(a)
-    b = dist_a.index(ecc[a])
-    dist_b = sweep(b)
-    half = ecc[a] // 2
+    a = dist.index(max(dist))
+    dist_a = _bfs_distances(graph, (a,))
+    ecc_a = max(dist_a)
+    b = dist_a.index(ecc_a)
+    dist_b = _bfs_distances(graph, (b,))
+    half = ecc_a // 2
     root = next(
-        v for v in range(graph.n) if dist_a[v] == half and dist_b[v] == ecc[a] - half
+        v for v in range(graph.n) if dist_a[v] == half and dist_b[v] == ecc_a - half
     )
-    depth = sweep(root)
-    lb = max(ecc.values())
-    # Deepest level first, by index inside a level; the root (depth 0) always stops it.
-    for v in sorted(range(graph.n), key=depth.__getitem__, reverse=True):
-        if lb >= 2 * depth[v]:
-            break
-        lb = max(lb, ecc[v] if v in ecc else max(sweep(v)))
-    return lb
+    depth = _bfs_distances(graph, (root,))
+    swept = {0, a, b, root}
+    lb = max(max(dist), ecc_a, max(dist_b), max(depth))
+    cut = lb // 2  # depth > cut iff 2 * depth > lb
+    deep = [v for v, d in enumerate(depth) if d > cut and v not in swept]
+    return max(lb, _eccentricity_max(graph, deep)) if deep else lb
 
 
 def generate_random(

@@ -111,3 +111,13 @@ def test_bound_report_computes_diameter_once(monkeypatch, path):
     disconnected = bound_report(Hypergraph(4, [(0, 1), (2, 3)]), 1)
     assert len(calls) == 3
     assert math.isinf(disconnected.diameter_bound)
+
+
+def test_bad_core_size_is_refused_before_the_diameter(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bounds, "diameter", lambda graph: calls.append(graph) or 0)
+    cycle = Hypergraph(3000, [(i, (i + 1) % 3000) for i in range(3000)])
+    for check in (bound_report, diameter_radius_bound):
+        with pytest.raises(ValueError, match="^core size must be at least 1$"):
+            check(cycle, 0)
+    assert calls == []

@@ -186,6 +186,18 @@ def _diameter_cases():
     yield Hypergraph(2, [(0,), (1,)])
     for n, seed in ((150, 0), (151, 1), (220, 2), (300, 3)):
         yield _peelable_instance(n, seed)  # the banded shape of the bounds bench
+    # Wide levels: many deep vertices at once, so the batch holds many sources.
+    for arms, length in ((3, 1), (5, 4), (40, 3), (70, 2)):
+        # A star of paths, one arm a hop longer: the root sits on that arm
+        # and every other arm's end is deep.
+        edges, n = [], 1
+        for a in range(arms):
+            size = length + (a == 0)
+            edges += [(0 if v == n else v - 1, v) for v in range(n, n + size)]
+            n += size
+        yield Hypergraph(n, edges)
+    for p, q in ((1, 1), (2, 3), (5, 70), (64, 65)):
+        yield Hypergraph(p + q, [(u, p + v) for u in range(p) for v in range(q)])
 
 
 def test_diameter_matches_all_pairs():
@@ -193,32 +205,81 @@ def test_diameter_matches_all_pairs():
         assert diameter(g) == _diameter_all_pairs(g), g
 
 
+class _Calls(list):
+    """One entry per ``_bfs_distances`` call, and one per source handed to
+    ``_eccentricity_max``; ``batches`` holds each batch's source count."""
+
+
 @pytest.fixture
 def bfs_calls(monkeypatch):
-    calls = []
-    real = hypergraph._bfs_distances
+    calls, batches = _Calls(), []
+    bfs, batch = hypergraph._bfs_distances, hypergraph._eccentricity_max
+
+    def counted_batch(graph, sources):
+        batches.append(len(sources))
+        calls.extend(sources)
+        return batch(graph, sources)
+
     monkeypatch.setattr(
         hypergraph,
         "_bfs_distances",
-        lambda graph, sources: calls.append(1) or real(graph, sources),
+        lambda graph, sources: calls.append(1) or bfs(graph, sources),
     )
+    monkeypatch.setattr(hypergraph, "_eccentricity_max", counted_batch)
+    calls.batches = batches
     return calls
 
 
 def test_diameter_disconnected_costs_one_bfs(bfs_calls):
     g = Hypergraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     assert math.isinf(diameter(g))
-    assert len(bfs_calls) == 1
+    assert len(bfs_calls) == 1 and bfs_calls.batches == []
 
 
 def test_diameter_long_path_costs_few_bfs(bfs_calls):
     assert diameter(_path(4000)) == 3999
-    assert len(bfs_calls) <= 8
+    assert len(bfs_calls) <= 8 and bfs_calls.batches == []
 
 
 def test_diameter_cycle_costs_half_the_vertices(bfs_calls):
     assert diameter(_cycle(1001)) == 500  # every eccentricity is 500
     assert len(bfs_calls) <= 1001 // 2 + 4
+    assert len(bfs_calls.batches) == 1
+
+
+class _CountedIncidence(tuple):
+    """An incidence tuple that counts its lookups: ``_eccentricity_max``
+    reads ``incidence[v]`` once per round in which ``v``'s mask gained."""
+
+    lookups = 0
+
+    def __getitem__(self, v):
+        self.lookups += 1
+        return tuple.__getitem__(self, v)
+
+
+def _connected_random(rng, n):
+    """A random tree plus chords, with size-1 and duplicate edges."""
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), rng.randint(1, min(n, 4)))) for _ in range(n // 10)]
+    edges += [(rng.randrange(n),) for _ in range(3)]
+    edges += rng.sample(edges, min(len(edges), 5))
+    return Hypergraph(n, edges)
+
+
+def test_eccentricity_max_matches_per_source_bfs():
+    rng = random.Random(29)
+    for n in (2, 3, 17, 64, 65, 130, 300) * 3:
+        g = _connected_random(rng, n)
+        ecc = [max(hypergraph._bfs_distances(g, (s,))) for s in range(n)]
+        for size in sorted({1, 63, 64, 65, n}):
+            if size > n:
+                continue
+            sources = rng.sample(range(n), size)
+            g._incidence = _CountedIncidence(g._incidence)
+            assert hypergraph._eccentricity_max(g, sources) == max(ecc[s] for s in sources)
+            assert g._incidence.lookups <= len(sources) * n  # mask gains
+            g._incidence = tuple(g._incidence)
 
 
 def test_generate_random_contract():
