@@ -345,15 +345,19 @@ def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]
     Blank lines and comments (first field exactly ``c``) are skipped.  A
     line whose first field is a word is a record of that kind; any other
     line is a record of kind ``""`` (CNF clauses).  ``kinds`` lists the
-    kinds the format allows.  Values are integers, except that an ``l``
-    record carries one integer and then its free-text label.  With
-    ``header = (word, width)`` the file needs exactly one ``p <word>``
-    line of ``width`` non-negative integers before any other record; it
-    is yielded with kind ``"p"``.  Every violation raises
-    :class:`HceParseError` carrying the offending line's number.
+    kinds the format allows.  Values are integers, each an optional ``-``
+    and ASCII digits, except that an ``l`` record carries one integer and
+    then its free-text label.  With ``header = (word, width)`` the file
+    needs exactly one ``p <word>`` line of ``width`` non-negative integers
+    before any other record; it is yielded with kind ``"p"``.  Every
+    violation raises :class:`HceParseError` carrying the offending line's
+    number.
     """
     plain = frozenset(kinds) - {"", "l"}  # word kinds whose fields are all integers
     seen = header is None
+    # int() also reads "+1", "1_0" and other scripts' digits; only a text holding
+    # one of them needs the field-by-field test
+    to_int = int if text.isascii() and "_" not in text and "+" not in text else _decimal
     for line_no, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields:
@@ -361,7 +365,7 @@ def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]
         kind = fields[0]
         if seen and kind in plain:  # the common record, needing no other test
             try:
-                nums = list(map(int, fields[1:]))
+                nums = list(map(to_int, fields[1:]))
             except ValueError:
                 raise _non_integer(line_no, raw) from None
             yield line_no, kind, nums
@@ -389,7 +393,7 @@ def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]
             label = " ".join(values[1:])
             values = values[:1]
         try:
-            nums = list(map(int, values))
+            nums = list(map(to_int, values))
         except ValueError:
             raise _non_integer(line_no, raw) from None
         if kind == "p" and (len(nums) != header[1] or min(nums, default=0) < 0):
@@ -399,6 +403,14 @@ def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]
         yield line_no, kind, nums
     if not seen:
         raise HceParseError(1, "missing header")
+
+
+def _decimal(field: str) -> int:
+    """``int(field)`` for an optional ``-`` and ASCII digits; ValueError
+    for anything else."""
+    if not (field.isascii() and field.lstrip("-").isdigit()):
+        raise ValueError(field)
+    return int(field)
 
 
 def _non_integer(line_no: int, raw: str) -> HceParseError:

@@ -45,18 +45,21 @@ distinct cores on average and 15 at most, and scoring each level as one
 batch took 17.5 ms against 10.2 ms core by core (Python 3.11, one Xeon
 core).  A batch pays off only from about 10 to 14 cores.  The choices
 do not come in lexicographic order, so the least ``(radius, deleted)``
-is taken explicitly; :func:`peel_nm` confirms the winner's core.  A pool
-splits each level among its workers, which take turns at the prefixes
-the walk reaches, and the least of the parts' bests is the serial answer.
+is taken explicitly; :func:`peel_nm` confirms the winner's core.  With a
+pool, the calling process still walks each level once, and the workers
+score its class-level successes in batches of 256, at most two batches
+per worker in flight; the least of the batches' bests is the serial
+answer.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional, Sequence
+from itertools import islice, product
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .hypergraph import Hypergraph, default_thresholds
 from .propagation import _base_state, _core_radius, _cores
@@ -238,15 +241,17 @@ class _Kernel:
     the components of ``R`` on ``V(R)`` are those of ``dual``'s vertices
     joined by its edges.  ``classes`` holds the classes of lemma 9: the
     vertices of ``dual`` joined by its two-member edges, each an ascending
-    tuple, in the order of their smallest members, which represent them in
-    the walk.  ``R`` is sorted, so the lexicographic order of the subsets
-    of the representatives is their order among the subsets of ``R``.
+    tuple, in the order of their smallest members, ``reps``, which
+    represent them in the walk.  ``R`` is sorted, so the lexicographic
+    order of the subsets of ``reps`` is their order among the subsets of
+    ``R``.
     ``state`` is the peel's start state on ``graph``, built once and peeled
     in copies, first to find ``R``, and ``vertices`` its vertex set.
     """
 
     __slots__ = (
-        "graph", "residual", "dual", "base", "thresholds", "start", "classes", "state", "vertices"
+        "graph", "residual", "dual", "base", "thresholds", "start", "classes", "reps", "state",
+        "vertices",
     )
 
     def __init__(self, graph: Hypergraph):
@@ -271,47 +276,41 @@ class _Kernel:
         for i, r in enumerate(_least_members(dual.n, [e for e in dual.edges if len(e) == 2])):
             classes.setdefault(r, []).append(i)
         self.classes = [tuple(members) for members in classes.values()]
+        self.reps = [members[0] for members in classes.values()]
         self.vertices = frozenset(range(graph.n))
 
     def best(
-        self, a: int, part: int = 0, parts: int = 1
+        self, successes: Iterable[tuple[int, ...]]
     ) -> Optional[tuple[int, tuple[int, ...], frozenset[int]]]:
-        """Smallest ``(radius, deleted, core)`` over the deletions of ``a``
-        residual edges that take one member of each class of a success;
-        ``deleted`` holds the edge indices of ``graph``, ascending, and
-        ``core`` is :func:`peel_nm`'s core without them.  None when there
-        is none.
+        """Smallest ``(radius, deleted, core)`` over the deletions of
+        residual edges that take one member of each class of one of
+        ``successes``; ``deleted`` holds the edge indices of ``graph``,
+        ascending, and ``core`` is :func:`peel_nm`'s core without them.
+        None when there is none.
 
-        The successes are the ``a``-subsets of ``range(len(classes))``
-        whose representatives are a core of ``dual`` (lemma 8 of
+        Each success is a subset of ``range(len(classes))``, ascending,
+        whose ``reps`` are a core of ``dual`` (lemma 8 of
         :func:`mincore_fpt`), so that deleting them strips ``R`` to
-        nothing, among those under the prefixes whose turn falls to part
-        ``part`` of ``parts``.  ``propagation._cores`` decides them from
-        ``base``, passing over each subset that extends a prefix by a
-        representative its closure already holds: such a subset cannot
-        succeed unless a deletion of ``a - 1`` edges does.  It also
-        passes over the representatives in the closure of an earlier
-        sibling prefix under which no subset succeeds.
-
-        Every member choice of a success succeeds, since the members of a
-        class lie in the same closures, and when level ``a - 1`` has no
-        success these choices are all the successes of level ``a`` (lemma
-        9).  Each is peeled from a copy of ``state``, and its core,
-        ``vertices`` less the credited vertices, is scored by propagating
-        it over all of ``graph``, once per call for each distinct core.
-        The member choices do not come in lexicographic order, so the least
-        ``(radius, deleted)`` is taken explicitly.
+        nothing: ``propagation._cores`` yields them, on ``dual`` from
+        ``base``, a level at a time.  Every member choice of a success
+        succeeds, since the members of a class lie in the same closures,
+        and when the level below has no success these choices are all the
+        successes of the level (lemma 9).  Each is peeled from a copy of
+        ``state``, and its core, ``vertices`` less the credited vertices,
+        is scored by propagating it over all of ``graph``, once per call
+        for each distinct core.  The member choices do not come in
+        lexicographic order, so the least ``(radius, deleted)`` is taken
+        explicitly.
         """
         graph, residual, classes, t = self.graph, self.residual, self.classes, self.thresholds
-        (deg, sums, frontier), kept = self.state, graph.m - a
+        deg, sums, frontier = self.state
         radii: dict[frozenset[int], int] = {}
         best = None
-        reps = [members[0] for members in classes]
-        for combo in _cores(self.dual, self.base, reps, a, True, part, parts):
+        for combo in successes:
             for choice in product(*[classes[c] for c in combo]):
                 deleted = tuple(sorted([residual[i] for i in choice]))
                 victims = _peel(graph.edges, deg[:], sums[:], frontier, deleted)
-                if len(victims) != kept:
+                if len(victims) != graph.m - len(deleted):
                     raise RuntimeError("a deletion that strips the kernel must peel the instance")
                 core = self.vertices.difference(victims)
                 radius = radii.get(core)
@@ -333,10 +332,26 @@ def _pool_init(kernel: _Kernel) -> None:
     _POOL_KERNEL = kernel
 
 
-def _pool_run(task: tuple[int, int, int]):
+def _pool_run(batch: list[tuple[int, ...]]):
     if _POOL_KERNEL is None:
         raise RuntimeError("pool worker ran before _pool_init")
-    return _POOL_KERNEL.best(*task)
+    return _POOL_KERNEL.best(batch)
+
+
+_BATCH = 256  # class-level successes per pool task
+
+
+def _pool_bests(pool, successes: Iterator[tuple[int, ...]], limit: int):
+    """Yield the best of each batch of ``_BATCH`` consecutive ``successes``,
+    scored in ``pool``, in order, with at most ``limit`` batches in flight,
+    so memory stays flat however many successes a level holds (K10 at
+    ``a = 36`` has 10^8)."""
+    pending = deque()
+    for batch in iter(lambda: list(islice(successes, _BATCH)), []):
+        if len(pending) == limit:
+            yield pending.popleft().result()
+        pending.append(pool.submit(_pool_run, batch))
+    yield from (future.result() for future in pending)
 
 
 def _cpu_count() -> int:
@@ -362,9 +377,9 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     workers run the deletions, in a process pool when there are two or
     more, and ``jobs < 1`` raises ``ValueError``.  A pool pays off only on
     long searches.  On 2 cores, 20 searches of ``generate_random(24, 22,
-    2, 3, s)`` at ``a_max = 3`` took 0.01 s serially and 0.16-0.18 s with
-    ``jobs=2``, and five of ``generate_random(40, 44, 2, 3, s)`` at
-    ``a_max = 12`` took 40-48 s and 21-26 s.
+    2, 3, s)`` at ``a_max = 3`` took 0.01 s serially and 0.11-0.13 s with
+    ``jobs=2``, and ``generate_random(40, 44, 2, 3, 1)`` at ``a_max = 12``
+    took 25 s and 13-17 s.
 
     Only deletions inside the residual ``R`` (:func:`_residual`) are tried,
     starting at ``a = max(0, |R| - |V(R)| + c2(R))``, where ``V(R)`` is the
@@ -491,7 +506,7 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     itself peels only the winner, to confirm it), re-insert, propagate on
     ``G``.  The radius is a function of ``G``, the core and the
     thresholds, so a core that several deletions peel to is propagated
-    once per level, or once per part of a level with a pool.  The
+    once per level, or once per batch of a level with a pool.  The
     expansion does not come in the lexicographic order of the deleted
     tuples, so the search takes the least ``(radius, deleted)``
     explicitly: the pair that a scan of all deletions in lexicographic
@@ -517,13 +532,16 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
     and 3 on ``R*``, nor the classes leave out a success at any level the
     search runs.
 
-    With ``w`` workers, each walks the level from the closure of the empty
-    set, and they take turns at prefixes as ``propagation._cores`` says,
-    so the parts partition the level's subsets of classes.  Each worker
-    expands its own successes and keeps its own radii, so ``jobs`` cannot
-    change a verdict.  Each deletion expands from one subset of classes
-    alone, so no two deletions share a ``deleted`` tuple, and the least
-    ``(radius, deleted)`` over the parts is the serial answer.
+    With ``w`` workers, the calling process walks each level as the
+    serial search does, and the workers score its class-level successes
+    in batches of consecutive ones, at most ``2 w`` batches in flight, so
+    a level's successes are never all held at once.  The batches partition
+    the successes, and the walk is the serial one, so ``jobs`` cannot
+    change a verdict or a walk.  Each worker expands the successes of its
+    batch and keeps the radii of that batch.  Each deletion expands from
+    one subset of classes alone, so no two deletions share a ``deleted``
+    tuple, and the least ``(radius, deleted)`` over the batches is the
+    serial answer.
     """
     if a_max < 0:
         raise ValueError("a_max must be non-negative")
@@ -531,26 +549,21 @@ def mincore_fpt(graph: Hypergraph, a_max: int, jobs: int = 1) -> MinCoreResult:
         raise ValueError("jobs must be at least 1")
     kernel = _Kernel(graph)
     workers = min(jobs, _cpu_count())
+    pool = nullcontext()
     if workers > 1:  # imported only here: a run with no pool never loads it
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(kernel,)
-        )
-    else:
-        pool = nullcontext()
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(kernel,))
     with pool:
         for a in range(kernel.start, a_max + 1):
+            successes = _cores(kernel.dual, kernel.base, kernel.reps, a, True)
             if workers == 1:
-                best = kernel.best(a)
+                best = kernel.best(successes)
             else:
-                hits = pool.map(_pool_run, [(a, w, workers) for w in range(workers)])
-                best = min((hit for hit in hits if hit is not None), default=None)
+                best = min(filter(None, _pool_bests(pool, successes, 2 * workers)), default=None)
             if best is not None:
                 radius, deleted, core = best
                 if peel_nm(graph, deleted).core != core:
                     raise RuntimeError("the kernel's core must be the one peel_nm finds")
-                return MinCoreResult(
-                    core=core, radius=radius, deleted_edges=deleted, parameter_a=a
-                )
+                return MinCoreResult(core=core, radius=radius, deleted_edges=deleted, parameter_a=a)
     raise NotFoundWithin(a_max)

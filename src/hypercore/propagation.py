@@ -200,8 +200,6 @@ def _cores(
     items: Sequence[int],
     k: int,
     minimal: bool = False,
-    part: int = 0,
-    parts: int = 1,
 ):
     """Yield, in lexicographic order, the ``k``-combinations of
     ``range(len(items))`` whose closure from ``base``, extended by the
@@ -229,30 +227,17 @@ def _cores(
     ``minimal``, an item passed over below the last depth may hide a core,
     and one at the last depth does when its prefix's closure is
     everything.  A subtree that could hold a core adds no shadow, so the
-    walk yields the same with or without shadows.
-
-    Parts take turns at the prefixes of ``max(k - 3, 0) + 1`` items that
-    the walk reaches: the ``i``-th, counting from 0, falls to part ``i``
-    mod ``parts``, which extends it and decides every leaf under it.  A
-    prefix takes its number before its item is tested, and all parts
-    extend the same shorter prefixes and pass over the same subtrees, so
-    they number the prefixes alike and each leaf belongs to one part.  A
-    part walks whole only the subtrees of prefixes that long or longer, so
-    only those add to a shadow: the shorter prefixes see none, and every
-    part still walks them alike.  The loop is iterative, so ``k`` is not
-    bounded by the recursion limit.
+    walk yields the same with or without shadows.  The loop is iterative,
+    so ``k`` is not bounded by the recursion limit.
     """
     n = len(items)
     if not 0 <= k <= n:
         return
     if not k:
-        if not part and not base[2]:
+        if not base[2]:
             yield ()
         return
     last = k - 1
-    turns = max(k - 3, 0) if parts > 1 else k  # the depth where parts take turns, k for none
-    low = turns if parts > 1 else 0  # the least depth whose subtrees a part walks whole
-    turn = -1  # the number of the last prefix of that depth reached
     combo = [0] * k
     states = [base] * k
     shadows = [0] * k  # per depth, byte v is 1 when vertex v lies in the shadow
@@ -266,14 +251,9 @@ def _cores(
             x = combo[d] + 1
             if not clean[d + 1]:
                 clean[d] = False
-            elif d >= low and x <= n - k + d:  # only later items read the shadow
+            elif x <= n - k + d:  # only later items read the shadow
                 shadows[d] |= int.from_bytes(states[d + 1][0], "little")
             continue
-        if d == turns:
-            turn += 1
-            if turn % parts != part:
-                x += 1
-                continue
         v = items[x]
         if shadows[d] >> 8 * v & 1:
             x += 1

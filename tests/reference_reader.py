@@ -1,13 +1,16 @@
 """The instance reader as it was before records were checked once.
 
-``_records``, ``_counted`` and ``read_instance`` below are kept verbatim:
-the tokeniser checked every record through one general path, ``_counted``
+``_records``, ``_counted`` and ``read_instance`` below are kept verbatim,
+but for the rule that an integer field is an optional ``-`` and ASCII
+digits, which ``_records`` took on with the package's tokeniser: the
+tokeniser checked every record through one general path, ``_counted``
 returned an unsorted list, and ``read_instance`` built the graph through
 the public ``Hypergraph`` constructor, which sorted and checked each edge
 again.  ``test_reader_reference.py`` compares the package's readers with
 these.
 """
 
+import re
 from typing import Optional
 
 from hypercore.hypergraph import HceParseError, Hypergraph, default_thresholds
@@ -19,7 +22,8 @@ def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]
     Blank lines and comments (first field exactly ``c``) are skipped.  A
     line whose first field is a word is a record of that kind; any other
     line is a record of kind ``""`` (CNF clauses).  ``kinds`` lists the
-    kinds the format allows.  Values are integers, except that an ``l``
+    kinds the format allows.  Values are integers, each an optional ``-``
+    and ASCII digits, except that an ``l``
     record carries one integer and then its free-text label.  With
     ``header = (word, width)`` the file needs exactly one ``p <word>``
     line of ``width`` non-negative integers before any other record; it
@@ -51,6 +55,8 @@ def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]
             label = " ".join(values[1:])
             values = values[:1]
         try:
+            if not all(re.fullmatch("-?[0-9]+", v) for v in values):
+                raise ValueError(values)
             nums = list(map(int, values))
         except ValueError:
             raise HceParseError(line_no, f"non-integer field in {raw.strip()[:40]!r}") from None

@@ -13,15 +13,11 @@ combination that could be a core.  An item whose vertex lies in the
 shadow is not reached.  A subtree could hold a core when it yields, or
 when, with ``minimal``, it passes over an item already in its prefix's
 closure below the last depth, or at the last depth under a prefix whose
-closure is everything.  With parts, only the subtrees of prefixes at least
-as long as the turn depth are walked whole by one part, so only they add
-to a shadow.
+closure is everything.
 """
 
-import itertools
 
-
-def walk(size, k, vertex, closure, whole, extended, minimal=False, part=0, parts=1, shadows=True):
+def walk(size, k, vertex, closure, whole, extended, minimal=False, shadows=True):
     """Yield what ``_cores`` yields over ``size`` items for ``k``, and
     append to ``extended`` the vertex each prefix is extended by, as the
     walk extends it.
@@ -29,14 +25,9 @@ def walk(size, k, vertex, closure, whole, extended, minimal=False, part=0, parts
     ``vertex(i)`` is item ``i``'s vertex and ``closure(prefix)`` the set of
     vertices active from the base extended by the vertices of the items in
     ``prefix``, a tuple of item indices; a closure of ``whole`` vertices is
-    everything.  Parts take turns at the prefixes of ``max(k - 3, 0) + 1``
-    items the walk reaches, each numbered when first met, before its
-    shadow is tested.  With ``shadows`` false no shadow is kept: the walk
-    the shadows prune.
+    everything.  With ``shadows`` false no shadow is kept: the walk the
+    shadows prune.
     """
-    s = max(k - 3, 0)
-    low = s if parts > 1 else 0
-    turns = itertools.count()
 
     def below(prefix, shadow):
         """Walk the combinations under ``prefix``; return True when none
@@ -45,8 +36,6 @@ def walk(size, k, vertex, closure, whole, extended, minimal=False, part=0, parts
         shadow = set(shadow)
         free = True
         for x in range(prefix[-1] + 1 if prefix else 0, size - k + d + 1):
-            if d == s and next(turns) % parts != part:
-                continue
             v = vertex(x)
             if v in shadow:
                 continue
@@ -62,8 +51,6 @@ def walk(size, k, vertex, closure, whole, extended, minimal=False, part=0, parts
                 if not (yield from below(child, shadow)):
                     free = False
                     continue
-                if d < low:
-                    continue
             elif len(closure(child)) == whole:
                 free = False
                 yield child
@@ -73,7 +60,7 @@ def walk(size, k, vertex, closure, whole, extended, minimal=False, part=0, parts
         return free
 
     if not k:
-        if not part and len(closure(())) == whole:
+        if len(closure(())) == whole:
             yield ()
     elif k > 0:
         yield from below((), set())

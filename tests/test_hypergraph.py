@@ -435,6 +435,15 @@ MALFORMED = [
     pytest.param(read_filtration, "f 1 0\n", 1, id="filtration-vertex-zero"),
     pytest.param(read_filtration, "f 0\no 0\n", 2, id="filtration-edge-zero"),
     pytest.param(read_instance, "c x\np hce 2 2\ne 2 1 2\n", 2, id="hce-count-at-header-line"),
+    # int() reads these, but a field is an optional '-' and ASCII digits
+    pytest.param(read_instance, "p hce 1_0 1\ne 2 1_0 +2\n", 1, id="hce-underscore-header"),
+    pytest.param(read_instance, "p hce 3 1\ne 2 1 +3\n", 2, id="hce-plus-edge"),
+    pytest.param(read_instance, "p hce 3 1\ne 2 1 3\nl +1 a\n", 3, id="hce-plus-label-vertex"),
+    pytest.param(read_vertex_set, "s 1 +1\n", 1, id="set-plus"),
+    pytest.param(read_filtration, "f 0\no 1_0\n", 2, id="filtration-underscore"),
+    pytest.param(read_setcover, "p sc 2 1\ns 1 +1\n", 2, id="sc-plus"),
+    pytest.param(read_minrep, "p minrep 1 1 1 1\ne 1 0_1\n", 2, id="minrep-underscore"),
+    pytest.param(read_cnf, "p cnf 3 1\n1 -2 +3 0\n", 2, id="cnf-plus"),
 ]
 
 
@@ -444,6 +453,29 @@ def test_malformed_records_raise_with_line(reader, text, line):
         reader(text)
     assert err.value.line == line
     assert str(err.value).startswith(f"line {line}: ")
+
+
+def test_integer_fields_are_ascii_decimal():
+    """A field that ``int()`` reads but that is not an optional ``-`` and
+    ASCII digits raises the "non-integer field" error on its line, in
+    every format; labels and comments stay free text."""
+    for reader, text, line in [
+        (read_instance, "p hce ３ 1\ne 2 １ ３\n", 1),
+        (read_instance, "p hce 3 1\ne 2 1 ３\n", 2),
+        (read_instance, "p hce 3 1\nt 1 ０\ne 2 1 3\n", 2),
+        (read_vertex_set, "s 1 ２\n", 1),
+        (read_filtration, "f 1 ١\n", 1),
+        (read_setcover, "p sc ２ 1\ns 1 1\n", 1),
+        (read_minrep, "p minrep 1 1 1 1\ne 1 ۱\n", 2),
+        (read_cnf, "p cnf 3 1\n1 -2 ३ 0\n", 2),
+        (read_cnf, "p cnf 3 1\n1 -2 3_0 0\n", 2),
+    ]:
+        with pytest.raises(HceParseError, match="non-integer field") as err:
+            reader(text)
+        assert err.value.line == line, text
+    g, _ = read_instance("c +1 1_0 ３\np hce 3 1\ne 2 1 3\nl 2 +a_b ３\nl 1 -007\n")
+    assert g == Hypergraph(3, [(0, 2)], {1: "+a_b ３", 0: "-007"})
+    assert read_vertex_set("s 2 01 003\n") == {0, 2}
 
 
 def test_comment_is_first_field_c_only():

@@ -236,9 +236,6 @@ def test_fpt_radius_can_be_one_round_above_the_best():
 
 
 def test_fpt_deterministic_and_parallel_identical():
-    # The last instance's 20 subsets of classes at a = 3 split into two
-    # parts whose bests tie at radius 3; part 0's (1, 3, 9) is the smaller
-    # tuple.
     for g in [*seeded_family(6, seed=35, n_hi=7), generate_random(14, 14, 2, 3, 59)]:
         a = mincore_fpt(g, g.n)
         b = mincore_fpt(g, g.n)
@@ -250,13 +247,23 @@ def test_fpt_deterministic_and_parallel_identical():
 def pools(monkeypatch):
     """Replace the process pool by one that runs every task in this process,
     so no worker process is ever started.  Each pool records
-    ``(max_workers, tasks)``, with one task list per ``map`` call."""
+    ``(max_workers, batches, flight)``: the batch of each ``submit`` call,
+    in order, and in ``flight[1]`` the most tasks submitted at once whose
+    result was not yet taken."""
     recorded = []
+
+    class Done:
+        def __init__(self, flight, value):
+            self.flight, self.value = flight, value
+
+        def result(self):
+            self.flight[0] -= 1
+            return self.value
 
     class RecordingPool:
         def __init__(self, max_workers, initializer, initargs):
-            self.tasks = []
-            recorded.append((max_workers, self.tasks))
+            self.batches, self.flight = [], [0, 0]
+            recorded.append((max_workers, self.batches, self.flight))
             initializer(*initargs)
 
         def __enter__(self):
@@ -265,34 +272,48 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            items = list(items)
-            self.tasks.append(items)
-            return map(fn, items)
+        def submit(self, fn, batch):
+            self.batches.append(batch)
+            self.flight[0] += 1
+            self.flight[1] = max(self.flight)
+            return Done(self.flight, fn(batch))
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(mincore, "_POOL_KERNEL", None)
     return recorded
 
 
-def _assert_one_task_per_worker(pools, levels):
-    """Pool ``i`` maps exactly the levels ``levels[i]``, one ``map`` call
-    each, in order, and each call holds one task ``(a, part, workers)``
-    per part."""
-    assert len(pools) == len(levels)
-    for (workers, maps), run in zip(pools, levels):
-        assert maps == [[(a, w, workers) for w in range(workers)] for a in run]
+def _assert_batches(pools, searches):
+    """Pool ``i`` ran the search ``searches[i]``, a graph and the levels it
+    walked: its batches are the walk's class-level successes, level by
+    level in walk order, cut into runs of ``_BATCH``, and it held at most
+    two batches per worker in flight.  Returns the number of pools that
+    held that many."""
+    assert len(pools) == len(searches)
+    full = 0
+    for (workers, batches, flight), (g, levels) in zip(pools, searches):
+        kernel, size = mincore._Kernel(g), mincore._BATCH
+        expected = []
+        for a in levels:
+            walk = list(_successes(kernel, a))
+            expected += [walk[i : i + size] for i in range(0, len(walk), size)]
+        assert batches == expected
+        assert flight[0] == 0 and flight[1] <= 2 * workers
+        full += flight[1] == 2 * workers
+    return full
 
 
-def test_fpt_pool_parts_take_turns_at_prefixes(pools, monkeypatch):
-    """The parts take turns at prefixes of class-level subsets, and each
-    part strips from the kernel's base state and decides every deletion
-    under the prefixes it owns, so the pool returns what the serial search
-    does.  A search maps the levels from the start of lemma 6' to the
-    first success, none when the start lies above ``a_max``."""
+def test_fpt_pool_batches_partition_each_level(pools, monkeypatch):
+    """The search walks each level once in this process and submits its
+    class-level successes, in walk order, in batches that the workers
+    score; with at most two batches per worker in flight, the pool
+    returns what the serial search does.  A search walks the levels from
+    the start of lemma 6' to the first success, and submits nothing when
+    the start lies above ``a_max``.  Batches of 2 make several per level."""
     monkeypatch.setattr(mincore, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(mincore, "_BATCH", 2)
     checked = unmapped = 0
-    levels = []
+    searches = []
     for s in range(400):
         g = generate_random(24, 22, 2, 3, s)
         residual = _residual(g)
@@ -304,7 +325,7 @@ def test_fpt_pool_parts_take_turns_at_prefixes(pools, monkeypatch):
             continue
         assert _outcome(mincore_fpt, g, 3, jobs=2) == serial
         assert _outcome(mincore_fpt, g, 3, jobs=3) == serial
-        levels += [range(start, top + 1)] * 2
+        searches += [(g, range(start, top + 1))] * 2
         if start > top:
             unmapped += 1
             continue
@@ -312,64 +333,61 @@ def test_fpt_pool_parts_take_turns_at_prefixes(pools, monkeypatch):
         if checked == 30:
             break
     assert checked == 30 and unmapped >= 1
-    assert [workers for workers, _ in pools] == [2, 3] * (checked + unmapped)
-    _assert_one_task_per_worker(pools, levels)
+    assert [workers for workers, _, _ in pools] == [2, 3] * (checked + unmapped)
+    assert _assert_batches(pools, searches) >= 10
+
+
+def test_fpt_pool_walk_is_the_serial_walk(pools, monkeypatch):
+    """With a pool the search extends the same prefixes, in the same
+    order, as the serial search: the workers only score, so the walk's
+    ``_absorb`` calls do not depend on ``jobs``.  The instances reach
+    levels of 4 and more, where the walk has shadows below its first
+    depth."""
+    monkeypatch.setattr(mincore, "_cpu_count", lambda: 2)
+    absorbed = []
+
+    def recording_absorb(graph, active, need, left, seeds):
+        absorbed.append(tuple(seeds))
+        return absorb(graph, active, need, left, seeds)
+
+    absorb = propagation._absorb
+    monkeypatch.setattr(propagation, "_absorb", recording_absorb)
+    deep = 0
+    for g in [generate_random(24, 22, 2, 3, s) for s in range(20)] + [
+        generate_random(30, 34, 2, 2, 0)
+    ]:
+        walks = []
+        for jobs in (1, 2):
+            absorbed.clear()
+            walks.append((_outcome(mincore_fpt, g, 10, jobs=jobs), list(absorbed)))
+        assert walks[0] == walks[1]
+        deep += isinstance(walks[0][0], MinCoreResult) and walks[0][0].parameter_a >= 4
+    assert deep >= 2
+    assert len(pools) == 21
 
 
 def test_fpt_real_pool_matches_serial(monkeypatch):
-    """Two worker processes, whatever the host's CPU count.  In the first
-    instance part 1's best has the smaller radius; in the second the parts
-    tie on radius and part 0 holds the smaller deleted tuple."""
+    """Two worker processes, whatever the host's CPU count, each batch one
+    class-level success.  In the first instance the second batch's best
+    has the smaller radius; in the second the batches tie on radius and
+    the first holds the smaller deleted tuple."""
     monkeypatch.setattr(mincore, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(mincore, "_BATCH", 1)
     for seed, a, relation in ((27, 1, "beats"), (0, 2, "ties")):
         g = generate_random(10, 10, 2, 3, seed)
         kernel = mincore._Kernel(g)
-        part0, part1 = kernel.best(a, 0, 2), kernel.best(a, 1, 2)
+        successes = list(_successes(kernel, a))
+        hits = [kernel.best([combo]) for combo in successes]
         if relation == "beats":
-            assert part1[0] < part0[0]
+            assert hits[1][0] < hits[0][0]
         else:
-            assert part0[0] == part1[0] and part0[1] < part1[1]
+            assert hits[0][0] == hits[1][0] and hits[0][1] < hits[1][1]
         serial = mincore_fpt(g, 4)
         assert serial.parameter_a == a
-        assert min(part0, part1) == (serial.radius, serial.deleted_edges, serial.core)
+        assert min(hits) == (serial.radius, serial.deleted_edges, serial.core)
         assert mincore_fpt(g, 4, jobs=2) == serial
         # A worker started by spawn or forkserver receives a pickled kernel.
-        assert pickle.loads(pickle.dumps(kernel)).best(a, 1, 2) == part1
-
-
-def test_pool_parts_repeat_less_of_the_serial_walk(monkeypatch):
-    """At the first level with a success of two instances, each of 2 parts
-    makes at most 0.66 of the serial walk's ``_absorb`` calls and each of
-    4 parts at most 0.47, since a part extends only the shorter prefixes
-    and the prefixes it owns, and every part expands within 5 % of an even
-    share of the deletions."""
-    calls = [0]
-
-    def counting_absorb(graph, active, need, left, seeds):
-        calls[0] += 1
-        return absorb(graph, active, need, left, seeds)
-
-    def walk(kernel, a, part=0, parts=1):
-        """``_absorb`` calls and expanded deletions of one part."""
-        calls[0] = 0
-        deletions = sum(
-            math.prod(len(kernel.classes[c]) for c in combo)
-            for combo in _successes(kernel, a, part, parts)
-        )
-        return calls[0], deletions
-
-    absorb = propagation._absorb
-    monkeypatch.setattr(propagation, "_absorb", counting_absorb)
-    for shape, level in (((30, 34, 2, 2, 0), 9), ((36, 40, 2, 2, 5), 10)):
-        kernel = mincore._Kernel(generate_random(*shape))
-        assert kernel.start == level  # lemma 6' is exact: every edge has two vertices
-        serial, total = walk(kernel, level)
-        assert total > 0
-        for parts, share in ((2, 0.66), (4, 0.47)):
-            for part in range(parts):
-                extended, deletions = walk(kernel, level, part, parts)
-                assert extended <= share * serial, (shape, parts, part)
-                assert abs(deletions * parts - total) <= 0.05 * total, (shape, parts, part)
+        assert pickle.loads(pickle.dumps(kernel)).best(successes[1:2]) == hits[1]
 
 
 def test_fpt_rejects_jobs_below_one(path):
@@ -387,8 +405,8 @@ def test_fpt_jobs_capped_at_cpu_count(pools, monkeypatch):
     monkeypatch.setattr(mincore, "_cpu_count", lambda: 3)
     assert mincore_fpt(g, g.n, jobs=10_000) == expected
     assert mincore_fpt(g, g.n, jobs=2) == expected
-    assert [workers for workers, _ in pools] == [3, 2]
-    _assert_one_task_per_worker(pools, [range(_start(g, _residual(g)), expected.parameter_a + 1)] * 2)
+    assert [workers for workers, _, _ in pools] == [3, 2]
+    _assert_batches(pools, [(g, range(_start(g, _residual(g)), expected.parameter_a + 1))] * 2)
     # On one CPU, jobs > 1 starts no pool: one worker is this process.
     monkeypatch.setattr(mincore, "_cpu_count", lambda: 1)
     assert mincore_fpt(g, g.n, jobs=2) == expected
@@ -553,12 +571,18 @@ def _expanded(kernel, combos):
     ]
 
 
-def _successes(kernel, a, part=0, parts=1):
-    """The class-level successes ``kernel.best(a, part, parts)`` expands:
-    the subsets of classes whose representatives ``_cores`` yields on the
-    kernel's dual, with the call ``best`` makes."""
-    reps = [members[0] for members in kernel.classes]
-    return propagation._cores(kernel.dual, kernel.base, reps, a, True, part, parts)
+def _successes(kernel, a):
+    """The class-level successes of level ``a`` that ``mincore_fpt`` passes
+    to ``kernel.best``: the subsets of classes whose representatives
+    ``_cores`` yields on the kernel's dual, with the call the search
+    makes."""
+    return propagation._cores(kernel.dual, kernel.base, kernel.reps, a, True)
+
+
+def _halves(items):
+    """``items`` as two consecutive batches, the first no longer than the second."""
+    items = list(items)
+    return items[: len(items) // 2], items[len(items) // 2 :]
 
 
 def test_kernel_verdicts_and_search_match_whole_instance_scan():
@@ -637,7 +661,7 @@ def test_kernel_successes_passed_over_do_not_shadow():
     under = [c for c in itertools.combinations(range(5), 4) if c[:2] == (0, 1)]
     assert all(_passed_over(strip, c) for c in under)
     assert [c for c in under if _peels(g, c)] == [(0, 1, 2, 4), (0, 1, 3, 4)]
-    assert kernel.best(4) == (1, (0, 2, 3, 4), frozenset({2, 3}))
+    assert kernel.best(_successes(kernel, 4)) == (1, (0, 2, 3, 4), frozenset({2, 3}))
 
 
 def test_dual_cores_are_the_deletions_that_strip_the_residual():
@@ -905,8 +929,9 @@ def test_no_success_below_the_start_level():
 
 def test_each_distinct_core_is_scored_once_per_call(monkeypatch):
     """``best`` propagates over the instance once for each distinct core
-    that the successes of its call peel to, part by part, and a second
-    call scores them again: the radii are kept per call."""
+    that the successes of its call peel to, for a whole level and for a
+    level cut in two batches, and a second call scores them again: the
+    radii are kept per call."""
     scored = []
 
     def counting_radius(graph, core, t):
@@ -920,22 +945,22 @@ def test_each_distinct_core_is_scored_once_per_call(monkeypatch):
         g = generate_random(24, 22, 2, 3, s)
         kernel = mincore._Kernel(g)
         residual = kernel.residual
-        for parts in (1, 2):
-            for part in range(parts):
-                for a in range(kernel.start, 4):
-                    deletions = _expanded(kernel, _successes(kernel, a, part, parts))
-                    peeled = set()
-                    for d in deletions:
-                        victims = reference_peel._peel(g, {residual[i] for i in d})[1]
-                        peeled.add(frozenset(range(g.n)).difference(victims.values()))
-                    for _ in range(2):
-                        scored.clear()
-                        kernel.best(a, part, parts)
-                        assert sorted(map(sorted, scored)) == sorted(map(sorted, peeled))
-                    successes += len(deletions)
-                    cores += len(peeled)
-                    if deletions:
-                        break
+        for a in range(kernel.start, 4):
+            level = list(_successes(kernel, a))
+            for batch in [level, *_halves(level)]:
+                deletions = _expanded(kernel, batch)
+                peeled = set()
+                for d in deletions:
+                    victims = reference_peel._peel(g, {residual[i] for i in d})[1]
+                    peeled.add(frozenset(range(g.n)).difference(victims.values()))
+                for _ in range(2):
+                    scored.clear()
+                    kernel.best(batch)
+                    assert sorted(map(sorted, scored)) == sorted(map(sorted, peeled))
+                successes += len(deletions)
+                cores += len(peeled)
+            if level:
+                break
     assert successes >= 5 * cores > 0
 
 
@@ -965,7 +990,7 @@ def test_kernel_peels_give_the_cores_of_peel_nm(monkeypatch):
             seen.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(mincore, "_peel", recording_loop)
-                kernel.best(a)
+                kernel.best(_successes(kernel, a))
             assert sorted(d for d, _ in seen) == sorted(expected)
             for d, victims in seen:
                 assert kernel.vertices.difference(victims) == peel_nm(g, d).core
@@ -975,7 +1000,7 @@ def test_kernel_peels_give_the_cores_of_peel_nm(monkeypatch):
 
 def test_best_leaves_the_held_start_state_as_it_was(pools, monkeypatch):
     """``best`` peels copies of the start state its kernel holds: after
-    serial calls, pool parts and a two-worker search (its pool run in
+    calls on whole levels and on halves of them, and a two-worker search (its pool run in
     this process, on the kernel ``mincore_fpt`` built), the state and the
     vertex set are as built, and a second call of ``best`` returns what
     the first did.  Every instance here has a class of two or more
@@ -990,9 +1015,10 @@ def test_best_leaves_the_held_start_state_as_it_was(pools, monkeypatch):
         held = mincore._start_state(g)
         assert kernel.state == held
         for a in range(kernel.start, 4):
-            first = kernel.best(a)
-            assert kernel.best(a) == first
-            hits = [kernel.best(a, w, 2) for w in range(2)]
+            level = list(_successes(kernel, a))
+            first = kernel.best(level)
+            assert kernel.best(level) == first
+            hits = [kernel.best(batch) for batch in _halves(level)]
             assert min((h for h in hits if h is not None), default=None) == first
         assert kernel.state == held and kernel.vertices == frozenset(range(g.n))
         serial = _outcome(mincore_fpt, g, 3)
@@ -1005,8 +1031,8 @@ def test_best_leaves_the_held_start_state_as_it_was(pools, monkeypatch):
 
 def test_fpt_pool_parts_expand_classes(pools, monkeypatch):
     """Where a class-level success stands for two or more deletions, each
-    part expands the successes it decides, and the least over the parts is
-    the serial answer: two workers return what one does."""
+    batch expands its successes, and the least over the batches is the
+    serial answer: two workers return what one does."""
     monkeypatch.setattr(mincore, "_cpu_count", lambda: 2)
     checked = 0
     for s in range(200):
@@ -1020,7 +1046,7 @@ def test_fpt_pool_parts_expand_classes(pools, monkeypatch):
         if len(_expanded(kernel, combos)) == len(combos):
             continue
         assert _outcome(mincore_fpt, g, 3, jobs=2) == serial
-        hits = [kernel.best(a, w, 2) for w in range(2)]
+        hits = [kernel.best(batch) for batch in _halves(combos)]
         assert min(h for h in hits if h is not None) == (
             serial.radius,
             serial.deleted_edges,
@@ -1028,7 +1054,7 @@ def test_fpt_pool_parts_expand_classes(pools, monkeypatch):
         )
         checked += 1
     assert checked >= 30
-    assert [workers for workers, _ in pools] == [2] * checked
+    assert [workers for workers, _, _ in pools] == [2] * checked
 
 
 def test_fpt_real_pool_expands_classes(monkeypatch):
@@ -1062,7 +1088,7 @@ def test_internal_invariants_raise_runtime_error(monkeypatch, path):
         with pytest.raises(RuntimeError, match="no degree-one vertex"):
             mincore_fpt(path, 0)
     with pytest.raises(RuntimeError, match="_pool_init"):
-        mincore._pool_run((0, 0, 1))
+        mincore._pool_run([])
     # A kernel peel that credits the wrong vertices scores a core of the
     # path, {2}, that peel_nm's confirmation does not find.  The first
     # peel finds R and peel_nm's peel records its rounds: both are kept.

@@ -468,7 +468,7 @@ def _cores_case(rng):
     return g, resolve_thresholds(g, thresholds), seeds, items
 
 
-def _cores_reference(g, t, seeds, items, k, minimal, part, parts, shadows=True):
+def _cores_reference(g, t, seeds, items, k, minimal, shadows=True):
     """What ``_cores`` yields and the vertices it absorbs, in order, from
     the recursive walk of ``reference_walk`` with closures by the round
     loop: the closure of a prefix is the one ``assimilated_closure`` finds
@@ -483,24 +483,21 @@ def _cores_reference(g, t, seeds, items, k, minimal, part, parts, shadows=True):
     extended = []
     yielded = list(
         reference_walk.walk(
-            len(items), k, items.__getitem__, closure, g.n, extended, minimal, part, parts, shadows
+            len(items), k, items.__getitem__, closure, g.n, extended, minimal, shadows
         )
     )
     return yielded, extended
 
 
-def test_cores_match_turns_at_prefixes(monkeypatch):
+def test_cores_match_the_reference_walk(monkeypatch):
     """On random instances with size-1 edges, zero thresholds, vertices in
-    no edge and non-empty seeds, for every ``k`` up to ``len(items) + 2``
-    and 1-4 parts: ``_cores`` yields the combinations whose vertices, with
-    the seeds, ``is_core`` accepts, less, with ``minimal``, those holding
-    an item already in its prefix's closure.  The parts' yields are
-    disjoint and their union is the serial yield.  Without ``minimal``,
-    part ``p`` yields the serial leaves under the completable prefixes of
-    ``max(k - 3, 0) + 1`` items whose lexicographic number is ``p`` mod
-    the parts.  ``_absorb`` runs once for each prefix extended by an
-    inactive vertex, except under a shadow, and the base state is left as
-    it was.  The shadows prune extensions without changing a yield."""
+    no edge and non-empty seeds, for every ``k`` up to ``len(items) + 2``:
+    ``_cores`` yields the combinations whose vertices, with the seeds,
+    ``is_core`` accepts, less, with ``minimal``, those holding an item
+    already in its prefix's closure.  ``_absorb`` runs once for each
+    prefix extended by an inactive vertex, except under a shadow, and the
+    base state is left as it was.  The shadows prune extensions without
+    changing a yield."""
     cases = [_cores_case(random.Random(4_400_021 + s)) for s in range(150)]
     assert sum(any(len(e) == 1 for e in g.edges) for g, _, _, _ in cases) >= 20
     assert sum(0 in t for _, t, _, _ in cases) >= 50
@@ -512,7 +509,7 @@ def test_cores_match_turns_at_prefixes(monkeypatch):
         return absorb(graph, active, need, left, seeds)
 
     absorb = propagation._absorb
-    yielded = cut = kept = split = shaded = 0
+    yielded = cut = kept = shaded = 0
     for g, t, seeds, items in cases:
         base = _base_state(g, t, seeds)
         before = (base[0][:], base[1][:], base[2])
@@ -520,44 +517,28 @@ def test_cores_match_turns_at_prefixes(monkeypatch):
         for k in range(n + 3):
             leaves = list(itertools.combinations(range(n), k))
             cores = [c for c in leaves if is_core(g, {*seeds, *(items[i] for i in c)}, t)]
-            s = max(k - 3, 0)
-            prefixes = [p for p in itertools.combinations(range(n), s + 1) if p[-1] <= n - k + s]
-            number = {p: i for i, p in enumerate(prefixes)}
-            turn = (lambda c: number[c[: s + 1]]) if k else (lambda c: 0)
             for minimal in (False, True):
-                for parts in range(1, 5):
-                    got = []
-                    for part in range(parts):
-                        absorbed.clear()
-                        with monkeypatch.context() as patch:
-                            patch.setattr(propagation, "_absorb", recording_absorb)
-                            got.append(list(_cores(g, base, items, k, minimal, part, parts)))
-                        expected = _cores_reference(g, t, seeds, items, k, minimal, part, parts)
-                        assert got[-1] == expected[0], (g.edges, t, seeds, items, k, minimal)
-                        assert absorbed == [(v,) for v in expected[1]]
-                        unshaded = _cores_reference(
-                            g, t, seeds, items, k, minimal, part, parts, shadows=False
-                        )
-                        assert unshaded[0] == expected[0]
-                        shaded += len(absorbed) < len(unshaded[1])
-                        if not minimal:
-                            assert got[-1] == [c for c in cores if turn(c) % parts == part]
-                            if parts == 1:
-                                reached = {c[: d + 1] for c in leaves for d in range(k)}
-                                kept += len(absorbed) < len(reached)
-                    if parts == 1:
-                        serial = got[0]
-                    assert sorted(itertools.chain(*got)) == serial
-                    assert sum(map(len, got)) == len(serial)
-                    split += k > 3 and sum(map(bool, got)) > 1
+                absorbed.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(propagation, "_absorb", recording_absorb)
+                    got = list(_cores(g, base, items, k, minimal))
+                expected = _cores_reference(g, t, seeds, items, k, minimal)
+                assert got == expected[0], (g.edges, t, seeds, items, k, minimal)
+                assert absorbed == [(v,) for v in expected[1]]
+                unshaded = _cores_reference(g, t, seeds, items, k, minimal, shadows=False)
+                assert unshaded[0] == expected[0]
+                shaded += len(absorbed) < len(unshaded[1])
                 if minimal:
-                    cut += len(serial) < len(cores)
-                yielded += len(serial)
+                    cut += len(got) < len(cores)
+                else:
+                    assert got == cores
+                    reached = {c[: d + 1] for c in leaves for d in range(k)}
+                    kept += len(absorbed) < len(reached)
+                yielded += len(got)
         assert base == before
-    # split counts the walks with k > 3 whose yield falls to two or more parts,
-    # shaded the part walks that a shadow spared an extension
-    assert yielded >= 300 and cut >= 50 and kept >= 200 and split >= 50 and shaded >= 300, (
-        yielded, cut, kept, split, shaded
+    # shaded counts the walks that a shadow spared an extension
+    assert yielded >= 300 and cut >= 50 and kept >= 200 and shaded >= 100, (
+        yielded, cut, kept, shaded
     )
 
 
@@ -584,9 +565,9 @@ def test_cores_passed_over_do_not_shadow():
     ``k = 3`` the walk passes over both at depth 1 under it, although
     ``(1, 2, 4)`` is a core, and must still yield ``(2, 3, 4)``.  On random instances, at
     every ``k`` above the least core size of the items, ``_cores`` yields
-    exactly the cores with no item in its prefix's closure, also split in
-    two parts; ``trapped`` counts the yields with an item in the closure of
-    an earlier sibling, not passed over, under which nothing is yielded."""
+    exactly the cores with no item in its prefix's closure; ``trapped``
+    counts the yields with an item in the closure of an earlier sibling,
+    not passed over, under which nothing is yielded."""
     leaf = Hypergraph(3, [(0, 1, 2), (0, 2)])
     inner = Hypergraph(5, [(1, 3), (1, 2, 3), (0, 3, 4)])
     for g, k, expected in ((leaf, 2, [(1, 2)]), (inner, 3, [(0, 2, 3), (0, 2, 4), (2, 3, 4)])):
@@ -602,8 +583,6 @@ def test_cores_passed_over_do_not_shadow():
         for k in range(least + 1, g.n + 1):
             expected = _minimal_cores(g, t, items, k)
             assert list(_cores(g, base, items, k, True)) == expected, (g.edges, k)
-            halves = [list(_cores(g, base, items, k, True, part, 2)) for part in range(2)]
-            assert sorted(halves[0] + halves[1]) == expected
             walks += 1
             for c in expected:
                 trapped += any(

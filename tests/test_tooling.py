@@ -243,3 +243,21 @@ def test_oracle_scores_radii_by_batch_only():
     names = _imported_names(trees["oracle"], trees)
     assert "_radii" in names
     assert names.isdisjoint({"_spread", "_core_radius"})
+
+
+def test_only_mincore_imports_the_process_pool():
+    """The process pool and the split of a level into batches for it live
+    in ``mincore`` alone: no other package module imports
+    ``concurrent.futures``, or a name from it, anywhere in its body."""
+    importers = set()
+    for name, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.partition(".")[0] == "concurrent" for m in modules):
+                importers.add(name)
+    assert importers == {"mincore"}
