@@ -59,8 +59,18 @@ EXIT_BUDGET = 3
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The file's text, line ends as written.  A byte that is not UTF-8
+    raises :class:`HceParseError` on its line.  The bytes are decoded in
+    one step: a text-mode read gives an error's position within a chunk,
+    not within the file."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]  # a line ends at LF, CR LF or a lone CR
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise HceParseError(line, f"text is not UTF-8: {exc.reason}") from None
 
 
 def _write_text(path: str, text: str) -> None:

@@ -3,10 +3,7 @@
 Vertices are dense 0-based integers ``0..n-1``.  Edges are sorted,
 duplicate-free vertex tuples; the edge *list* may contain duplicate edges
 (multiplicity is meaningful and counted by degree queries).  Instances are
-immutable after construction and safe to share between threads.  The one
-field written later, the cached default thresholds, is a value derived
-from the edge list and filled on first use: every writer stores an equal
-tuple, and equality, hashing and ``repr`` never read it.
+immutable after construction and safe to share between threads.
 
 An edge fires once ``t(e)`` of its vertices are active.  The whole
 threshold rule, the default ``|e| - 1`` and the valid range
@@ -25,11 +22,13 @@ Vertex-set files (cores, foundations) hold exactly one
 ``s <k> <v1> ... <vk>`` line of distinct vertices, also 1-based.
 
 Every line-record format of the package (these two, filtrations and the
-compiler inputs) goes through one tokeniser with one grammar: a comment
-is a line whose first field is exactly ``c``; a ``p`` header, where the
-format has one, appears once, before every other record, with integer
-counts; unknown line kinds are errors; every field is an integer except
-the free-text label of an ``l`` line; every 1-based index is at least 1.
+compiler inputs) goes through one tokeniser with one grammar: a line
+ends at LF, CR LF or a lone CR, and any other whitespace inside it, such
+as a form feed or U+2028, separates fields; a comment is a line whose
+first field is exactly ``c``; a ``p`` header, where the format has one,
+appears once, before every other record, with integer counts; unknown
+line kinds are errors; every field is an integer except the free-text
+label of an ``l`` line; every 1-based index is at least 1.
 A ``t`` line names each edge at most once and its value lies in
 ``[0, |e| - 1]``.  Malformed text raises :class:`HceParseError` with the
 offending line's number, or the header's line for whole-file checks.
@@ -67,7 +66,7 @@ class Hypergraph:
     strings used by the reduction compilers to record gadget provenance.
     """
 
-    __slots__ = ("n", "edges", "labels", "_incidence", "_thresholds")
+    __slots__ = ("n", "edges", "labels", "_incidence")
 
     def __init__(
         self,
@@ -111,7 +110,6 @@ class Hypergraph:
         for v, ix in enumerate(incidence):
             incidence[v] = tuple(ix)
         self._incidence = tuple(incidence)
-        self._thresholds: Optional[tuple[int, ...]] = None
 
     @property
     def m(self) -> int:
@@ -299,14 +297,8 @@ def generate_random(
 
 def default_thresholds(graph: Hypergraph) -> tuple[int, ...]:
     """Per-edge default, and largest valid, activation thresholds:
-    ``|e| - 1``, or 0 for a size-1 edge.
-
-    Built once per instance; later calls return the same tuple.
-    """
-    t = graph._thresholds
-    if t is None:
-        t = graph._thresholds = tuple([max(len(e) - 1, 0) for e in graph.edges])
-    return t
+    ``|e| - 1``, or 0 for a size-1 edge."""
+    return tuple([max(len(e) - 1, 0) for e in graph.edges])
 
 
 Thresholds = Optional[Sequence[int]]
@@ -315,14 +307,14 @@ Thresholds = Optional[Sequence[int]]
 def resolve_thresholds(graph: Hypergraph, thresholds: Thresholds) -> tuple[int, ...]:
     """The activation rule, as a checked tuple of per-edge thresholds.
 
-    ``None``, or the defaults tuple itself, returns the defaults with no
-    per-edge work.  Any other sequence must hold one value per edge, each
-    an ``int`` (not a ``bool``) in ``[0, |e| - 1]``, as a ``t`` line
-    carries, else ``ValueError``.  The engine fires an edge when its count
-    *equals* the threshold, so a fractional value would never fire.
+    ``None`` gives the defaults.  Any other sequence must hold one value
+    per edge, each an ``int`` (not a ``bool``) in ``[0, |e| - 1]``, as a
+    ``t`` line carries, else ``ValueError``.  The engine fires an edge when
+    its count *equals* the threshold, so a fractional value would never
+    fire.
     """
     defaults = default_thresholds(graph)
-    if thresholds is None or thresholds is defaults:
+    if thresholds is None:
         return defaults
     values = tuple(thresholds)
     if len(values) != len(defaults):
@@ -342,23 +334,28 @@ def resolve_thresholds(graph: Hypergraph, thresholds: Thresholds) -> tuple[int, 
 def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]] = None):
     """Tokenise a line-record file into ``(line_no, kind, values)`` tuples.
 
-    Blank lines and comments (first field exactly ``c``) are skipped.  A
-    line whose first field is a word is a record of that kind; any other
-    line is a record of kind ``""`` (CNF clauses).  ``kinds`` lists the
-    kinds the format allows.  Values are integers, each an optional ``-``
-    and ASCII digits, except that an ``l`` record carries one integer and
-    then its free-text label.  With ``header = (word, width)`` the file
-    needs exactly one ``p <word>`` line of ``width`` non-negative integers
-    before any other record; it is yielded with kind ``"p"``.  Every
-    violation raises :class:`HceParseError` carrying the offending line's
-    number.
+    A line ends at LF, CR LF or a lone CR; every other character that
+    ``str.split`` reads as whitespace separates fields.  Blank lines and
+    comments (first field exactly ``c``) are skipped.  A line whose first
+    field is a word is a record of that kind; any other line is a record
+    of kind ``""`` (CNF clauses).  ``kinds`` lists the kinds the format
+    allows.  Values are integers, each an optional ``-`` and ASCII digits,
+    except that an ``l`` record carries one integer and then its free-text
+    label.  With ``header = (word, width)`` the file needs exactly one
+    ``p <word>`` line of ``width`` non-negative integers before any other
+    record; it is yielded with kind ``"p"``.  Every violation raises
+    :class:`HceParseError` carrying the offending line's number.
     """
     plain = frozenset(kinds) - {"", "l"}  # word kinds whose fields are all integers
     seen = header is None
     # int() also reads "+1", "1_0" and other scripts' digits; only a text holding
     # one of them needs the field-by-field test
     to_int = int if text.isascii() and "_" not in text and "+" not in text else _decimal
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # not splitlines(), which also ends a line at \x0b, \x0c, \x1c-\x1e,
+    # \x85, \u2028 and \u2029
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         fields = raw.split()
         if not fields:
             continue

@@ -228,7 +228,7 @@ def oracle_min_core(
     search = _Search(graph, thresholds, budget)
     size, cores = search.least()
     witness = next(cores)
-    if not is_core(graph, witness, search.t):
+    if not is_core(graph, witness, thresholds):
         raise RuntimeError("closure and rounds disagree")
     return size, frozenset(witness)
 

@@ -162,7 +162,6 @@ class MinrepCertificate(ReductionCertificate):
 @dataclass
 class SatRadiusCertificate(ReductionCertificate):
     source: CnfFormula
-    k: int
     y_vertex: dict[tuple[int, int], int] = field(default_factory=dict)
     chain: tuple[int, ...] = ()
 
@@ -508,11 +507,7 @@ def threesat_to_mincore_radius(formula: CnfFormula, k: int) -> SatRadiusCertific
         edges.append((chain[r], chain[r + 1]))
     graph = Hypergraph(base, edges, labels)
     return SatRadiusCertificate(
-        instance=graph,
-        source=formula,
-        k=k,
-        y_vertex=y_vertex,
-        chain=chain,
+        instance=graph, source=formula, y_vertex=y_vertex, chain=chain
     )
 
 

@@ -1,12 +1,13 @@
 """The instance reader as it was before records were checked once.
 
 ``_records``, ``_counted`` and ``read_instance`` below are kept verbatim,
-but for the rule that an integer field is an optional ``-`` and ASCII
-digits, which ``_records`` took on with the package's tokeniser: the
-tokeniser checked every record through one general path, ``_counted``
-returned an unsorted list, and ``read_instance`` built the graph through
-the public ``Hypergraph`` constructor, which sorted and checked each edge
-again.  ``test_reader_reference.py`` compares the package's readers with
+but for two rules that ``_records`` took on with the package's tokeniser:
+an integer field is an optional ``-`` and ASCII digits, and a line ends
+at LF, CR LF or a lone CR, not at every break ``str.splitlines`` knows.
+The tokeniser checked every record through one general path,
+``_counted`` returned an unsorted list, and ``read_instance`` built the
+graph through the public ``Hypergraph`` constructor, which sorted and
+checked each edge again.  ``test_reader_reference.py`` compares the package's readers with
 these.
 """
 
@@ -19,19 +20,19 @@ from hypercore.hypergraph import HceParseError, Hypergraph, default_thresholds
 def _records(text: str, kinds: tuple[str, ...], header: Optional[tuple[str, int]] = None):
     """Tokenise a line-record file into ``(line_no, kind, values)`` tuples.
 
-    Blank lines and comments (first field exactly ``c``) are skipped.  A
-    line whose first field is a word is a record of that kind; any other
-    line is a record of kind ``""`` (CNF clauses).  ``kinds`` lists the
-    kinds the format allows.  Values are integers, each an optional ``-``
-    and ASCII digits, except that an ``l``
-    record carries one integer and then its free-text label.  With
+    A line ends at LF, CR LF or a lone CR.  Blank lines and comments
+    (first field exactly ``c``) are skipped.  A line whose first field is
+    a word is a record of that kind; any other line is a record of kind
+    ``""`` (CNF clauses).  ``kinds`` lists the kinds the format allows.
+    Values are integers, each an optional ``-`` and ASCII digits, except
+    that an ``l`` record carries one integer and then its free-text label.  With
     ``header = (word, width)`` the file needs exactly one ``p <word>``
     line of ``width`` non-negative integers before any other record; it
     is yielded with kind ``"p"``.  Every violation raises
     :class:`HceParseError` carrying the offending line's number.
     """
     seen = header is None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(re.split("\r\n|\r|\n", text), start=1):
         fields = raw.split()
         if not fields or fields[0] == "c":
             continue

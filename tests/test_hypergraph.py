@@ -45,7 +45,7 @@ def test_constructor_normalizes_and_validates():
         Hypergraph(-1, [])
 
 
-def test_default_thresholds_are_built_once_and_stay_invisible():
+def test_default_thresholds_leave_equality_hash_and_repr_alone():
     rng = random.Random(2800)
     graphs = [messy_instance(rng) for _ in range(200)]
     assert sum(any(len(e) == 1 for e in g.edges) for g in graphs) >= 40
@@ -56,10 +56,7 @@ def test_default_thresholds_are_built_once_and_stay_invisible():
         before = (hash(g), repr(g))
         t = default_thresholds(g)
         assert t == tuple(max(len(e) - 1, 0) for e in g.edges)
-        assert default_thresholds(g) is t
-        assert resolve_thresholds(g, None) is t
-        assert resolve_thresholds(g, t) is t
-        # twin never filled its cache; g did
+        assert resolve_thresholds(g, None) == resolve_thresholds(g, t) == t
         assert g == twin and twin == g
         assert (hash(g), repr(g)) == before == (hash(twin), repr(twin))
 
@@ -376,7 +373,6 @@ def test_read_instance_builds_what_the_constructor_builds():
         lines += [f"l {v + 1} {label}" for v, label in g.labels.items()]
         read, _ = read_instance("\n".join(lines))
         built = Hypergraph(g.n, [list(e) for e in g.edges], g.labels)
-        assert read._thresholds is None
         assert read == built and built == read
         assert hash(read) == hash(built)
         assert (read.n, read.edges, read.labels) == (built.n, built.edges, built.labels)
@@ -476,6 +472,42 @@ def test_integer_fields_are_ascii_decimal():
     g, _ = read_instance("c +1 1_0 ３\np hce 3 1\ne 2 1 3\nl 2 +a_b ３\nl 1 -007\n")
     assert g == Hypergraph(3, [(0, 2)], {1: "+a_b ３", 0: "-007"})
     assert read_vertex_set("s 2 01 003\n") == {0, 2}
+
+
+# What ``str.splitlines`` ends a line at besides LF and CR; the formats
+# read each as field whitespace, as ``str.split`` does.
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# One valid file of each format, with a comment, and a label where the
+# format has labels.
+_COMMENTED = [
+    (read_instance, "p hce 3 2\nc a comment\ne 2 1 2\ne 2 2 3\nt 2 0\nl 1 x y\n"),
+    (read_vertex_set, "c a comment\ns 2 1 3\n"),
+    (read_filtration, "c a comment\nf 1 1\no 1 2\n"),
+    (read_setcover, "p sc 3 2\nc a comment\ns 2 1 2\ns 2 2 3\n"),
+    (read_minrep, "p minrep 1 2 1 1\nc a comment\ne 1 1\ne 2 1\n"),
+    (read_cnf, "p cnf 3 2\nc a comment\n1 -2 3 0\n-1 2 3 0\n"),
+]
+
+
+def test_a_line_ends_only_at_lf_crlf_or_cr():
+    """Every format reads a file the same with LF, CR LF or CR line ends,
+    and with any of ``SPLITLINES_ONLY`` in a comment, in a label or in
+    place of every space; a bad record after it fails on its own line."""
+    for reader, text in _COMMENTED:
+        want = reader(text)
+        assert reader(text.replace("\n", "\r\n")) == reader(text.replace("\n", "\r")) == want
+        last = text.count("\n") + 1
+        for ch in SPLITLINES_ONLY:
+            for changed in (
+                text.replace("a comment", f"a{ch}comment"),
+                text.replace("x y", f"x{ch}y"),
+                text.replace(" ", ch),
+            ):
+                assert reader(changed) == want, (reader.__name__, changed)
+                with pytest.raises(HceParseError, match="unknown line kind 'zzz'") as err:
+                    reader(changed + "zzz\n")
+                assert err.value.line == last, (reader.__name__, changed)
 
 
 def test_comment_is_first_field_c_only():

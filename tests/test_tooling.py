@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -189,6 +190,96 @@ def test_no_function_calls_itself():
                     continue
                 if name == fn.name:
                     found.append(f"{path.stem}.{fn.name}:{node.lineno}")
+    assert found == []
+
+
+def test_package_has_no_assert_statements():
+    """``python -O`` strips ``assert``, so no runtime check may be one."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def _open_modes(call):
+    """The string literals an ``open``-like call may take as its mode: the
+    ``mode`` keyword, or a leading positional argument that reads as a mode
+    (``Path.open`` takes it first, ``open`` and ``io.open`` second)."""
+    values = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[:2]
+    return [
+        v.value
+        for v in values
+        if isinstance(v, ast.Constant)
+        and isinstance(v.value, str)
+        and re.fullmatch(r"[rwxabt+]{1,4}", v.value)
+    ]
+
+
+def test_package_never_truncates_a_file_to_rewrite_it():
+    """Truncating an existing file to zero before rewriting it can stall in
+    the kernel for tens of milliseconds; ``cli._write_text`` overwrites in
+    place (``os.open`` without ``O_TRUNC``, then ``os.fdopen``) and cuts to
+    length instead.  No ``open``/``io.open``/``Path.open`` call may use a
+    truncating write mode, and no ``Path.write_text`` or
+    ``Path.write_bytes`` may be called."""
+    found = []
+    for name, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            modes = _open_modes(node) if called == "open" else []
+            if any("w" in mode for mode in modes) or (
+                isinstance(func, ast.Attribute) and called in ("write_text", "write_bytes")
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def _stores(node):
+    """Every attribute store below ``node``: ``x.a = ...``, ``x.a: T = ...``."""
+    return [
+        t for t in ast.walk(node) if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+    ]
+
+
+def test_hypergraph_fields_are_set_once_by_fill():
+    """An instance is immutable once built: ``Hypergraph.__slots__`` names
+    exactly the attributes ``Hypergraph._fill`` assigns, once each, and no
+    other package code stores one of them.  A ``self.<name>`` store in
+    another class sets that class's own field."""
+    trees = _package_trees()
+    cls = next(
+        node
+        for node in trees["hypergraph"].body
+        if isinstance(node, ast.ClassDef) and node.name == "Hypergraph"
+    )
+    slots = next(
+        ast.literal_eval(node.value)
+        for node in cls.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "__slots__"
+    )
+    fill = next(f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "_fill")
+    assert sorted(t.attr for t in _stores(fill)) == sorted(slots)
+    allowed = {id(t) for t in _stores(fill)}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node is not cls:
+                allowed |= {
+                    id(t)
+                    for t in _stores(node)
+                    if isinstance(t.value, ast.Name) and t.value.id == "self"
+                }
+    found = [
+        f"{name}:{t.lineno}"
+        for name, tree in trees.items()
+        for t in _stores(tree)
+        if t.attr in slots and id(t) not in allowed
+    ]
     assert found == []
 
 
